@@ -52,6 +52,7 @@ from .errors import (
     DuplicateIdError,
     ForwardReferenceError,
     InvalidSatelliteError,
+    InvariantError,
     LatticeError,
     MultipleOriginsError,
     NegboundError,
@@ -89,7 +90,6 @@ from .lattice import (
     strict_exceptional_coordinates,
     strict_transform_of_exceptional,
 )
-from .random_configs import random_configuration, random_surface
 from .sufficiency import (
     DValue,
     HatConfiguration,

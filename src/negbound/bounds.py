@@ -10,7 +10,7 @@ origins); reports always record both so callers can see when they diverge.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import NamedTuple, Sequence, Union
 
@@ -21,7 +21,7 @@ from .errors import (
 )
 from .lattice import DivisorClass, Rational, _exact, pairing
 from .surfaces import SurfaceModel, is_plane, surface_json_fields
-from .sufficiency import origin_d_values
+from .sufficiency import origin_d_values, total_d
 
 N_CONVENTIONS = ("stated", "example")
 
@@ -38,20 +38,18 @@ class ClusterData(NamedTuple):
     n_example: int
     d: int
     gamma: int
-    per_origin: tuple[tuple[int, int, int], ...]  # (origin id, d, hat size)
 
 
 def cluster_bound_data(c: Configuration | None) -> ClusterData:
     """n, d and gamma of a cluster; the empty cluster contributes zeros."""
     if c is None:
-        return ClusterData(0, 0, 0, 0, ())
+        return ClusterData(0, 0, 0, 0)
     per = origin_d_values(c)
     return ClusterData(
         n_stated=len(c),
         n_example=sum(dv.hat_size for _, dv in per),
         d=sum(dv.d for _, dv in per),
-        gamma=exceptional_self_intersections(c).gamma,
-        per_origin=tuple((origin, dv.d, dv.hat_size) for origin, dv in per))
+        gamma=exceptional_self_intersections(c).gamma)
 
 
 def rational_json(value: Fraction) -> int | str:
@@ -117,14 +115,27 @@ def _resolve(c: Configuration | None, n_convention: str,
             data.gamma if gamma is None else gamma)
 
 
-def _report(surface, data: ClusterData, convention, n, gamma, epsilon, terms,
-            case_bounds=None) -> BoundReport:
+def _report(surface, data: ClusterData, convention, n, gamma, epsilon,
+            terms) -> BoundReport:
     return BoundReport(surface=surface, n_stated=data.n_stated,
                        n_example=data.n_example, convention=convention, n=n,
                        d=data.d, gamma=gamma, epsilon=epsilon,
                        terms=tuple(terms),
-                       bound=min(value for _, value in terms),
-                       case_bounds=case_bounds)
+                       bound=min(value for _, value in terms))
+
+
+def _terms(surface: SurfaceModel, n: int,
+           d: int) -> tuple[tuple[str, str, int], ...]:
+    """The base terms shared by every bound family, as (name, name in the
+    epsilon family, value).  On F_delta the first term is the one that
+    bounds curves not invariant under the attached foliation."""
+    if is_plane(surface):
+        return (("3-2d", "(3-2d)/eps", 3 - 2 * d),
+                ("d(1-n)", "d(1-n)/eps", d * (1 - n)))
+    delta = surface.delta
+    return (("2-2d-delta", "(2-2d-delta)/eps", 2 - 2 * d - delta),
+            ("-n-delta", "(-n-delta)/eps", -n - delta),
+            ("-(delta+2)dn", "(-delta-2)dn/eps", -(delta + 2) * d * n))
 
 
 def polarization_bounds(c: Configuration,
@@ -134,20 +145,11 @@ def polarization_bounds(c: Configuration,
     Case one applies to curves not invariant under the attached foliation,
     case two to invariant ones; ``bound`` is their minimum.
     """
-    surface, data, n, gamma = _resolve(c, n_convention, None, None)
-    d = data.d
-    if is_plane(surface):
-        terms = [("3-2d", Fraction(3 - 2 * d)),
-                 ("d(1-n)", Fraction(d * (1 - n)))]
-        cases = (("non_invariant", terms[0][1]), ("invariant", terms[1][1]))
-    else:
-        delta = surface.delta
-        terms = [("2-2d-delta", Fraction(2 - 2 * d - delta)),
-                 ("-n-delta", Fraction(-n - delta)),
-                 ("-(delta+2)dn", Fraction(-(delta + 2) * d * n))]
-        cases = (("non_invariant", terms[0][1]),
-                 ("invariant", min(terms[1][1], terms[2][1])))
-    return _report(surface, data, n_convention, n, gamma, None, terms, cases)
+    report = nef_pullback_bounds(c, n_convention)
+    (_, non_invariant), *rest = report.terms
+    return replace(report, case_bounds=(
+        ("non_invariant", non_invariant),
+        ("invariant", min(value for _, value in rest))))
 
 
 def epsilon_family_bounds(c: Configuration | None, epsilon: Rational,
@@ -158,17 +160,9 @@ def epsilon_family_bounds(c: Configuration | None, epsilon: Rational,
     pullback polarization: min of the scaled case terms and -gamma."""
     eps = _positive_epsilon(epsilon)
     surface, data, n, gamma = _resolve(c, n_convention, surface, gamma)
-    d = data.d
-    if is_plane(surface):
-        terms = [("(3-2d)/eps", Fraction(3 - 2 * d) / eps),
-                 ("d(1-n)/eps", Fraction(d * (1 - n)) / eps),
-                 ("-gamma", Fraction(-gamma))]
-    else:
-        delta = surface.delta
-        terms = [("(2-2d-delta)/eps", Fraction(2 - 2 * d - delta) / eps),
-                 ("(-n-delta)/eps", Fraction(-n - delta) / eps),
-                 ("(-delta-2)dn/eps", Fraction(-(delta + 2) * d * n) / eps),
-                 ("-gamma", Fraction(-gamma))]
+    terms = [(eps_name, Fraction(value) / eps)
+             for _, eps_name, value in _terms(surface, n, data.d)]
+    terms.append(("-gamma", Fraction(-gamma)))
     return _report(surface, data, n_convention, n, gamma, eps, terms)
 
 
@@ -176,17 +170,10 @@ def nef_pullback_bounds(c: Configuration | None,
                         n_convention: str = "stated", *,
                         surface: SurfaceModel | None = None) -> BoundReport:
     """Bound on nu_{D*} for the pullback of any nef divisor on the base."""
-    surface, data, n, _gamma = _resolve(c, n_convention, surface, None)
-    d = data.d
-    if is_plane(surface):
-        terms = [("3-2d", Fraction(3 - 2 * d)),
-                 ("d(1-n)", Fraction(d * (1 - n)))]
-    else:
-        delta = surface.delta
-        terms = [("2-2d-delta", Fraction(2 - 2 * d - delta)),
-                 ("-n-delta", Fraction(-n - delta)),
-                 ("-(delta+2)dn", Fraction(-(delta + 2) * d * n))]
-    return _report(surface, data, n_convention, n, _gamma, None, terms)
+    surface, data, n, gamma = _resolve(c, n_convention, surface, None)
+    terms = [(name, Fraction(value))
+             for name, _, value in _terms(surface, n, data.d)]
+    return _report(surface, data, n_convention, n, gamma, None, terms)
 
 
 @dataclass(frozen=True)
@@ -286,7 +273,7 @@ def attached_foliation_degree_bounds(c: Configuration) -> AttachedFoliationRepor
     """Plane: degree <= 2d - 2, first integral of degree exactly d.
     Hirzebruch: (r1, r2) <= (2d + delta - 2, 2d - 2), first integral of
     bidegree (d1 <= d, d)."""
-    d = sum(dv.d for _, dv in origin_d_values(c))
+    d = total_d(c)
     if is_plane(c.surface):
         return AttachedFoliationReport(surface=c.surface, d=d, r_max=2 * d - 2,
                                        first_integral_degree=d)
@@ -317,6 +304,18 @@ class NuReport:
 
     value: Fraction | None
     ratios: tuple[CurveRatio, ...]
+
+    def as_json_dict(self) -> dict:
+        return {
+            "value": None if self.value is None else rational_json(self.value),
+            "curves": [{"index": r.index,
+                        "c_sq": rational_json(r.self_intersection),
+                        "d_dot_c": rational_json(r.pairing_with_divisor),
+                        "qualifies": r.qualifies,
+                        "ratio": None if r.ratio is None
+                                 else rational_json(r.ratio)}
+                       for r in self.ratios],
+        }
 
 
 def empirical_nu(curves: Sequence[DivisorClass],

@@ -15,16 +15,15 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .bounds import (
-    BoundReport,
-    empirical_nu,
-    epsilon_family_bounds,
-    nef_pullback_bounds,
-    rational_json,
+from .bounds import empirical_nu, epsilon_family_bounds, nef_pullback_bounds
+from .config import analysis_report, dot_export
+from .errors import NegboundError, ParseError
+from .fileformat import (
+    load_configuration,
+    load_curves,
+    parse_divisor,
+    parse_rational,
 )
-from .config import analysis_report, classify, dot_export
-from .errors import NegboundError
-from .fileformat import load_configuration, load_curves, parse_divisor
 from .sufficiency import d_value_report
 from .surfaces import parse_surface
 
@@ -38,8 +37,8 @@ def format_rational(value: Fraction) -> str:
 
 def _fraction_arg(text: str) -> Fraction:
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
+        return parse_rational(text)
+    except ParseError:
         raise argparse.ArgumentTypeError(
             f"invalid rational {text!r} (expected 'p' or 'p/q')") from None
 
@@ -87,46 +86,39 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load(args):
-    config = load_configuration(args.input)
-    if args.surface is not None:
-        config = dataclasses.replace(config,
-                                     surface=parse_surface(args.surface))
-    return config
-
-
-def _cmd_analyze(args) -> str:
-    config = _load(args)
+def _cmd_analyze(config, args) -> tuple[dict, str]:
     report = analysis_report(config)
-    if args.json:
-        return json.dumps(report, indent=2)
     lines = [f"surface: {config.surface}",
-             f"points: {len(config)}   "
-             f"origins: {' '.join(map(str, config.origins))}   "
-             f"ends: {' '.join(map(str, config.ends))}",
+             f"points: {len(report['points'])}   "
+             f"origins: {' '.join(map(str, report['origins']))}   "
+             f"ends: {' '.join(map(str, report['ends']))}",
              f"gamma: {report['gamma']}",
              f"{'id':>4} {'level':>5}  {'kind':<9} {'proximities':<12} E^2"]
-    esq = {p["id"]: p["e_sq"] for p in report["points"]}
-    for item in classify(config):
-        prox = " ".join(map(str, config.point(item.id).proximities)) or "-"
-        lines.append(f"{item.id:>4} {item.level:>5}  {item.kind:<9} "
-                     f"{prox:<12} {esq[item.id]}")
-    return "\n".join(lines)
+    for p in report["points"]:
+        prox = " ".join(map(str, p["proximities"])) or "-"
+        lines.append(f"{p['id']:>4} {p['level']:>5}  {p['kind']:<9} "
+                     f"{prox:<12} {p['e_sq']}")
+    return report, "\n".join(lines)
 
 
-def _cmd_dvalue(args) -> str:
-    config = _load(args)
+def _cmd_dvalue(config, args) -> tuple[dict, str]:
     report = d_value_report(config)
-    if args.json:
-        return json.dumps(report, indent=2)
     lines = [f"origin {entry['id']}: d = {entry['d']}   "
              f"(hat size {entry['hat_size']})"
              for entry in report["origins"]]
     lines.append(f"total d: {report['total_d']}")
-    return "\n".join(lines)
+    return report, "\n".join(lines)
 
 
-def _render_bounds(report: BoundReport) -> str:
+def _cmd_bounds(config, args) -> tuple[dict, str]:
+    if args.pullback:
+        report = nef_pullback_bounds(config, args.n_convention)
+    else:
+        report = epsilon_family_bounds(config, args.epsilon, args.n_convention)
+    if report.conventions_disagree:
+        print(f"warning: n conventions disagree "
+              f"(stated {report.n_stated}, example {report.n_example}); "
+              f"using {report.convention}", file=sys.stderr)
     lines = [f"surface: {report.surface}",
              f"n: {report.n} ({report.convention})   "
              f"[stated {report.n_stated}, example {report.n_example}]",
@@ -138,41 +130,13 @@ def _render_bounds(report: BoundReport) -> str:
     for name, value in report.terms:
         lines.append(f"  {name:<{width}} = {format_rational(value)}")
     lines.append(f"bound: {format_rational(report.bound)}")
-    return "\n".join(lines)
+    return report.as_json_dict(), "\n".join(lines)
 
 
-def _cmd_bounds(args) -> str:
-    config = _load(args)
-    if args.pullback:
-        report = nef_pullback_bounds(config, args.n_convention)
-    else:
-        report = epsilon_family_bounds(config, args.epsilon, args.n_convention)
-    if report.conventions_disagree:
-        print(f"warning: n conventions disagree "
-              f"(stated {report.n_stated}, example {report.n_example}); "
-              f"using {report.convention}", file=sys.stderr)
-    if args.json:
-        return json.dumps(report.as_json_dict(), indent=2)
-    return _render_bounds(report)
-
-
-def _cmd_nu(args) -> str:
-    config = _load(args)
+def _cmd_nu(config, args) -> tuple[dict, str]:
     divisor = parse_divisor(args.divisor, config.surface, len(config))
     curves = load_curves(args.curves, config.surface, len(config))
     report = empirical_nu(curves, divisor)
-    if args.json:
-        return json.dumps({
-            "divisor": str(divisor),
-            "value": None if report.value is None else rational_json(report.value),
-            "curves": [{"index": r.index,
-                        "c_sq": rational_json(r.self_intersection),
-                        "d_dot_c": rational_json(r.pairing_with_divisor),
-                        "qualifies": r.qualifies,
-                        "ratio": None if r.ratio is None
-                                 else rational_json(r.ratio)}
-                       for r in report.ratios],
-        }, indent=2)
     lines = [f"divisor: {divisor}"]
     for r in report.ratios:
         ratio = "-" if r.ratio is None else format_rational(r.ratio)
@@ -182,11 +146,11 @@ def _cmd_nu(args) -> str:
                      f"ratio = {ratio}{note}")
     value = "undefined" if report.value is None else format_rational(report.value)
     lines.append(f"nu over {len(report.ratios)} supplied curve(s): {value}")
-    return "\n".join(lines)
+    return {"divisor": str(divisor), **report.as_json_dict()}, "\n".join(lines)
 
 
-def _cmd_dot(args) -> str:
-    return dot_export(_load(args)).rstrip("\n")
+def _cmd_dot(config, args) -> tuple[None, str]:
+    return None, dot_export(config).rstrip("\n")
 
 
 _COMMANDS = {
@@ -204,13 +168,16 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "bounds" and not args.pullback and args.epsilon is None:
         parser.error("--epsilon is required unless --pullback is given")
     try:
-        text = _COMMANDS[args.command](args)
-    except NegboundError as err:
+        config = load_configuration(args.input)
+        if args.surface is not None:
+            config = dataclasses.replace(config,
+                                         surface=parse_surface(args.surface))
+        data, text = _COMMANDS[args.command](config, args)
+    except (NegboundError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
+    if getattr(args, "json", False):
+        text = json.dumps(data, indent=2)
     if args.output is not None:
         args.output.write_text(text + "\n", encoding="utf-8")
     else:

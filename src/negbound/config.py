@@ -105,7 +105,8 @@ def build_configuration(point_specs: Iterable[PointSpec],
     """Validate ``(id, proximity ids)`` specs and assemble a Configuration.
 
     Ids must form 1..n (any input order); proximity lists must reference
-    strictly smaller ids, parent (largest target) first.
+    strictly smaller ids, parent (largest target) first, and no two
+    satellites may share both targets.
     """
     specs = sorted(((pid, tuple(prox)) for pid, prox in point_specs),
                    key=lambda item: item[0])
@@ -123,6 +124,7 @@ def build_configuration(point_specs: Iterable[PointSpec],
 
     points: list[Point] = []
     by_id: dict[int, Point] = {}
+    satellite_at: dict[tuple[int, ...], int] = {}
     for pid, prox in specs:
         if len(prox) > 2:
             raise TooManyProximitiesError(
@@ -147,6 +149,13 @@ def build_configuration(point_specs: Iterable[PointSpec],
                 raise InvalidSatelliteError(
                     f"point {pid}: second target {second} is not among the "
                     f"proximities of its parent {parent}", point_id=pid)
+            # E_parent meets the strict transform of E_second in one point,
+            # so at most one satellite is proximate to both.
+            if prox in satellite_at:
+                raise InvalidSatelliteError(
+                    f"points {satellite_at[prox]} and {pid} are both "
+                    f"proximate to {parent} and {second}", point_id=pid)
+            satellite_at[prox] = pid
         level = 0 if not prox else by_id[prox[0]].level + 1
         point = Point(id=pid, proximities=prox, level=level)
         points.append(point)

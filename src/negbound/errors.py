@@ -28,7 +28,8 @@ class TooManyProximitiesError(ConfigurationError):
 
 
 class InvalidSatelliteError(ConfigurationError):
-    """A satellite's second target is not among its parent's proximities."""
+    """A satellite's second target is not among its parent's proximities,
+    or another satellite is already proximate to the same two points."""
 
 
 class NormalizationError(ConfigurationError):
@@ -49,6 +50,10 @@ class UnknownPointError(ConfigurationError):
 
 class NonPositiveCoefficientError(NegboundError):
     """An unloading coefficient that must be positive is not."""
+
+
+class InvariantError(NegboundError):
+    """A derived object (completion, d certificate) breaks its invariant."""
 
 
 class LatticeError(NegboundError):

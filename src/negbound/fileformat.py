@@ -26,14 +26,19 @@ from .surfaces import SurfaceModel, is_plane, parse_surface
 
 def parse_rational(text: str) -> Fraction:
     try:
+        if not text.isascii():
+            raise ValueError("non-ASCII text")
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as err:
         raise ParseError(f"invalid rational {text!r}") from err
 
 
-def _statements(text: str):
+def _statements(text: str, source: str):
     for lineno, raw in enumerate(text.splitlines(), start=1):
         statement = raw.split("#", 1)[0].strip()
+        if not statement.isascii():
+            raise ParseError(f"non-ASCII character in {statement!r}",
+                             line=lineno, source=source)
         if statement:
             yield lineno, statement
 
@@ -43,7 +48,7 @@ def parse_configuration(text: str, *, source: str = "<config>") -> Configuration
     surface: SurfaceModel | None = None
     specs: list[tuple[int, list[int]]] = []
     line_of_id: dict[int, int] = {}
-    for lineno, statement in _statements(text):
+    for lineno, statement in _statements(text, source):
         tokens = statement.split()
         if surface is None:
             if tokens[0].lower() != "surface":
@@ -100,7 +105,7 @@ def serialize_configuration(c: Configuration) -> str:
 
 
 _TERM_RE = re.compile(r"([+-]?)((?:\d+(?:/\d+)?)?)(L|F|M|E(\d+))",
-                      re.IGNORECASE)
+                      re.IGNORECASE | re.ASCII)
 
 
 def parse_divisor(text: str, surface: SurfaceModel, n: int) -> DivisorClass:
@@ -156,7 +161,7 @@ def parse_curves(text: str, surface: SurfaceModel, n: int, *,
                  source: str = "<curves>") -> tuple[DivisorClass, ...]:
     """Parse a file with one divisor literal per line."""
     curves = []
-    for lineno, statement in _statements(text):
+    for lineno, statement in _statements(text, source):
         try:
             curves.append(parse_divisor(statement, surface, n))
         except ParseError as err:

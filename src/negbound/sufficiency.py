@@ -21,7 +21,11 @@ from .config import (
     proximity_matrix,
     subconfiguration,
 )
-from .errors import MultipleOriginsError, NonPositiveCoefficientError
+from .errors import (
+    InvariantError,
+    MultipleOriginsError,
+    NonPositiveCoefficientError,
+)
 
 
 class AddedPoint(NamedTuple):
@@ -38,7 +42,10 @@ class HatConfiguration:
     added: tuple[AddedPoint, ...]
 
     def __post_init__(self) -> None:
-        assert len(self.extended) == len(self.base) + len(self.added)
+        if len(self.extended) != len(self.base) + len(self.added):
+            raise InvariantError(
+                f"completion has {len(self.extended)} points, expected "
+                f"{len(self.base)} base + {len(self.added)} added")
 
 
 def hat_configuration(c: Configuration) -> HatConfiguration:
@@ -62,9 +69,8 @@ def hat_configuration(c: Configuration) -> HatConfiguration:
         end = c.point(end_id)
         if not end.is_free:
             continue
-        # With >= 2 points the origin is never an end, so every free end has
-        # a parent.
-        assert end.parent is not None and end.level >= 1
+        if end.level < 1:
+            raise InvariantError(f"free end {end_id} is at level {end.level}")
         next_id += 1
         specs.append((next_id, [end_id, end.parent]))
         added.append(AddedPoint(id=next_id, free_end=end_id))
@@ -89,9 +95,11 @@ class DValue:
     hat: HatConfiguration
 
     def __post_init__(self) -> None:
-        assert self.d >= 2
-        assert all(v > 0 for v in self.certificate)
-        assert any(v <= 0 for v in self.previous)
+        if (self.d < 2 or not all(v > 0 for v in self.certificate)
+                or all(v > 0 for v in self.previous)):
+            raise InvariantError(
+                f"d = {self.d} is not certified minimal: need d >= 2, "
+                f"{self.certificate} positive, {self.previous} not")
 
     @property
     def hat_size(self) -> int:

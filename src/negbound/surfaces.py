@@ -27,7 +27,7 @@ class Hirzebruch:
     delta: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.delta, int) or self.delta < 0:
+        if type(self.delta) is not int or self.delta < 0:
             raise ValueError(f"delta must be a nonnegative integer, got {self.delta!r}")
 
     def __str__(self) -> str:
@@ -43,8 +43,8 @@ def is_plane(surface: SurfaceModel) -> bool:
 
 def parse_surface(text: str, *, line: int | None = None,
                   source: str | None = None) -> SurfaceModel:
-    """Parse a surface spec: ``p2`` or ``f <delta>``."""
-    tokens = text.split()
+    """Parse a surface spec: ``p2`` or ``f <delta>``, in ASCII."""
+    tokens = text.split() if text.isascii() else []
     if tokens and tokens[0].lower() == "surface":
         tokens = tokens[1:]
     if len(tokens) == 1 and tokens[0].lower() == "p2":
@@ -65,12 +65,3 @@ def surface_json_fields(surface: SurfaceModel) -> dict:
     if is_plane(surface):
         return {"surface": "p2"}
     return {"surface": "f", "delta": surface.delta}
-
-
-def surface_from_json_fields(data: dict) -> SurfaceModel:
-    kind = data.get("surface")
-    if kind == "p2":
-        return ProjectivePlane()
-    if kind == "f":
-        return Hirzebruch(int(data["delta"]))
-    raise ParseError(f"invalid surface fields {data!r}")

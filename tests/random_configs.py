@@ -12,8 +12,12 @@ from __future__ import annotations
 
 import random
 
-from .config import Configuration, build_configuration
-from .surfaces import Hirzebruch, ProjectivePlane, SurfaceModel
+from negbound import (
+    Configuration,
+    ProjectivePlane,
+    SurfaceModel,
+    build_configuration,
+)
 
 
 def random_configuration(rng: random.Random, n: int,
@@ -42,8 +46,3 @@ def random_configuration(rng: random.Random, n: int,
         prox_of[pid] = prox
     return build_configuration(specs, surface or ProjectivePlane())
 
-
-def random_surface(rng: random.Random, max_delta: int = 4) -> SurfaceModel:
-    if rng.random() < 0.5:
-        return ProjectivePlane()
-    return Hirzebruch(rng.randrange(0, max_delta + 1))

@@ -25,7 +25,6 @@ from negbound import (
     origin_d_values,
     pairing,
     proximity_matrix,
-    random_configuration,
     special_section_class,
     strict_transform_of_exceptional,
     subconfiguration,
@@ -34,6 +33,7 @@ from negbound import (
 from negbound.cli import main
 from negbound.surfaces import Hirzebruch, ProjectivePlane
 from conftest import identity, mat_mul, scan_d_value
+from random_configs import random_configuration
 
 SEED = 271828
 

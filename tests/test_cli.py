@@ -4,11 +4,27 @@ import json
 
 import pytest
 
-from negbound import build_configuration, parse_configuration, serialize_configuration
+from negbound import (
+    Hirzebruch,
+    ParseError,
+    ProjectivePlane,
+    SurfaceModel,
+    build_configuration,
+    parse_configuration,
+    serialize_configuration,
+)
 from negbound.cli import main
-from negbound.surfaces import surface_from_json_fields
 
 SINGLETON = "surface p2\n1 origin\n"
+
+
+def surface_from_json_fields(data: dict) -> SurfaceModel:
+    kind = data.get("surface")
+    if kind == "p2":
+        return ProjectivePlane()
+    if kind == "f":
+        return Hirzebruch(int(data["delta"]))
+    raise ParseError(f"invalid surface fields {data!r}")
 
 
 def run(capsys, argv):
@@ -149,6 +165,11 @@ class TestBounds:
     def test_malformed_epsilon_is_usage_error(self, capsys, sample12_path):
         with pytest.raises(SystemExit) as exc:
             main(["bounds", str(sample12_path), "--epsilon", "abc"])
+        assert exc.value.code == 2
+
+    def test_non_ascii_epsilon_is_usage_error(self, capsys, sample12_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["bounds", str(sample12_path), "--epsilon", "\u0661/\u0662"])
         assert exc.value.code == 2
 
 

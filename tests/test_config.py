@@ -55,6 +55,13 @@ class TestBuildConfiguration:
         with pytest.raises(InvalidSatelliteError):
             build_configuration([(1, []), (2, [1]), (3, [2]), (4, [3, 1])])
 
+    def test_two_satellites_at_the_same_pair(self):
+        # E_2 meets the strict transform of E_1 in one point, so 3 and 4
+        # would have to be the same point.
+        with pytest.raises(InvalidSatelliteError) as exc:
+            build_configuration([(1, []), (2, [1]), (3, [2, 1]), (4, [2, 1])])
+        assert exc.value.point_id == 4
+
     def test_duplicate_id(self):
         with pytest.raises(DuplicateIdError):
             build_configuration([(1, []), (1, [])])

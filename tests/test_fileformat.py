@@ -7,6 +7,7 @@ import pytest
 from negbound import (
     DivisorClass,
     ForwardReferenceError,
+    InvalidSatelliteError,
     ParseError,
     build_configuration,
     load_configuration,
@@ -62,6 +63,22 @@ class TestParseConfiguration:
         assert exc.value.line == 3
         assert isinstance(exc.value.__cause__, ForwardReferenceError)
 
+    def test_two_satellites_at_the_same_pair_carry_line(self):
+        with pytest.raises(ParseError) as exc:
+            parse_configuration("surface p2\n1 origin\n2 -> 1\n3 -> 2 1\n"
+                                "# comment\n4 -> 2 1\n")
+        assert exc.value.line == 6
+        assert isinstance(exc.value.__cause__, InvalidSatelliteError)
+
+    @pytest.mark.parametrize("text", [
+        "surface p2\n\u0661 origin\n",           # Arabic-Indic digit one
+        "surface p2\n1 origin\n2 -> \u0661\n",
+    ])
+    def test_non_ascii_point_ids_and_targets(self, text):
+        with pytest.raises(ParseError) as exc:
+            parse_configuration(text)
+        assert exc.value.line == text.count("\n")
+
     def test_gap_in_ids(self):
         with pytest.raises(ParseError):
             parse_configuration("surface p2\n1 origin\n5 -> 1\n")
@@ -84,12 +101,17 @@ class TestSerializeConfiguration:
 
 
 class TestParseSurface:
+    def test_bool_delta_rejected(self):
+        with pytest.raises(ValueError):
+            Hirzebruch(True)
+
     def test_accepted_forms(self):
         assert parse_surface("p2") == P2
         assert parse_surface("f 0") == Hirzebruch(0)
         assert parse_surface("surface f 4") == Hirzebruch(4)
 
-    @pytest.mark.parametrize("bad", ["f -1", "q", "f x", "f", "p3"])
+    @pytest.mark.parametrize("bad", ["f -1", "q", "f x", "f", "p3",
+                                     "f \u0661", "f \uff13"])
     def test_rejected_forms(self, bad):
         with pytest.raises(ParseError):
             parse_surface(bad)
@@ -128,6 +150,7 @@ class TestParseDivisor:
         ("3L", Hirzebruch(1), 1),   # L only lives on the plane
         ("E5", P2, 4),              # index out of range
         ("1/0L", P2, 1),
+        ("\u0663L - E\u0661", P2, 1),  # Arabic-Indic digits
     ])
     def test_rejected_literals(self, bad, surface, n):
         with pytest.raises(ParseError):
@@ -153,7 +176,8 @@ class TestParseRational:
         assert parse_rational("3/4") == Fraction(3, 4)
         assert parse_rational("-7/2") == Fraction(-7, 2)
 
-    @pytest.mark.parametrize("bad", ["", "x", "1/0", "1.5.2"])
+    @pytest.mark.parametrize("bad", ["", "x", "1/0", "1.5.2",
+                                     "\u0661/\u0662"])
     def test_rejected(self, bad):
         with pytest.raises(ParseError):
             parse_rational(bad)

@@ -18,13 +18,13 @@ from negbound import (
     pairing,
     polarization_bounds,
     proximity_matrix,
-    random_configuration,
     special_section_class,
     strict_transform_of_exceptional,
     subconfiguration,
 )
 from negbound.surfaces import Hirzebruch, ProjectivePlane
 from conftest import identity, mat_mul, scan_d_value
+from random_configs import random_configuration
 
 SEED = 940221
 

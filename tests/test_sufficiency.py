@@ -1,9 +1,17 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from negbound import (
+    Configuration,
+    HatConfiguration,
+    InvariantError,
     MultipleOriginsError,
+    Point,
     build_configuration,
     d_value,
     d_value_report,
@@ -12,7 +20,7 @@ from negbound import (
     subconfiguration,
     total_d,
 )
-from conftest import scan_d_value
+from conftest import REPO_ROOT, scan_d_value
 
 
 def component(sample12, origin):
@@ -50,12 +58,47 @@ class TestHatConfiguration:
         hat = hat_configuration(c)
         assert hat.extended == c
 
+    def test_added_points_must_match_the_completion(self):
+        c = build_configuration([(1, []), (2, [1])])
+        added = hat_configuration(c).added
+        with pytest.raises(InvariantError):
+            HatConfiguration(base=c, extended=c, added=added)
+
+    def test_free_end_below_level_one_rejected(self):
+        c = Configuration(points=(Point(1, (), 0), Point(2, (1,), 0)))
+        with pytest.raises(InvariantError):
+            hat_configuration(c)
+
     def test_multiple_origins_rejected(self, sample12):
         with pytest.raises(MultipleOriginsError):
             hat_configuration(sample12)
 
 
 class TestDValue:
+    BAD_D_VALUE = """
+import sys
+from negbound import DValue, InvariantError, build_configuration, hat_configuration
+if __debug__:
+    sys.exit("asserts are on; run with python -O")
+hat = hat_configuration(build_configuration([(1, [])]))
+for d, certificate, previous in [(1, (1,), (0,)), (2, (0,), (-1,)),
+                                 (3, (2,), (1,))]:
+    try:
+        DValue(origin=1, d=d, certificate=certificate, previous=previous,
+               hat=hat)
+    except InvariantError:
+        continue
+    sys.exit(f"DValue accepted d={d}")
+"""
+
+    def test_invariants_hold_under_python_O(self):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-O", "-c", self.BAD_D_VALUE],
+                              env=env, capture_output=True, text=True,
+                              timeout=60)
+        assert proc.returncode == 0, proc.stderr
+
     def test_singleton(self):
         dv = d_value(build_configuration([(1, [])]))
         assert dv.d == 2
