@@ -43,7 +43,9 @@ from .config import (
     dot_export,
     exceptional_self_intersections,
     multiplicity_vector,
+    proximity_apply,
     proximity_matrix,
+    proximity_solve,
     subconfiguration,
 )
 from .errors import (

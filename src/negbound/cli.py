@@ -173,15 +173,15 @@ def main(argv: list[str] | None = None) -> int:
             config = dataclasses.replace(config,
                                          surface=parse_surface(args.surface))
         data, text = _COMMANDS[args.command](config, args)
+        if getattr(args, "json", False):
+            text = json.dumps(data, indent=2)
+        if args.output is not None:
+            args.output.write_text(text + "\n", encoding="utf-8")
+        else:
+            print(text)
     except (NegboundError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    if getattr(args, "json", False):
-        text = json.dumps(data, indent=2)
-    if args.output is not None:
-        args.output.write_text(text + "\n", encoding="utf-8")
-    else:
-        print(text)
     return 0
 
 

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Literal, NamedTuple, Sequence
+from fractions import Fraction
+from typing import Iterable, Literal, NamedTuple, Sequence, TypeVar
 
 from .errors import (
     ConfigurationError,
@@ -28,6 +29,7 @@ from .surfaces import ProjectivePlane, SurfaceModel, surface_json_fields
 
 PointSpec = tuple[int, Sequence[int]]
 IntMatrix = tuple[tuple[int, ...], ...]
+Scalar = TypeVar("Scalar", int, Fraction)
 
 
 @dataclass(frozen=True)
@@ -170,6 +172,9 @@ class ProximityMatrix:
 
     Entry (i, j) is -1 iff point i is proximate to point j; the inverse is
     computed by forward substitution and has nonnegative integer entries.
+    This dense n x n view is for callers that want the matrices themselves;
+    the computation paths use :func:`proximity_solve` and
+    :func:`proximity_apply` instead, which cost O(n).
     """
 
     entries: IntMatrix
@@ -201,6 +206,30 @@ def proximity_matrix(c: Configuration) -> ProximityMatrix:
                 row[j] += trow[j]
     return ProximityMatrix(entries=tuple(tuple(r) for r in entries),
                            inverse=tuple(tuple(r) for r in inverse))
+
+
+def proximity_solve(c: Configuration, w: Sequence[Scalar]) -> list[Scalar]:
+    """P^{-1} w by forward substitution: v_i = w_i + sum of v_t over the
+    proximity targets t of point i.  O(n), exact, same scalar type as w."""
+    v = _vector(c, w)
+    for i, pt in enumerate(c.points):
+        for target in pt.proximities:
+            v[i] += v[target - 1]
+    return v
+
+
+def proximity_apply(c: Configuration, v: Sequence[Scalar]) -> list[Scalar]:
+    """P v: (P v)_i = v_i - sum of v_t over the proximity targets t of i."""
+    v = _vector(c, v)
+    return [v[i] - sum(v[t - 1] for t in pt.proximities)
+            for i, pt in enumerate(c.points)]
+
+
+def _vector(c: Configuration, values: Sequence[Scalar]) -> list[Scalar]:
+    v = list(values)
+    if len(v) != len(c):
+        raise ValueError(f"expected a vector of length {len(c)}, got {len(v)}")
+    return v
 
 
 @dataclass(frozen=True)
@@ -246,6 +275,19 @@ def _ancestor_chain(c: Configuration, point_id: int) -> set[int]:
     return chain
 
 
+def _descendants(c: Configuration, point_id: int) -> set[int]:
+    # A point proximate to q is infinitely near q, so following successors
+    # from q reaches exactly the closure of the parent relation below q.
+    found = {point_id}
+    stack = [point_id]
+    while stack:
+        for succ in c.successors[stack.pop()]:
+            if succ not in found:
+                found.add(succ)
+                stack.append(succ)
+    return found
+
+
 def subconfiguration(c: Configuration, point_id: int,
                      direction: Literal["below", "above"]) -> Configuration:
     """The subcluster at or above/below ``point_id``, renumbered to 1..k.
@@ -259,8 +301,7 @@ def subconfiguration(c: Configuration, point_id: int,
     if direction == "above":
         retained = _ancestor_chain(c, point_id)
     elif direction == "below":
-        retained = {pid for pid in range(1, len(c) + 1)
-                    if point_id in _ancestor_chain(c, pid)}
+        retained = _descendants(c, point_id)
     else:
         raise ValueError(f"direction must be 'below' or 'above', got {direction!r}")
 

@@ -26,8 +26,8 @@ from .surfaces import SurfaceModel, is_plane, parse_surface
 
 def parse_rational(text: str) -> Fraction:
     try:
-        if not text.isascii():
-            raise ValueError("non-ASCII text")
+        if not text.isascii() or "_" in text:
+            raise ValueError("non-ASCII text or digit separator")
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as err:
         raise ParseError(f"invalid rational {text!r}") from err
@@ -56,19 +56,19 @@ def parse_configuration(text: str, *, source: str = "<config>") -> Configuration
                                  line=lineno, source=source)
             surface = parse_surface(statement, line=lineno, source=source)
             continue
-        try:
-            pid = int(tokens[0])
-        except ValueError:
+        # Statements are ASCII, so isdigit() admits exactly 0-9: no sign,
+        # no '_' separator.
+        if not tokens[0].isdigit():
             raise ParseError(f"expected a point id, got {tokens[0]!r}",
-                             line=lineno, source=source) from None
+                             line=lineno, source=source)
+        pid = int(tokens[0])
         if len(tokens) == 2 and tokens[1].lower() == "origin":
             prox: list[int] = []
         elif 3 <= len(tokens) <= 4 and tokens[1] == "->":
-            try:
-                prox = [int(tok) for tok in tokens[2:]]
-            except ValueError:
+            if not all(tok.isdigit() for tok in tokens[2:]):
                 raise ParseError(f"invalid proximity targets in {statement!r}",
-                                 line=lineno, source=source) from None
+                                 line=lineno, source=source)
+            prox = [int(tok) for tok in tokens[2:]]
         else:
             raise ParseError(
                 f"malformed point statement {statement!r} (expected "
@@ -87,10 +87,19 @@ def parse_configuration(text: str, *, source: str = "<config>") -> Configuration
                          source=source) from err
 
 
+def _read_text(path: Path) -> str:
+    data = path.read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        raise ParseError(f"not UTF-8 text ({err.reason} at byte {err.start})",
+                         line=data.count(b"\n", 0, err.start) + 1,
+                         source=str(path)) from None
+
+
 def load_configuration(path: str | Path) -> Configuration:
     path = Path(path)
-    return parse_configuration(path.read_text(encoding="utf-8"),
-                               source=str(path))
+    return parse_configuration(_read_text(path), source=str(path))
 
 
 def serialize_configuration(c: Configuration) -> str:
@@ -172,5 +181,4 @@ def parse_curves(text: str, surface: SurfaceModel, n: int, *,
 def load_curves(path: str | Path, surface: SurfaceModel,
                 n: int) -> tuple[DivisorClass, ...]:
     path = Path(path)
-    return parse_curves(path.read_text(encoding="utf-8"), surface, n,
-                        source=str(path))
+    return parse_curves(_read_text(path), surface, n, source=str(path))

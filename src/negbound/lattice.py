@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .config import Configuration, proximity_matrix
+from .config import Configuration, proximity_apply, proximity_solve
 from .errors import (
     NotHirzebruchError,
     SurfaceMismatchError,
@@ -165,10 +165,7 @@ def strict_exceptional_coordinates(c: Configuration,
         raise SurfaceMismatchError(
             f"class lives on ({cls.surface}, n={cls.n}), cluster has "
             f"({c.surface}, n={len(c)})")
-    inverse = proximity_matrix(c).inverse
-    w = cls.exceptional
-    return tuple(sum(row[j] * w[j] for j in range(i + 1))
-                 for i, row in enumerate(inverse))
+    return tuple(proximity_solve(c, cls.exceptional))
 
 
 def divisor_from_strict_coordinates(c: Configuration,
@@ -183,10 +180,7 @@ def divisor_from_strict_coordinates(c: Configuration,
     if len(v) != len(c):
         raise SurfaceMismatchError(
             f"expected {len(c)} strict coordinates, got {len(v)}")
-    entries = proximity_matrix(c).entries
-    w = tuple(sum(row[j] * v[j] for j in range(i + 1))
-              for i, row in enumerate(entries))
-    return DivisorClass(c.surface, tuple(base), w)
+    return DivisorClass(c.surface, tuple(base), tuple(proximity_apply(c, v)))
 
 
 def special_section_class(surface: SurfaceModel, n: int = 0) -> DivisorClass:

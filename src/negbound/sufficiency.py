@@ -18,7 +18,7 @@ from .config import (
     Configuration,
     build_configuration,
     multiplicity_vector,
-    proximity_matrix,
+    proximity_solve,
     subconfiguration,
 )
 from .errors import (
@@ -113,10 +113,9 @@ def d_value(c: Configuration) -> DValue:
     component conditions d*a_i - b_i > 0 give d = max_i(floor(b_i/a_i) + 1).
     """
     hat = hat_configuration(c)
-    inv = proximity_matrix(hat.extended).inverse
-    m = multiplicity_vector(hat.extended).values
-    a = [row[0] for row in inv]
-    b = [sum(row[j] * m[j] for j in range(i + 1)) for i, row in enumerate(inv)]
+    extended = hat.extended
+    a = proximity_solve(extended, [1] + [0] * (len(extended) - 1))
+    b = proximity_solve(extended, multiplicity_vector(extended).values)
     bad = [i + 1 for i, ai in enumerate(a) if ai <= 0]
     if bad:
         raise NonPositiveCoefficientError(

@@ -49,13 +49,8 @@ def parse_surface(text: str, *, line: int | None = None,
         tokens = tokens[1:]
     if len(tokens) == 1 and tokens[0].lower() == "p2":
         return ProjectivePlane()
-    if len(tokens) == 2 and tokens[0].lower() == "f":
-        try:
-            delta = int(tokens[1])
-        except ValueError:
-            delta = -1
-        if delta >= 0:
-            return Hirzebruch(delta)
+    if len(tokens) == 2 and tokens[0].lower() == "f" and tokens[1].isdigit():
+        return Hirzebruch(int(tokens[1]))
     raise ParseError(f"invalid surface spec {text!r} (expected 'p2' or 'f <delta>')",
                      line=line, source=source)
 

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -14,6 +17,7 @@ from negbound import (
     serialize_configuration,
 )
 from negbound.cli import main
+from conftest import REPO_ROOT
 
 SINGLETON = "surface p2\n1 origin\n"
 
@@ -232,6 +236,36 @@ class TestHarness:
         assert code == 0
         assert out == ""
         assert json.loads(target.read_text())["total_d"] == 23
+
+    def test_unwritable_output(self, capsys, sample12_path, tmp_path):
+        target = tmp_path / "missing" / "x.txt"
+        code, out, err = run(capsys, ["dvalue", str(sample12_path),
+                                      "--output", str(target)])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and str(target) in err
+        assert not target.exists()
+
+    @pytest.mark.parametrize("bad_file", ["cluster", "curves"])
+    def test_non_utf8_input_exits_1_without_traceback(self, bad_file,
+                                                      sample12_path, tmp_path):
+        cluster, curves = sample12_path, tmp_path / "curves.txt"
+        curves.write_text("1E1\n")
+        if bad_file == "cluster":
+            cluster = tmp_path / "bad.cfg"
+            cluster.write_bytes(b"surface p2\n1 origin\xff\n")
+        else:
+            curves.write_bytes(b"1E1\n\xff\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "negbound.cli", "nu", str(cluster),
+             "--divisor", "1L", "--curves", str(curves)],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error:")
+        assert "Traceback" not in proc.stderr
 
     def test_unknown_subcommand(self, capsys):
         with pytest.raises(SystemExit) as exc:

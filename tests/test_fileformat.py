@@ -11,6 +11,7 @@ from negbound import (
     ParseError,
     build_configuration,
     load_configuration,
+    load_curves,
     parse_configuration,
     parse_curves,
     parse_divisor,
@@ -79,6 +80,24 @@ class TestParseConfiguration:
             parse_configuration(text)
         assert exc.value.line == text.count("\n")
 
+    @pytest.mark.parametrize("text", [
+        "surface p2\n1 origin\n1_0 -> 1\n",
+        "surface p2\n1 origin\n2 -> 0_1\n",
+        "surface p2\n1 origin\n+2 -> 1\n",
+    ])
+    def test_point_ids_and_targets_are_plain_digits(self, text):
+        with pytest.raises(ParseError) as exc:
+            parse_configuration(text)
+        assert exc.value.line == 3
+
+    def test_non_utf8_file(self, tmp_path):
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(b"surface p2\n1 origin\n2 -> \xff\n")
+        with pytest.raises(ParseError) as exc:
+            load_configuration(path)
+        assert exc.value.source == str(path)
+        assert exc.value.line == 3
+
     def test_gap_in_ids(self):
         with pytest.raises(ParseError):
             parse_configuration("surface p2\n1 origin\n5 -> 1\n")
@@ -111,7 +130,7 @@ class TestParseSurface:
         assert parse_surface("surface f 4") == Hirzebruch(4)
 
     @pytest.mark.parametrize("bad", ["f -1", "q", "f x", "f", "p3",
-                                     "f \u0661", "f \uff13"])
+                                     "f \u0661", "f \uff13", "f 1_0", "f +3"])
     def test_rejected_forms(self, bad):
         with pytest.raises(ParseError):
             parse_surface(bad)
@@ -169,6 +188,14 @@ class TestParseCurves:
             parse_curves("2L -1E1\nbogus\n", P2, 1)
         assert exc.value.line == 2
 
+    def test_non_utf8_file(self, tmp_path):
+        path = tmp_path / "curves.txt"
+        path.write_bytes(b"2L -1E1\n\xff\n")
+        with pytest.raises(ParseError) as exc:
+            load_curves(path, P2, 1)
+        assert exc.value.source == str(path)
+        assert exc.value.line == 2
+
 
 class TestParseRational:
     def test_values(self):
@@ -177,7 +204,7 @@ class TestParseRational:
         assert parse_rational("-7/2") == Fraction(-7, 2)
 
     @pytest.mark.parametrize("bad", ["", "x", "1/0", "1.5.2",
-                                     "\u0661/\u0662"])
+                                     "\u0661/\u0662", "1_0", "1/2_0"])
     def test_rejected(self, bad):
         with pytest.raises(ParseError):
             parse_rational(bad)

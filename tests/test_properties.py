@@ -1,27 +1,38 @@
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
 from negbound import (
     DivisorClass,
+    attached_foliation_degree_bounds,
     build_configuration,
     classify,
     d_value,
+    d_value_report,
+    divisor_from_strict_coordinates,
     epsilon_family_bounds,
     empirical_nu,
     exceptional_self_intersections,
+    load_configuration,
     multiplicity_vector,
     nef_pullback_bounds,
     pairing,
     polarization_bounds,
+    proximity_apply,
     proximity_matrix,
+    proximity_solve,
+    serialize_configuration,
     special_section_class,
+    strict_exceptional_coordinates,
     strict_transform_of_exceptional,
     subconfiguration,
+    total_d,
 )
+from negbound.cli import main
 from negbound.surfaces import Hirzebruch, ProjectivePlane
 from conftest import identity, mat_mul, scan_d_value
 from random_configs import random_configuration
@@ -71,6 +82,86 @@ class TestMatrixProperties:
                 incoming = c.successors[item.id]
                 assert item.end == (not incoming)
                 assert item.end == (m[item.id - 1] == 1 and not incoming)
+
+
+class TestLinearCore:
+    """The O(n) solve, apply and subtree walk against dense and naive
+    references."""
+
+    def test_solve_matches_dense_inverse(self, suite):
+        rng = random.Random(SEED + 4)
+        for c in suite:
+            n = len(c)
+            inv = proximity_matrix(c).inverse
+            ints = [rng.randint(-9, 9) for _ in range(n)]
+            fractions = [Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                         for _ in range(n)]
+            for w, kind in ((ints, int), (fractions, Fraction)):
+                v = proximity_solve(c, w)
+                assert v == [sum(inv[i][j] * w[j] for j in range(n))
+                             for i in range(n)]
+                assert all(type(x) is kind for x in v)
+
+    def test_apply_matches_dense_entries_and_inverts_solve(self, suite):
+        rng = random.Random(SEED + 5)
+        for c in suite:
+            n = len(c)
+            entries = proximity_matrix(c).entries
+            v = [Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                 for _ in range(n)]
+            pv = proximity_apply(c, v)
+            assert pv == [sum(entries[i][j] * v[j] for j in range(n))
+                          for i in range(n)]
+            assert all(type(x) is Fraction for x in pv)
+            assert proximity_solve(c, pv) == v
+
+    def test_below_is_the_closure_under_the_parent_relation(self, suite):
+        for c in suite:
+            for q in range(1, len(c) + 1):
+                below = {q}
+                for pt in c.points:  # ascending ids: parents come first
+                    if pt.parent in below:
+                        below.add(pt.id)
+                kept = sorted(below)
+                new_id = {old: new for new, old in enumerate(kept, start=1)}
+                expected = build_configuration(
+                    [(new_id[pid], [new_id[t] for t in c.point(pid).proximities
+                                    if t in below])
+                     for pid in kept], c.surface)
+                assert subconfiguration(c, q, "below") == expected
+
+
+class TestDenseMatrixOffProductionPath:
+    """Every production path runs with the dense proximity matrix disabled."""
+
+    def test_reports_bounds_lattice_and_cli(self, monkeypatch, capsys,
+                                            sample12_path, tmp_path):
+        def refuse(c):
+            raise AssertionError("dense proximity matrix on a production path")
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "negbound" and \
+                    hasattr(module, "proximity_matrix"):
+                monkeypatch.setattr(module, "proximity_matrix", refuse)
+        multi = random_configuration(random.Random(SEED + 6), 80)
+        assert len(multi.origins) > 1
+        multi_path = tmp_path / "multi.cfg"
+        multi_path.write_text(serialize_configuration(multi))
+        for path in (sample12_path, multi_path):
+            c = load_configuration(path)
+            d = total_d(c)
+            assert d_value_report(c)["total_d"] == d
+            nef_pullback_bounds(c)
+            epsilon_family_bounds(c, Fraction(1, 2))
+            attached_foliation_degree_bounds(c)
+            cls = DivisorClass.from_multiplicities(
+                c.surface, (d,), multiplicity_vector(c).values)
+            strict = strict_exceptional_coordinates(c, cls)
+            assert divisor_from_strict_coordinates(c, cls.base, strict) == cls
+            for argv in (["dvalue", "--json"], ["bounds", "--pullback"],
+                         ["bounds", "--epsilon", "1/2"]):
+                assert main([argv[0], str(path), *argv[1:]]) == 0
+        capsys.readouterr()
 
 
 class TestRenumberingInvariance:
