@@ -35,11 +35,9 @@ from .config import (
     ExceptionalSelfIntersections,
     MultiplicityVector,
     Point,
-    PointClassification,
     ProximityMatrix,
     analysis_report,
     build_configuration,
-    classify,
     dot_export,
     exceptional_self_intersections,
     multiplicity_vector,

@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import json
 import sys
+from decimal import Context, Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -32,7 +33,12 @@ def format_rational(value: Fraction) -> str:
     """Exact form, with a 6-significant-digit decimal for non-integers."""
     if value.denominator == 1:
         return str(value.numerator)
-    return f"{value} ({float(value):.6g})"
+    if sys.float_info.min <= abs(value) <= sys.float_info.max:
+        approx = float(value)
+    else:  # outside the normal float range: round in decimal instead
+        approx = Context(prec=6).divide(Decimal(value.numerator),
+                                        value.denominator).normalize()
+    return f"{value} ({approx:.6g})"
 
 
 def _fraction_arg(text: str) -> Fraction:

@@ -68,7 +68,12 @@ class Point:
 
 @dataclass(frozen=True)
 class Configuration:
-    """A validated cluster: points in blowup order (ids 1..n) over a surface."""
+    """A validated cluster: points in blowup order (ids 1..n) over a surface.
+
+    Valid by construction: build it with :func:`build_configuration` or
+    ``parse_configuration``, because the bare constructor checks nothing.
+    Subclusters and satellite completions reuse the points of a valid one.
+    """
 
     points: tuple[Point, ...]
     surface: SurfaceModel = ProjectivePlane()
@@ -248,24 +253,6 @@ def multiplicity_vector(c: Configuration) -> MultiplicityVector:
     return MultiplicityVector(values=tuple(values))
 
 
-@dataclass(frozen=True)
-class PointClassification:
-    id: int
-    level: int
-    origin: bool
-    end: bool
-    kind: str  # origin | free | satellite
-
-
-def classify(c: Configuration) -> tuple[PointClassification, ...]:
-    """Per-point report: origin/end flags, free or satellite, level."""
-    ends = set(c.ends)
-    return tuple(
-        PointClassification(id=pt.id, level=pt.level, origin=pt.is_origin,
-                            end=pt.id in ends, kind=pt.kind)
-        for pt in c.points)
-
-
 def _ancestor_chain(c: Configuration, point_id: int) -> set[int]:
     chain = {point_id}
     current = c.point(point_id)
@@ -294,8 +281,9 @@ def subconfiguration(c: Configuration, point_id: int,
 
     ``below`` keeps the point and everything infinitely near it (transitive
     closure of the parent relation); ``above`` keeps its ancestor chain.
-    Proximities to removed points are dropped; if dropping were to leave an
-    invalid point the error surfaces as DanglingProximityError.
+    Proximities to removed points are dropped, which can only turn a
+    satellite below ``point_id`` into a free point, so the subcluster of a
+    valid cluster is valid and is assembled without re-validation.
     """
     c.point(point_id)
     if direction == "above":
@@ -307,21 +295,18 @@ def subconfiguration(c: Configuration, point_id: int,
 
     kept = sorted(retained)
     renumber = {old: new for new, old in enumerate(kept, start=1)}
-    specs = []
+    top_level = c.point(kept[0]).level
+    points = []
     for old in kept:
         pt = c.point(old)
-        prox = [renumber[t] for t in pt.proximities if t in retained]
+        prox = tuple(renumber[t] for t in pt.proximities if t in retained)
         if direction == "above" and len(prox) != len(pt.proximities):
             raise DanglingProximityError(
                 f"point {old} is proximate to a point outside the ancestor set",
                 point_id=old)
-        specs.append((renumber[old], prox))
-    try:
-        return build_configuration(specs, c.surface)
-    except ConfigurationError as err:
-        raise DanglingProximityError(
-            f"subconfiguration at {point_id} ({direction}) is not a valid "
-            f"cluster: {err}", point_id=point_id) from err
+        points.append(Point(id=renumber[old], proximities=prox,
+                            level=pt.level - top_level))
+    return Configuration(points=tuple(points), surface=c.surface)
 
 
 class ExceptionalSelfIntersections(NamedTuple):

@@ -37,7 +37,9 @@ class NormalizationError(ConfigurationError):
 
 
 class DanglingProximityError(ConfigurationError):
-    """A subcluster would retain a proximity to a removed point."""
+    """An ancestor-chain subcluster would retain a proximity to a removed
+    point.  Raised only by ``subconfiguration(..., "above")``, on a cluster
+    that was not built by the validator."""
 
 
 class MultipleOriginsError(ConfigurationError):

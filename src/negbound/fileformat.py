@@ -24,11 +24,17 @@ from .lattice import DivisorClass
 from .surfaces import SurfaceModel, is_plane, parse_surface
 
 
+_RATIONAL_RE = re.compile(r"\s*[+-]?\d+(?:/\d+)?\s*", re.ASCII)
+
+
 def parse_rational(text: str) -> Fraction:
+    """Parse ``p`` or ``p/q``: an optional sign, ASCII digits, and an
+    optional ``/`` with more digits, with surrounding ASCII whitespace
+    ignored.  No decimals, exponents or ``_`` separators."""
     try:
-        if not text.isascii() or "_" in text:
-            raise ValueError("non-ASCII text or digit separator")
-        return Fraction(text.strip())
+        if not _RATIONAL_RE.fullmatch(text):
+            raise ValueError("not of the form p or p/q")
+        return Fraction(text)
     except (ValueError, ZeroDivisionError) as err:
         raise ParseError(f"invalid rational {text!r}") from err
 

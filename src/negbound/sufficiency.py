@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 from .config import (
     Configuration,
-    build_configuration,
+    Point,
     multiplicity_vector,
     proximity_solve,
     subconfiguration,
@@ -51,32 +51,31 @@ class HatConfiguration:
 def hat_configuration(c: Configuration) -> HatConfiguration:
     """Complete a single-origin cluster by one satellite above each free end.
 
-    A singleton is returned unchanged.  The new points are appended after the
-    base points, in the order the free ends appear; each is proximate to its
-    free end and to that end's unique proximity target (its parent).
+    The new points are appended after the base points, in the order the free
+    ends appear; each is proximate to its free end and to that end's unique
+    proximity target (its parent).  A cluster with no free end gains nothing.
+    A free end has no successors, so no satellite sits at its (end, parent)
+    pair yet: the completion of a valid cluster is valid as assembled.
     """
     origins = c.origins
     if len(origins) != 1:
         raise MultipleOriginsError(
             f"expected a unique origin, found {len(origins)}: {origins}")
-    if len(c) == 1:
-        return HatConfiguration(base=c, extended=c, added=())
-
-    specs = [(pt.id, list(pt.proximities)) for pt in c.points]
+    points = list(c.points)
     added = []
-    next_id = len(c)
     for end_id in c.ends:
         end = c.point(end_id)
         if not end.is_free:
             continue
         if end.level < 1:
             raise InvariantError(f"free end {end_id} is at level {end.level}")
-        next_id += 1
-        specs.append((next_id, [end_id, end.parent]))
-        added.append(AddedPoint(id=next_id, free_end=end_id))
-    return HatConfiguration(base=c,
-                            extended=build_configuration(specs, c.surface),
-                            added=tuple(added))
+        points.append(Point(id=len(points) + 1,
+                            proximities=(end_id, end.parent),
+                            level=end.level + 1))
+        added.append(AddedPoint(id=len(points), free_end=end_id))
+    return HatConfiguration(
+        base=c, extended=Configuration(points=tuple(points), surface=c.surface),
+        added=tuple(added))
 
 
 @dataclass(frozen=True)

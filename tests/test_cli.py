@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -16,7 +17,7 @@ from negbound import (
     parse_configuration,
     serialize_configuration,
 )
-from negbound.cli import main
+from negbound.cli import format_rational, main
 from conftest import REPO_ROOT
 
 SINGLETON = "surface p2\n1 origin\n"
@@ -35,6 +36,14 @@ def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_process(argv):
+    """Run the CLI in a fresh interpreter, so a traceback would show."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "negbound.cli", *argv],
+                          env=env, capture_output=True, text=True, timeout=60)
 
 
 class TestAnalyze:
@@ -176,6 +185,29 @@ class TestBounds:
             main(["bounds", str(sample12_path), "--epsilon", "\u0661/\u0662"])
         assert exc.value.code == 2
 
+    # 3/10^400: the terms divided by it lie far outside the float range.
+    HUGE_EPSILON = "3/1" + "0" * 400
+
+    def test_huge_epsilon_denominator_text(self, sample12_path):
+        proc = run_process(["bounds", str(sample12_path),
+                            "--epsilon", self.HUGE_EPSILON])
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr
+        term = Fraction(3 - 2 * 23) / Fraction(self.HUGE_EPSILON)
+        assert f"epsilon: {self.HUGE_EPSILON} (3e-400)\n" in proc.stdout
+        assert f"(3-2d)/eps = {term} (-1.43333e+401)\n" in proc.stdout
+
+    def test_huge_epsilon_denominator_json(self, sample12_path):
+        proc = run_process(["bounds", str(sample12_path),
+                            "--epsilon", self.HUGE_EPSILON, "--json"])
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr
+        data = json.loads(proc.stdout)
+        assert data["epsilon"] == self.HUGE_EPSILON
+        terms = {t["name"]: t["value"] for t in data["terms"]}
+        assert terms["(3-2d)/eps"] == \
+            str(Fraction(3 - 2 * 23) / Fraction(self.HUGE_EPSILON))
+
 
 class TestNu:
     def test_undefined_on_singleton(self, capsys, tmp_path):
@@ -207,6 +239,17 @@ class TestNu:
         assert code == 0
         assert "nu over 1 supplied curve(s): -4" in out
 
+    def test_huge_coefficients_render(self, capsys, tmp_path):
+        cfg = tmp_path / "one.cfg"
+        cfg.write_text(SINGLETON)
+        curves = tmp_path / "curves.txt"
+        curves.write_text(f"{10 ** 400}L -1/3E1\n")
+        code, out, _ = run(capsys, ["nu", str(cfg), "--divisor", "1L",
+                                    "--curves", str(curves)])
+        assert code == 0
+        self_intersection = Fraction(10 ** 800) - Fraction(1, 9)
+        assert f"C^2 = {self_intersection} (1e+800)" in out
+
     def test_surface_mismatch_between_flag_and_literal(self, capsys,
                                                        sample12_path, tmp_path):
         curves = tmp_path / "curves.txt"
@@ -216,6 +259,18 @@ class TestNu:
                                     "--curves", str(curves)])
         assert code == 1
         assert "error:" in err
+
+
+class TestFormatRational:
+    # Values outside the float range; ordinary ones are pinned by the goldens.
+    @pytest.mark.parametrize("value,text", [
+        (Fraction(10 ** 400, 3), f"{10 ** 400}/3 (3.33333e+399)"),
+        (Fraction(-7, 3 * 10 ** 400), f"-7/{3 * 10 ** 400} (-2.33333e-400)"),
+        (Fraction(10 ** 800 + 1, 10 ** 400),
+         f"{10 ** 800 + 1}/{10 ** 400} (1e+400)"),
+    ], ids=["huge", "tiny", "huge-round"])
+    def test_exact_form_and_decimal(self, value, text):
+        assert format_rational(value) == text
 
 
 class TestDot:
@@ -256,12 +311,8 @@ class TestHarness:
             cluster.write_bytes(b"surface p2\n1 origin\xff\n")
         else:
             curves.write_bytes(b"1E1\n\xff\n")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run(
-            [sys.executable, "-m", "negbound.cli", "nu", str(cluster),
-             "--divisor", "1L", "--curves", str(curves)],
-            env=env, capture_output=True, text=True, timeout=60)
+        proc = run_process(["nu", str(cluster), "--divisor", "1L",
+                            "--curves", str(curves)])
         assert proc.returncode == 1
         assert proc.stdout == ""
         assert proc.stderr.startswith("error:")

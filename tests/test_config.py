@@ -12,7 +12,6 @@ from negbound import (
     UnknownPointError,
     analysis_report,
     build_configuration,
-    classify,
     dot_export,
     exceptional_self_intersections,
     multiplicity_vector,
@@ -131,24 +130,30 @@ class TestMultiplicityVector:
 
 
 class TestClassify:
+    """The per-point part of ``analysis_report``: level, kind, origins, ends."""
+
     def test_singleton(self):
-        (item,) = classify(build_configuration([(1, [])]))
-        assert item.origin and item.end and item.level == 0
-        assert item.kind == "origin"
+        report = analysis_report(build_configuration([(1, [])]))
+        (item,) = report["points"]
+        assert report["origins"] == [1] and report["ends"] == [1]
+        assert item["level"] == 0
+        assert item["kind"] == "origin"
 
     def test_sample12_origins(self, sample12):
-        report = classify(sample12)
-        assert [item.id for item in report if item.origin] == [1, 6, 10]
+        report = analysis_report(sample12)
+        assert report["origins"] == [1, 6, 10]
+        assert [item["id"] for item in report["points"]
+                if item["kind"] == "origin"] == [1, 6, 10]
 
     def test_sample12_kinds_and_ends(self, sample12):
-        report = {item.id: item for item in classify(sample12)}
-        assert [pid for pid, item in report.items()
-                if item.kind == "satellite"] == [5, 8]
-        assert all(report[pid].kind == "free"
+        report = analysis_report(sample12)
+        items = {item["id"]: item for item in report["points"]}
+        assert [pid for pid, item in items.items()
+                if item["kind"] == "satellite"] == [5, 8]
+        assert all(items[pid]["kind"] == "free"
                    for pid in (2, 3, 4, 7, 9, 11, 12))
-        assert [pid for pid, item in report.items() if item.end] == \
-            [3, 5, 9, 11, 12]
-        assert [report[pid].level for pid in range(1, 13)] == \
+        assert report["ends"] == [3, 5, 9, 11, 12]
+        assert [items[pid]["level"] for pid in range(1, 13)] == \
             [0, 1, 2, 2, 3, 0, 1, 2, 3, 0, 1, 1]
 
 

@@ -204,7 +204,8 @@ class TestParseRational:
         assert parse_rational("-7/2") == Fraction(-7, 2)
 
     @pytest.mark.parametrize("bad", ["", "x", "1/0", "1.5.2",
-                                     "\u0661/\u0662", "1_0", "1/2_0"])
+                                     "\u0661/\u0662", "1_0", "1/2_0",
+                                     "0.5", "1e3", "2.5e-1", "\u20031/2"])
     def test_rejected(self, bad):
         with pytest.raises(ParseError):
             parse_rational(bad)

@@ -8,18 +8,20 @@ import pytest
 
 from negbound import (
     DivisorClass,
+    analysis_report,
     attached_foliation_degree_bounds,
     build_configuration,
-    classify,
     d_value,
     d_value_report,
     divisor_from_strict_coordinates,
     epsilon_family_bounds,
     empirical_nu,
     exceptional_self_intersections,
+    hat_configuration,
     load_configuration,
     multiplicity_vector,
     nef_pullback_bounds,
+    parse_configuration,
     pairing,
     polarization_bounds,
     proximity_apply,
@@ -76,12 +78,17 @@ class TestMatrixProperties:
     def test_classification_consistency(self, suite):
         for c in suite:
             m = multiplicity_vector(c).values
-            for item in classify(c):
-                pt = c.point(item.id)
-                assert item.origin == (not pt.proximities) == (item.level == 0)
-                incoming = c.successors[item.id]
-                assert item.end == (not incoming)
-                assert item.end == (m[item.id - 1] == 1 and not incoming)
+            report = analysis_report(c)
+            origins, ends = set(report["origins"]), set(report["ends"])
+            for item in report["points"]:
+                pt = c.point(item["id"])
+                origin = item["id"] in origins
+                assert origin == (item["kind"] == "origin")
+                assert origin == (not pt.proximities) == (item["level"] == 0)
+                incoming = c.successors[item["id"]]
+                end = item["id"] in ends
+                assert end == (not incoming)
+                assert end == (m[item["id"] - 1] == 1 and not incoming)
 
 
 class TestLinearCore:
@@ -162,6 +169,57 @@ class TestDenseMatrixOffProductionPath:
                          ["bounds", "--epsilon", "1/2"]):
                 assert main([argv[0], str(path), *argv[1:]]) == 0
         capsys.readouterr()
+
+
+class TestValidateOnce:
+    """``build_configuration`` checks outside input once; subclusters and
+    completions are assembled from the already valid points."""
+
+    def test_one_validation_per_parsed_cluster(self, monkeypatch, capsys,
+                                               sample12_path, tmp_path):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return build_configuration(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "negbound" and \
+                    hasattr(module, "build_configuration"):
+                monkeypatch.setattr(module, "build_configuration", counting)
+        multi = random_configuration(random.Random(SEED + 7), 80)
+        assert len(multi.origins) > 1
+        multi_path = tmp_path / "multi.cfg"
+        multi_path.write_text(serialize_configuration(multi))
+        for path in (sample12_path, multi_path):
+            calls.clear()
+            c = parse_configuration(path.read_text())
+            d_value_report(c)
+            total_d(c)
+            nef_pullback_bounds(c)
+            epsilon_family_bounds(c, Fraction(1, 2))
+            polarization_bounds(c)
+            attached_foliation_degree_bounds(c)
+            assert len(calls) == 1
+        for argv in (["dvalue"], ["dvalue", "--json"], ["bounds", "--pullback"],
+                     ["bounds", "--epsilon", "1/2", "--surface", "f 2"]):
+            calls.clear()
+            assert main([argv[0], str(sample12_path), *argv[1:]]) == 0
+            assert len(calls) == 1
+        capsys.readouterr()
+
+    def test_derived_clusters_equal_their_validated_specs(self, suite):
+        def validated(c):
+            return build_configuration(
+                [(pt.id, pt.proximities) for pt in c.points], c.surface)
+
+        for c in suite:
+            for q in range(1, len(c) + 1):
+                for direction in ("below", "above"):
+                    sub = subconfiguration(c, q, direction)
+                    assert sub == validated(sub)
+                    extended = hat_configuration(sub).extended
+                    assert extended == validated(extended)
 
 
 class TestRenumberingInvariance:
