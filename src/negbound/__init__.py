@@ -33,7 +33,6 @@ from .bounds import (
 from .config import (
     Configuration,
     ExceptionalSelfIntersections,
-    MultiplicityVector,
     Point,
     ProximityMatrix,
     analysis_report,
@@ -92,8 +91,6 @@ from .lattice import (
 )
 from .sufficiency import (
     DValue,
-    HatConfiguration,
-    OriginDValue,
     d_value,
     d_value_report,
     hat_configuration,

@@ -21,7 +21,7 @@ from .errors import (
 )
 from .lattice import DivisorClass, Rational, _exact, pairing
 from .surfaces import SurfaceModel, is_plane, surface_json_fields
-from .sufficiency import origin_d_values, total_d
+from .sufficiency import total_d
 
 N_CONVENTIONS = ("stated", "example")
 
@@ -44,11 +44,10 @@ def cluster_bound_data(c: Configuration | None) -> ClusterData:
     """n, d and gamma of a cluster; the empty cluster contributes zeros."""
     if c is None:
         return ClusterData(0, 0, 0, 0)
-    per = origin_d_values(c)
     return ClusterData(
         n_stated=len(c),
-        n_example=sum(dv.hat_size for _, dv in per),
-        d=sum(dv.d for _, dv in per),
+        n_example=sum(dv.hat_size for dv in c.d_values.values()),
+        d=total_d(c),
         gamma=exceptional_self_intersections(c).gamma)
 
 

@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import json
 import sys
+from contextlib import contextmanager
 from decimal import Context, Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -140,9 +141,8 @@ def _cmd_bounds(config, args) -> tuple[dict, str]:
 
 
 def _cmd_nu(config, args) -> tuple[dict, str]:
-    divisor = parse_divisor(args.divisor, config.surface, len(config))
-    curves = load_curves(args.curves, config.surface, len(config))
-    report = empirical_nu(curves, divisor)
+    divisor = args.divisor  # parsed by main, like every input
+    report = empirical_nu(args.curves, divisor)
     lines = [f"divisor: {divisor}"]
     for r in report.ratios:
         ratio = "-" if r.ratio is None else format_rational(r.ratio)
@@ -157,6 +157,21 @@ def _cmd_nu(config, args) -> tuple[dict, str]:
 
 def _cmd_dot(config, args) -> tuple[None, str]:
     return None, dot_export(config).rstrip("\n")
+
+
+@contextmanager
+def _uncapped_int_digits():
+    """Lift the interpreter's cap on int/str conversion (Python 3.10.7+)
+    for the block, so exact values of any size print; restore it after."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 _COMMANDS = {
@@ -178,9 +193,14 @@ def main(argv: list[str] | None = None) -> int:
         if args.surface is not None:
             config = dataclasses.replace(config,
                                          surface=parse_surface(args.surface))
-        data, text = _COMMANDS[args.command](config, args)
-        if getattr(args, "json", False):
-            text = json.dumps(data, indent=2)
+        if args.command == "nu":  # literals that need the cluster's lattice
+            args.divisor = parse_divisor(args.divisor, config.surface, len(config))
+            args.curves = load_curves(args.curves, config.surface, len(config))
+        # All input is parsed, under the cap; results are exact at any size.
+        with _uncapped_int_digits():
+            data, text = _COMMANDS[args.command](config, args)
+            if getattr(args, "json", False):
+                text = json.dumps(data, indent=2)
         if args.output is not None:
             args.output.write_text(text + "\n", encoding="utf-8")
         else:

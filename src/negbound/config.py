@@ -98,6 +98,14 @@ class Configuration:
                 succ[target].append(pt.id)
         return {pid: tuple(ids) for pid, ids in succ.items()}
 
+    @cached_property
+    def d_values(self) -> dict:
+        """``origin_d_values`` of this cluster (a DValue per origin id),
+        derived once per object; a ``dataclasses.replace`` copy derives it
+        again."""
+        from .sufficiency import origin_d_values  # sufficiency imports config
+        return origin_d_values(self)
+
     @property
     def origins(self) -> tuple[int, ...]:
         return tuple(pt.id for pt in self.points if pt.is_origin)
@@ -237,20 +245,14 @@ def _vector(c: Configuration, values: Sequence[Scalar]) -> list[Scalar]:
     return v
 
 
-@dataclass(frozen=True)
-class MultiplicityVector:
+def multiplicity_vector(c: Configuration) -> tuple[int, ...]:
     """Multiplicities of a generic germ through the cluster: 1 at the ends,
     the sum over proximate successors elsewhere."""
-
-    values: tuple[int, ...]
-
-
-def multiplicity_vector(c: Configuration) -> MultiplicityVector:
     values = [0] * len(c)
     for pt in reversed(c.points):
         succ = c.successors[pt.id]
         values[pt.id - 1] = sum(values[s - 1] for s in succ) if succ else 1
-    return MultiplicityVector(values=tuple(values))
+    return tuple(values)
 
 
 def _ancestor_chain(c: Configuration, point_id: int) -> set[int]:

@@ -15,13 +15,14 @@ integers or rationals ``p/q``.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 from .config import Configuration, build_configuration
 from .errors import ConfigurationError, ParseError
 from .lattice import DivisorClass
-from .surfaces import SurfaceModel, is_plane, parse_surface
+from .surfaces import SurfaceModel, parse_surface
 
 
 _RATIONAL_RE = re.compile(r"\s*[+-]?\d+(?:/\d+)?\s*", re.ASCII)
@@ -37,6 +38,18 @@ def parse_rational(text: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as err:
         raise ParseError(f"invalid rational {text!r}") from err
+
+
+def _number(token: str, what: str, kind=int, **where):
+    """``kind(token)`` (``int`` or ``Fraction``) of an ASCII digit literal,
+    with a ParseError in place of the ValueError raised past the
+    interpreter's cap on the length of int/str conversions."""
+    try:
+        return kind(token)
+    except ValueError:
+        raise ParseError(f"{what} has more than "
+                         f"{sys.get_int_max_str_digits()} digits",
+                         **where) from None
 
 
 def _statements(text: str, source: str):
@@ -67,14 +80,15 @@ def parse_configuration(text: str, *, source: str = "<config>") -> Configuration
         if not tokens[0].isdigit():
             raise ParseError(f"expected a point id, got {tokens[0]!r}",
                              line=lineno, source=source)
-        pid = int(tokens[0])
+        pid = _number(tokens[0], "point id", line=lineno, source=source)
         if len(tokens) == 2 and tokens[1].lower() == "origin":
             prox: list[int] = []
         elif 3 <= len(tokens) <= 4 and tokens[1] == "->":
             if not all(tok.isdigit() for tok in tokens[2:]):
                 raise ParseError(f"invalid proximity targets in {statement!r}",
                                  line=lineno, source=source)
-            prox = [int(tok) for tok in tokens[2:]]
+            prox = [_number(tok, "proximity target", line=lineno,
+                            source=source) for tok in tokens[2:]]
         else:
             raise ParseError(
                 f"malformed point statement {statement!r} (expected "
@@ -129,7 +143,8 @@ def parse_divisor(text: str, surface: SurfaceModel, n: int) -> DivisorClass:
     compact = "".join(text.split())
     if not compact:
         raise ParseError("empty divisor literal")
-    base = [Fraction(0)] * (1 if is_plane(surface) else 2)
+    names = surface.generators
+    base = [Fraction(0)] * len(names)
     exceptional = [Fraction(0)] * n
     pos = 0
     first = True
@@ -142,7 +157,7 @@ def parse_divisor(text: str, surface: SurfaceModel, n: int) -> DivisorClass:
         if not first and not sign:
             raise ParseError(f"missing sign between terms in {text!r}")
         try:
-            value = Fraction(coeff) if coeff else Fraction(1)
+            value = _number(coeff or "1", "coefficient", Fraction)
         except ZeroDivisionError:
             raise ParseError(f"zero denominator in coefficient {coeff!r} "
                              f"of {text!r}") from None
@@ -150,23 +165,15 @@ def parse_divisor(text: str, surface: SurfaceModel, n: int) -> DivisorClass:
             value = -value
         generator = generator.upper()
         if generator.startswith("E"):
-            index = int(e_index)
+            index = _number(e_index, "exceptional index")
             if not 1 <= index <= n:
                 raise ParseError(f"exceptional index E{index} out of range "
                                  f"1..{n} in {text!r}")
             exceptional[index - 1] += value
-        elif generator == "L":
-            if not is_plane(surface):
-                raise ParseError(f"generator L is not valid over {surface}")
-            base[0] += value
-        elif generator == "F":
-            if is_plane(surface):
-                raise ParseError("generator F is not valid over p2")
-            base[0] += value
-        else:  # M
-            if is_plane(surface):
-                raise ParseError("generator M is not valid over p2")
-            base[1] += value
+        elif generator in names:
+            base[names.index(generator)] += value
+        else:
+            raise ParseError(f"generator {generator} is not valid over {surface}")
         pos = match.end()
         first = False
     return DivisorClass(surface, tuple(base), tuple(exceptional))

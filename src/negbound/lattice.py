@@ -51,7 +51,7 @@ class DivisorClass:
         object.__setattr__(self, "base", tuple(_exact(x) for x in self.base))
         object.__setattr__(self, "exceptional",
                            tuple(_exact(x) for x in self.exceptional))
-        expected = 1 if is_plane(self.surface) else 2
+        expected = len(self.surface.generators)
         if len(self.base) != expected:
             raise ValueError(
                 f"surface {self.surface} needs {expected} base coefficient(s), "
@@ -114,8 +114,7 @@ class DivisorClass:
         return pairing(self, self)
 
     def __str__(self) -> str:
-        names = ("L",) if is_plane(self.surface) else ("F", "M")
-        terms = [(coeff, name) for coeff, name in zip(self.base, names)]
+        terms = list(zip(self.base, self.surface.generators))
         terms += [(coeff, f"E{i}") for i, coeff in
                   enumerate(self.exceptional, start=1)]
         out = ""

@@ -12,7 +12,6 @@ below d, which is what the downstream bound formulas consume.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .config import (
     Configuration,
@@ -28,41 +27,21 @@ from .errors import (
 )
 
 
-class AddedPoint(NamedTuple):
-    id: int        # id of the new satellite in the extended cluster
-    free_end: int  # the free end it sits above
-
-
-@dataclass(frozen=True)
-class HatConfiguration:
-    """A single-origin cluster together with its satellite completion."""
-
-    base: Configuration
-    extended: Configuration
-    added: tuple[AddedPoint, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.extended) != len(self.base) + len(self.added):
-            raise InvariantError(
-                f"completion has {len(self.extended)} points, expected "
-                f"{len(self.base)} base + {len(self.added)} added")
-
-
-def hat_configuration(c: Configuration) -> HatConfiguration:
+def hat_configuration(c: Configuration) -> Configuration:
     """Complete a single-origin cluster by one satellite above each free end.
 
-    The new points are appended after the base points, in the order the free
-    ends appear; each is proximate to its free end and to that end's unique
-    proximity target (its parent).  A cluster with no free end gains nothing.
-    A free end has no successors, so no satellite sits at its (end, parent)
-    pair yet: the completion of a valid cluster is valid as assembled.
+    The new points are appended after the base points, ids ``len(c) + 1``
+    on, in the order the free ends appear; each is proximate to its free end
+    and to that end's unique proximity target (its parent).  A cluster with
+    no free end gains nothing.  A free end has no successors, so no satellite
+    sits at its (end, parent) pair yet: the completion of a valid cluster is
+    valid as assembled.
     """
     origins = c.origins
     if len(origins) != 1:
         raise MultipleOriginsError(
             f"expected a unique origin, found {len(origins)}: {origins}")
     points = list(c.points)
-    added = []
     for end_id in c.ends:
         end = c.point(end_id)
         if not end.is_free:
@@ -72,10 +51,7 @@ def hat_configuration(c: Configuration) -> HatConfiguration:
         points.append(Point(id=len(points) + 1,
                             proximities=(end_id, end.parent),
                             level=end.level + 1))
-        added.append(AddedPoint(id=len(points), free_end=end_id))
-    return HatConfiguration(
-        base=c, extended=Configuration(points=tuple(points), surface=c.surface),
-        added=tuple(added))
+    return Configuration(points=tuple(points), surface=c.surface)
 
 
 @dataclass(frozen=True)
@@ -87,11 +63,9 @@ class DValue:
     nonpositive), witnessing minimality.
     """
 
-    origin: int
     d: int
     certificate: tuple[int, ...]
     previous: tuple[int, ...]
-    hat: HatConfiguration
 
     def __post_init__(self) -> None:
         if (self.d < 2 or not all(v > 0 for v in self.certificate)
@@ -102,7 +76,8 @@ class DValue:
 
     @property
     def hat_size(self) -> int:
-        return len(self.hat.extended)
+        """Number of points of the completed cluster."""
+        return len(self.certificate)
 
 
 def d_value(c: Configuration) -> DValue:
@@ -112,47 +87,37 @@ def d_value(c: Configuration) -> DValue:
     component conditions d*a_i - b_i > 0 give d = max_i(floor(b_i/a_i) + 1).
     """
     hat = hat_configuration(c)
-    extended = hat.extended
-    a = proximity_solve(extended, [1] + [0] * (len(extended) - 1))
-    b = proximity_solve(extended, multiplicity_vector(extended).values)
+    a = proximity_solve(hat, [1] + [0] * (len(hat) - 1))
+    b = proximity_solve(hat, multiplicity_vector(hat))
     bad = [i + 1 for i, ai in enumerate(a) if ai <= 0]
     if bad:
         raise NonPositiveCoefficientError(
             f"nonpositive unloading coefficients at points {bad}; "
             f"the cluster is not a single-origin cluster")
     d = max(bi // ai + 1 for ai, bi in zip(a, b))
-    return DValue(origin=c.origins[0], d=d,
+    return DValue(d=d,
                   certificate=tuple(d * ai - bi for ai, bi in zip(a, b)),
-                  previous=tuple((d - 1) * ai - bi for ai, bi in zip(a, b)),
-                  hat=hat)
+                  previous=tuple((d - 1) * ai - bi for ai, bi in zip(a, b)))
 
 
-class OriginDValue(NamedTuple):
-    origin: int   # origin id in the full cluster
-    value: DValue
-
-
-def origin_d_values(c: Configuration) -> tuple[OriginDValue, ...]:
-    """The d-value of each connected component, keyed by its origin id."""
-    results = []
-    for origin in c.origins:
-        sub = subconfiguration(c, origin, "below")
-        results.append(OriginDValue(origin=origin, value=d_value(sub)))
-    return tuple(results)
+def origin_d_values(c: Configuration) -> dict[int, DValue]:
+    """The d-value of each connected component, keyed by its origin id in
+    ``c``.  ``c.d_values`` holds this once per cluster object."""
+    return {origin: d_value(subconfiguration(c, origin, "below"))
+            for origin in c.origins}
 
 
 def total_d(c: Configuration) -> int:
     """Sum of the per-origin d-values over the whole cluster."""
-    return sum(item.value.d for item in origin_d_values(c))
+    return sum(dv.d for dv in c.d_values.values())
 
 
 def d_value_report(c: Configuration) -> dict:
     """JSON-ready report: per-origin d with certificates, and the total."""
-    per_origin = origin_d_values(c)
     return {
         "origins": [
             {"id": origin, "d": dv.d, "hat_size": dv.hat_size,
              "certificate": list(dv.certificate)}
-            for origin, dv in per_origin],
-        "total_d": sum(dv.d for _, dv in per_origin),
+            for origin, dv in c.d_values.items()],
+        "total_d": total_d(c),
     }

@@ -12,6 +12,8 @@ from .errors import ParseError
 class ProjectivePlane:
     """The projective plane, with Picard group generated by a line."""
 
+    generators = ("L",)  # names of the base Picard generators
+
     def __str__(self) -> str:
         return "p2"
 
@@ -24,6 +26,7 @@ class Hirzebruch:
     has M0^2 = -delta.
     """
 
+    generators = ("F", "M")  # fiber, section
     delta: int
 
     def __post_init__(self) -> None:
@@ -50,7 +53,10 @@ def parse_surface(text: str, *, line: int | None = None,
     if len(tokens) == 1 and tokens[0].lower() == "p2":
         return ProjectivePlane()
     if len(tokens) == 2 and tokens[0].lower() == "f" and tokens[1].isdigit():
-        return Hirzebruch(int(tokens[1]))
+        try:
+            return Hirzebruch(int(tokens[1]))
+        except ValueError:  # more digits than the interpreter converts
+            pass
     raise ParseError(f"invalid surface spec {text!r} (expected 'p2' or 'f <delta>')",
                      line=line, source=source)
 

@@ -33,9 +33,9 @@ def scan_d_value(c: Configuration, limit: int = 10 ** 6) -> int:
     every component of P^{-1}(d e_1 - m) over the completed cluster is
     positive.  Solves P v = rhs by forward substitution for each d; shares
     nothing with the closed-form minimization it checks."""
-    extended = hat_configuration(c).extended
+    extended = hat_configuration(c)
     n = len(extended)
-    m = multiplicity_vector(extended).values
+    m = multiplicity_vector(extended)
     prox = {pt.id: pt.proximities for pt in extended.points}
     for d in range(1, limit + 1):
         v = [0] * n

@@ -45,7 +45,7 @@ def report_line(criterion: int, ok: bool, detail: str) -> None:
 
 def test_criterion_1_component_d_values(sample12):
     start = time.perf_counter()
-    values = {origin: dv.d for origin, dv in origin_d_values(sample12)}
+    values = {origin: dv.d for origin, dv in origin_d_values(sample12).items()}
     total = total_d(sample12)
     elapsed = time.perf_counter() - start
     ok = values == {1: 10, 6: 7, 10: 6} and total == 23 and elapsed < 1.0
@@ -53,19 +53,22 @@ def test_criterion_1_component_d_values(sample12):
 
 
 def test_criterion_2_hat_sizes(sample12):
-    hats = {origin: hat_configuration(subconfiguration(sample12, origin, "below"))
-            for origin in (1, 6, 10)}
-    sizes = {origin: len(hat.extended) for origin, hat in hats.items()}
+    bases = {origin: subconfiguration(sample12, origin, "below")
+             for origin in (1, 6, 10)}
+    hats = {origin: hat_configuration(base) for origin, base in bases.items()}
+    sizes = {origin: len(hat) for origin, hat in hats.items()}
+    # (id, free end, proximities) of the points appended after the base;
     # q1 above 3 proximate to (3, 2); q2 above 9; q3 above 11; q4 above 12
     # (ids below are in each component's own numbering)
+    added = {origin: [(pt.id, pt.proximities[0], pt.proximities)
+                      for pt in hat.points[len(bases[origin]):]]
+             for origin, hat in hats.items()}
     added_ok = (
-        [(a.id, a.free_end) for a in hats[1].added] == [(6, 3)]
-        and hats[1].extended.point(6).proximities == (3, 2)
-        and [(a.id, a.free_end) for a in hats[6].added] == [(5, 4)]
-        and hats[6].extended.point(5).proximities == (4, 3)
-        and [(a.id, a.free_end) for a in hats[10].added] == [(4, 2), (5, 3)]
-        and hats[10].extended.point(4).proximities == (2, 1)
-        and hats[10].extended.point(5).proximities == (3, 1))
+        added[1] == [(6, 3, (3, 2))]
+        and added[6] == [(5, 4, (4, 3))]
+        and added[10] == [(4, 2, (2, 1)), (5, 3, (3, 1))]
+        and all(hats[o].points[:len(bases[o])] == bases[o].points
+                for o in hats))
     ok = sizes == {1: 6, 6: 5, 10: 5} and added_ok
     report_line(2, ok, f"hat sizes {sizes}, added satellites as expected: {added_ok}")
 
@@ -112,7 +115,7 @@ def test_criterion_4_property_suite():
             failures.append((index, "P*Pinv != I"))
         if any(x < 0 for row in inv for x in row):
             failures.append((index, "Pinv has a negative entry"))
-        m = multiplicity_vector(c).values
+        m = multiplicity_vector(c)
         ends = set(c.ends)
         pt_m = [sum(rows[i][j] * m[i] for i in range(n)) for j in range(n)]
         if pt_m != [1 if j + 1 in ends else 0 for j in range(n)]:

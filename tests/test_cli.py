@@ -208,6 +208,36 @@ class TestBounds:
         assert terms["(3-2d)/eps"] == \
             str(Fraction(3 - 2 * 23) / Fraction(self.HUGE_EPSILON))
 
+    # 3/10^4299: each term divided by it has 4301 or more digits, past the
+    # interpreter's default cap on int/str conversion.
+    OVER_CAP_EPSILON = "3/1" + "0" * 4299
+
+    def test_results_over_the_digit_cap_text(self, capsys, sample12_path):
+        limit = sys.get_int_max_str_digits()
+        code, out, err = run(capsys, ["bounds", str(sample12_path),
+                                      "--epsilon", self.OVER_CAP_EPSILON])
+        assert code == 0, err
+        zeros = "0" * 4299
+        assert f"epsilon: {self.OVER_CAP_EPSILON} (3e-4299)\n" in out
+        assert f"(3-2d)/eps = -43{zeros}/3 (-1.43333e+4300)\n" in out
+        assert f"d(1-n)/eps = -253{zeros}/3 (-8.43333e+4300)\n" in out
+        assert f"bound: -253{zeros}/3 (-8.43333e+4300)\n" in out
+        assert sys.get_int_max_str_digits() == limit
+
+    def test_results_over_the_digit_cap_json(self, capsys, sample12_path):
+        limit = sys.get_int_max_str_digits()
+        code, out, err = run(capsys, ["bounds", str(sample12_path), "--json",
+                                      "--epsilon", self.OVER_CAP_EPSILON])
+        assert code == 0, err
+        data = json.loads(out)
+        zeros = "0" * 4299
+        assert data["epsilon"] == self.OVER_CAP_EPSILON
+        assert [(t["name"], t["value"]) for t in data["terms"]] == [
+            ("(3-2d)/eps", f"-43{zeros}/3"), ("d(1-n)/eps", f"-253{zeros}/3"),
+            ("-gamma", -4)]
+        assert data["bound"] == f"-253{zeros}/3"
+        assert sys.get_int_max_str_digits() == limit
+
 
 class TestNu:
     def test_undefined_on_singleton(self, capsys, tmp_path):
@@ -313,6 +343,31 @@ class TestHarness:
             curves.write_bytes(b"1E1\n\xff\n")
         proc = run_process(["nu", str(cluster), "--divisor", "1L",
                             "--curves", str(curves)])
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error:")
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("case", ["divisor", "curve", "point-id",
+                                      "file-surface", "surface-flag"])
+    def test_over_cap_literal_exits_1_without_traceback(self, case, tmp_path):
+        digits = "1" * 5001
+        cluster, curves = tmp_path / "one.cfg", tmp_path / "curves.txt"
+        cluster.write_text(SINGLETON)
+        curves.write_text("1E1\n")
+        divisor, extra = "1L", []
+        if case == "divisor":
+            divisor = "1" + "0" * 5000 + "L"
+        elif case == "curve":
+            curves.write_text(f"L - E{digits}\n")
+        elif case == "point-id":
+            cluster.write_text(f"surface p2\n1 origin\n{digits} -> 1\n")
+        elif case == "file-surface":
+            cluster.write_text(f"surface f {digits}\n1 origin\n")
+        else:
+            extra = ["--surface", f"f {digits}"]
+        proc = run_process(["nu", str(cluster), "--divisor", divisor,
+                            "--curves", str(curves), *extra])
         assert proc.returncode == 1
         assert proc.stdout == ""
         assert proc.stderr.startswith("error:")

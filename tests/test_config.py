@@ -115,18 +115,18 @@ class TestProximityMatrix:
 
 class TestMultiplicityVector:
     def test_singleton(self):
-        assert multiplicity_vector(build_configuration([(1, [])])).values == (1,)
+        assert multiplicity_vector(build_configuration([(1, [])])) == (1,)
 
     def test_completed_first_component(self):
         # six points: chain 1-2, free 3 and 5 below 2, satellites 4 and 6
         c = build_configuration([(1, []), (2, [1]), (3, [2]), (4, [3, 2]),
                                  (5, [2]), (6, [5, 2])])
-        assert multiplicity_vector(c).values == (4, 4, 1, 1, 1, 1)
+        assert multiplicity_vector(c) == (4, 4, 1, 1, 1, 1)
 
     def test_completed_second_component(self):
         c = build_configuration([(1, []), (2, [1]), (3, [2, 1]), (4, [3]),
                                  (5, [4, 3])])
-        assert multiplicity_vector(c).values == (4, 2, 2, 1, 1)
+        assert multiplicity_vector(c) == (4, 2, 2, 1, 1)
 
 
 class TestClassify:

@@ -23,6 +23,10 @@ from negbound.surfaces import Hirzebruch, ProjectivePlane
 
 P2 = ProjectivePlane()
 
+# More digits than Python converts by default (sys.int_info.default_max_str_digits
+# is 4300); the interpreter refuses such a literal before converting it.
+OVER_CAP = "1" * 5001
+
 
 class TestParseConfiguration:
     def test_shipped_sample_matches_inline_specs(self, sample12, sample12_path):
@@ -84,6 +88,10 @@ class TestParseConfiguration:
         "surface p2\n1 origin\n1_0 -> 1\n",
         "surface p2\n1 origin\n2 -> 0_1\n",
         "surface p2\n1 origin\n+2 -> 1\n",
+        pytest.param(f"surface p2\n1 origin\n{OVER_CAP} -> 1\n",
+                     id="over-cap-id"),
+        pytest.param(f"surface p2\n1 origin\n2 -> {OVER_CAP}\n",
+                     id="over-cap-target"),
     ])
     def test_point_ids_and_targets_are_plain_digits(self, text):
         with pytest.raises(ParseError) as exc:
@@ -130,7 +138,9 @@ class TestParseSurface:
         assert parse_surface("surface f 4") == Hirzebruch(4)
 
     @pytest.mark.parametrize("bad", ["f -1", "q", "f x", "f", "p3",
-                                     "f \u0661", "f \uff13", "f 1_0", "f +3"])
+                                     "f \u0661", "f \uff13", "f 1_0", "f +3",
+                                     pytest.param(f"f {OVER_CAP}",
+                                                  id="f over-cap")])
     def test_rejected_forms(self, bad):
         with pytest.raises(ParseError):
             parse_surface(bad)
@@ -170,6 +180,9 @@ class TestParseDivisor:
         ("E5", P2, 4),              # index out of range
         ("1/0L", P2, 1),
         ("\u0663L - E\u0661", P2, 1),  # Arabic-Indic digits
+        pytest.param("1" + "0" * 5000 + "L", P2, 1, id="over-cap-coefficient"),
+        pytest.param(f"1/{OVER_CAP}L", P2, 1, id="over-cap-denominator"),
+        pytest.param(f"L - E{OVER_CAP}", P2, 1, id="over-cap-index"),
     ])
     def test_rejected_literals(self, bad, surface, n):
         with pytest.raises(ParseError):
@@ -205,7 +218,9 @@ class TestParseRational:
 
     @pytest.mark.parametrize("bad", ["", "x", "1/0", "1.5.2",
                                      "\u0661/\u0662", "1_0", "1/2_0",
-                                     "0.5", "1e3", "2.5e-1", "\u20031/2"])
+                                     "0.5", "1e3", "2.5e-1", "\u20031/2",
+                                     pytest.param(f"1/{OVER_CAP}",
+                                                  id="over-cap")])
     def test_rejected(self, bad):
         with pytest.raises(ParseError):
             parse_rational(bad)

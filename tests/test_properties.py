@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+import pickle
 import random
 import sys
 from fractions import Fraction
@@ -21,6 +23,7 @@ from negbound import (
     load_configuration,
     multiplicity_vector,
     nef_pullback_bounds,
+    origin_d_values,
     parse_configuration,
     pairing,
     polarization_bounds,
@@ -68,7 +71,7 @@ class TestMatrixProperties:
     def test_transpose_times_m_is_end_indicator(self, suite):
         for c in suite:
             pm = proximity_matrix(c)
-            m = multiplicity_vector(c).values
+            m = multiplicity_vector(c)
             n = len(c)
             product = [sum(pm.entries[i][j] * m[i] for i in range(n))
                        for j in range(n)]
@@ -77,7 +80,7 @@ class TestMatrixProperties:
 
     def test_classification_consistency(self, suite):
         for c in suite:
-            m = multiplicity_vector(c).values
+            m = multiplicity_vector(c)
             report = analysis_report(c)
             origins, ends = set(report["origins"]), set(report["ends"])
             for item in report["points"]:
@@ -162,7 +165,7 @@ class TestDenseMatrixOffProductionPath:
             epsilon_family_bounds(c, Fraction(1, 2))
             attached_foliation_degree_bounds(c)
             cls = DivisorClass.from_multiplicities(
-                c.surface, (d,), multiplicity_vector(c).values)
+                c.surface, (d,), multiplicity_vector(c))
             strict = strict_exceptional_coordinates(c, cls)
             assert divisor_from_strict_coordinates(c, cls.base, strict) == cls
             for argv in (["dvalue", "--json"], ["bounds", "--pullback"],
@@ -218,8 +221,61 @@ class TestValidateOnce:
                 for direction in ("below", "above"):
                     sub = subconfiguration(c, q, direction)
                     assert sub == validated(sub)
-                    extended = hat_configuration(sub).extended
+                    extended = hat_configuration(sub)
                     assert extended == validated(extended)
+
+
+class TestDeriveOnce:
+    """Each cluster object derives its per-origin d once, in ``d_values``;
+    every report and bound reads it from there."""
+
+    def test_one_derivation_per_parsed_cluster(self, monkeypatch, capsys,
+                                               sample12_path, tmp_path):
+        calls = []
+
+        def counting(c):
+            calls.append(c)
+            return origin_d_values(c)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "negbound" and \
+                    hasattr(module, "origin_d_values"):
+                monkeypatch.setattr(module, "origin_d_values", counting)
+        multi = random_configuration(random.Random(SEED + 7), 80)
+        assert len(multi.origins) > 1
+        multi_path = tmp_path / "multi.cfg"
+        multi_path.write_text(serialize_configuration(multi))
+        for path in (sample12_path, multi_path):
+            calls.clear()
+            c = parse_configuration(path.read_text())
+            d_value_report(c)
+            total_d(c)
+            nef_pullback_bounds(c)
+            epsilon_family_bounds(c, Fraction(1, 2))
+            polarization_bounds(c)
+            attached_foliation_degree_bounds(c)
+            assert len(calls) == 1
+        for argv in (["dvalue"], ["bounds", "--pullback"],
+                     ["bounds", "--epsilon", "1/2", "--surface", "f 2"]):
+            calls.clear()
+            assert main([argv[0], str(sample12_path), *argv[1:]]) == 0
+            assert len(calls) == 1
+        capsys.readouterr()
+
+    def test_surface_copy_derives_the_same_values(self, sample12):
+        multi = random_configuration(random.Random(SEED + 7), 80)
+        for c in (sample12, multi):
+            report = d_value_report(c)
+            for surface in (Hirzebruch(0), Hirzebruch(3), ProjectivePlane()):
+                copy = dataclasses.replace(c, surface=surface)
+                assert d_value_report(copy) == report
+                assert copy.d_values == c.d_values
+
+    def test_cluster_pickles_after_derivation(self, sample12):
+        report = d_value_report(sample12)
+        copy = pickle.loads(pickle.dumps(sample12))
+        assert copy == sample12
+        assert d_value_report(copy) == report
 
 
 class TestRenumberingInvariance:
@@ -228,7 +284,7 @@ class TestRenumberingInvariance:
         for c in suite[:40]:
             n = len(c)
             inv = proximity_matrix(c).inverse
-            m = multiplicity_vector(c).values
+            m = multiplicity_vector(c)
             totals = [sum(row[j] * m[j] for j in range(n)) for row in inv]
 
             # random linear extension of the proximity order
@@ -248,7 +304,7 @@ class TestRenumberingInvariance:
             relabeled = build_configuration(specs, c.surface)
 
             inv2 = proximity_matrix(relabeled).inverse
-            m2 = multiplicity_vector(relabeled).values
+            m2 = multiplicity_vector(relabeled)
             totals2 = [sum(row[j] * m2[j] for j in range(len(relabeled)))
                        for row in inv2]
             for pid in range(1, n + 1):

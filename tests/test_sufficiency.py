@@ -8,7 +8,6 @@ import pytest
 
 from negbound import (
     Configuration,
-    HatConfiguration,
     InvariantError,
     MultipleOriginsError,
     Point,
@@ -27,42 +26,44 @@ def component(sample12, origin):
     return subconfiguration(sample12, origin, "below")
 
 
+def added(c, hat):
+    """(id, free end, proximities) of the points the completion appends."""
+    return [(pt.id, pt.proximities[0], pt.proximities)
+            for pt in hat.points[len(c):]]
+
+
 class TestHatConfiguration:
     def test_singleton_unchanged(self):
         c = build_configuration([(1, [])])
         hat = hat_configuration(c)
-        assert hat.extended == c
-        assert hat.added == ()
+        assert hat == c
+        assert added(c, hat) == []
 
     def test_first_component(self, sample12):
-        hat = hat_configuration(component(sample12, 1))
-        assert len(hat.extended) == 6
-        assert [(a.id, a.free_end) for a in hat.added] == [(6, 3)]
-        assert hat.extended.point(6).proximities == (3, 2)
+        c = component(sample12, 1)
+        hat = hat_configuration(c)
+        assert len(hat) == 6
+        assert hat.points[:len(c)] == c.points
+        assert added(c, hat) == [(6, 3, (3, 2))]
 
     def test_second_component(self, sample12):
-        hat = hat_configuration(component(sample12, 6))
-        assert len(hat.extended) == 5
-        assert [(a.id, a.free_end) for a in hat.added] == [(5, 4)]
-        assert hat.extended.point(5).proximities == (4, 3)
+        c = component(sample12, 6)
+        hat = hat_configuration(c)
+        assert len(hat) == 5
+        assert hat.points[:len(c)] == c.points
+        assert added(c, hat) == [(5, 4, (4, 3))]
 
     def test_third_component(self, sample12):
-        hat = hat_configuration(component(sample12, 10))
-        assert len(hat.extended) == 5
-        assert [(a.id, a.free_end) for a in hat.added] == [(4, 2), (5, 3)]
-        assert hat.extended.point(4).proximities == (2, 1)
-        assert hat.extended.point(5).proximities == (3, 1)
+        c = component(sample12, 10)
+        hat = hat_configuration(c)
+        assert len(hat) == 5
+        assert hat.points[:len(c)] == c.points
+        assert added(c, hat) == [(4, 2, (2, 1)), (5, 3, (3, 1))]
 
     def test_satellite_closed_cluster_gains_nothing(self):
         c = build_configuration([(1, []), (2, [1]), (3, [2, 1])])
         hat = hat_configuration(c)
-        assert hat.extended == c
-
-    def test_added_points_must_match_the_completion(self):
-        c = build_configuration([(1, []), (2, [1])])
-        added = hat_configuration(c).added
-        with pytest.raises(InvariantError):
-            HatConfiguration(base=c, extended=c, added=added)
+        assert hat == c
 
     def test_free_end_below_level_one_rejected(self):
         c = Configuration(points=(Point(1, (), 0), Point(2, (1,), 0)))
@@ -77,15 +78,13 @@ class TestHatConfiguration:
 class TestDValue:
     BAD_D_VALUE = """
 import sys
-from negbound import DValue, InvariantError, build_configuration, hat_configuration
+from negbound import DValue, InvariantError
 if __debug__:
     sys.exit("asserts are on; run with python -O")
-hat = hat_configuration(build_configuration([(1, [])]))
 for d, certificate, previous in [(1, (1,), (0,)), (2, (0,), (-1,)),
                                  (3, (2,), (1,))]:
     try:
-        DValue(origin=1, d=d, certificate=certificate, previous=previous,
-               hat=hat)
+        DValue(d=d, certificate=certificate, previous=previous)
     except InvariantError:
         continue
     sys.exit(f"DValue accepted d={d}")
@@ -125,7 +124,7 @@ class TestTotals:
 
     def test_sample12(self, sample12):
         assert total_d(sample12) == 23
-        assert [(o, dv.d) for o, dv in origin_d_values(sample12)] == \
+        assert [(o, dv.d) for o, dv in origin_d_values(sample12).items()] == \
             [(1, 10), (6, 7), (10, 6)]
 
     def test_two_disjoint_singletons(self):
@@ -137,5 +136,6 @@ class TestTotals:
         assert [(e["id"], e["d"], e["hat_size"]) for e in report["origins"]] \
             == [(1, 10, 6), (6, 7, 5), (10, 6, 5)]
         for entry in report["origins"]:
-            assert len(entry["certificate"]) == entry["hat_size"]
+            assert len(entry["certificate"]) == entry["hat_size"] == \
+                len(hat_configuration(component(sample12, entry["id"])))
             assert all(v > 0 for v in entry["certificate"])
