@@ -47,7 +47,6 @@ from .config import (
 )
 from .errors import (
     ConfigurationError,
-    DanglingProximityError,
     DuplicateIdError,
     ForwardReferenceError,
     InvalidSatelliteError,

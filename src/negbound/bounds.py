@@ -40,10 +40,8 @@ class ClusterData(NamedTuple):
     gamma: int
 
 
-def cluster_bound_data(c: Configuration | None) -> ClusterData:
-    """n, d and gamma of a cluster; the empty cluster contributes zeros."""
-    if c is None:
-        return ClusterData(0, 0, 0, 0)
+def cluster_bound_data(c: Configuration) -> ClusterData:
+    """n (in both conventions), d and gamma of a cluster."""
     return ClusterData(
         n_stated=len(c),
         n_example=sum(dv.hat_size for dv in c.d_values.values()),
@@ -75,12 +73,6 @@ class BoundReport:
     def conventions_disagree(self) -> bool:
         return self.n_stated != self.n_example
 
-    def term(self, name: str) -> Fraction:
-        for key, value in self.terms:
-            if key == name:
-                return value
-        raise KeyError(name)
-
     def as_json_dict(self) -> dict:
         data = surface_json_fields(self.surface)
         data.update({
@@ -101,24 +93,18 @@ class BoundReport:
         return data
 
 
-def _resolve(c: Configuration | None, n_convention: str,
-             surface: SurfaceModel | None, gamma: int | None):
+def _resolve(c: Configuration, n_convention: str) -> tuple[ClusterData, int]:
     if n_convention not in N_CONVENTIONS:
         raise ValueError(f"n_convention must be one of {N_CONVENTIONS}")
-    if c is None and surface is None:
-        raise ValueError("a surface is required when no cluster is given")
     data = cluster_bound_data(c)
-    return (c.surface if c is not None else surface,
-            data,
-            data.n_stated if n_convention == "stated" else data.n_example,
-            data.gamma if gamma is None else gamma)
+    return data, data.n_stated if n_convention == "stated" else data.n_example
 
 
-def _report(surface, data: ClusterData, convention, n, gamma, epsilon,
-            terms) -> BoundReport:
-    return BoundReport(surface=surface, n_stated=data.n_stated,
+def _report(c: Configuration, data: ClusterData, convention: str, n: int,
+            epsilon: Fraction | None, terms) -> BoundReport:
+    return BoundReport(surface=c.surface, n_stated=data.n_stated,
                        n_example=data.n_example, convention=convention, n=n,
-                       d=data.d, gamma=gamma, epsilon=epsilon,
+                       d=data.d, gamma=data.gamma, epsilon=epsilon,
                        terms=tuple(terms),
                        bound=min(value for _, value in terms))
 
@@ -151,28 +137,25 @@ def polarization_bounds(c: Configuration,
         ("invariant", min(value for _, value in rest))))
 
 
-def epsilon_family_bounds(c: Configuration | None, epsilon: Rational,
-                          n_convention: str = "stated", *,
-                          gamma: int | None = None,
-                          surface: SurfaceModel | None = None) -> BoundReport:
+def epsilon_family_bounds(c: Configuration, epsilon: Rational,
+                          n_convention: str = "stated") -> BoundReport:
     """Bound on nu_D for every nef divisor in the epsilon family of the
     pullback polarization: min of the scaled case terms and -gamma."""
     eps = _positive_epsilon(epsilon)
-    surface, data, n, gamma = _resolve(c, n_convention, surface, gamma)
+    data, n = _resolve(c, n_convention)
     terms = [(eps_name, Fraction(value) / eps)
-             for _, eps_name, value in _terms(surface, n, data.d)]
-    terms.append(("-gamma", Fraction(-gamma)))
-    return _report(surface, data, n_convention, n, gamma, eps, terms)
+             for _, eps_name, value in _terms(c.surface, n, data.d)]
+    terms.append(("-gamma", Fraction(-data.gamma)))
+    return _report(c, data, n_convention, n, eps, terms)
 
 
-def nef_pullback_bounds(c: Configuration | None,
-                        n_convention: str = "stated", *,
-                        surface: SurfaceModel | None = None) -> BoundReport:
+def nef_pullback_bounds(c: Configuration,
+                        n_convention: str = "stated") -> BoundReport:
     """Bound on nu_{D*} for the pullback of any nef divisor on the base."""
-    surface, data, n, gamma = _resolve(c, n_convention, surface, None)
+    data, n = _resolve(c, n_convention)
     terms = [(name, Fraction(value))
-             for name, _, value in _terms(surface, n, data.d)]
-    return _report(surface, data, n_convention, n, gamma, None, terms)
+             for name, _, value in _terms(c.surface, n, data.d)]
+    return _report(c, data, n_convention, n, None, terms)
 
 
 @dataclass(frozen=True)

@@ -45,9 +45,8 @@ def format_rational(value: Fraction) -> str:
 def _fraction_arg(text: str) -> Fraction:
     try:
         return parse_rational(text)
-    except ParseError:
-        raise argparse.ArgumentTypeError(
-            f"invalid rational {text!r} (expected 'p' or 'p/q')") from None
+    except ParseError as err:
+        raise argparse.ArgumentTypeError(str(err)) from None
 
 
 def build_parser() -> argparse.ArgumentParser:

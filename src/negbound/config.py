@@ -17,7 +17,6 @@ from typing import Iterable, Literal, NamedTuple, Sequence, TypeVar
 
 from .errors import (
     ConfigurationError,
-    DanglingProximityError,
     DuplicateIdError,
     ForwardReferenceError,
     InvalidSatelliteError,
@@ -122,6 +121,10 @@ def build_configuration(point_specs: Iterable[PointSpec],
     Ids must form 1..n (any input order); proximity lists must reference
     strictly smaller ids, parent (largest target) first, and no two
     satellites may share both targets.
+
+    A valid cluster is admissible: each proximity target of a point is one
+    of its ancestors, by induction on the id, as a satellite's second target
+    is among its parent's proximities.  Subclusters and completions keep it.
     """
     specs = sorted(((pid, tuple(prox)) for pid, prox in point_specs),
                    key=lambda item: item[0])
@@ -282,10 +285,11 @@ def subconfiguration(c: Configuration, point_id: int,
     """The subcluster at or above/below ``point_id``, renumbered to 1..k.
 
     ``below`` keeps the point and everything infinitely near it (transitive
-    closure of the parent relation); ``above`` keeps its ancestor chain.
-    Proximities to removed points are dropped, which can only turn a
-    satellite below ``point_id`` into a free point, so the subcluster of a
-    valid cluster is valid and is assembled without re-validation.
+    closure of the parent relation); ``above`` keeps its ancestor chain, in
+    which its points have all their targets (the cluster is admissible).
+    Proximities to removed points are dropped, which can only turn a satellite below
+    ``point_id`` into a free point, so the subcluster of a valid cluster is
+    valid and is assembled without re-validation.
     """
     c.point(point_id)
     if direction == "above":
@@ -302,10 +306,6 @@ def subconfiguration(c: Configuration, point_id: int,
     for old in kept:
         pt = c.point(old)
         prox = tuple(renumber[t] for t in pt.proximities if t in retained)
-        if direction == "above" and len(prox) != len(pt.proximities):
-            raise DanglingProximityError(
-                f"point {old} is proximate to a point outside the ancestor set",
-                point_id=old)
         points.append(Point(id=renumber[old], proximities=prox,
                             level=pt.level - top_level))
     return Configuration(points=tuple(points), surface=c.surface)

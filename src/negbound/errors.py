@@ -36,12 +36,6 @@ class NormalizationError(ConfigurationError):
     """Proximities are not normalized (parent, i.e. largest id, first)."""
 
 
-class DanglingProximityError(ConfigurationError):
-    """An ancestor-chain subcluster would retain a proximity to a removed
-    point.  Raised only by ``subconfiguration(..., "above")``, on a cluster
-    that was not built by the validator."""
-
-
 class MultipleOriginsError(ConfigurationError):
     """An operation requiring a unique origin received several."""
 

@@ -32,12 +32,12 @@ def parse_rational(text: str) -> Fraction:
     """Parse ``p`` or ``p/q``: an optional sign, ASCII digits, and an
     optional ``/`` with more digits, with surrounding ASCII whitespace
     ignored.  No decimals, exponents or ``_`` separators."""
+    if not _RATIONAL_RE.fullmatch(text):
+        raise ParseError(f"invalid rational {text!r} (expected 'p' or 'p/q')")
     try:
-        if not _RATIONAL_RE.fullmatch(text):
-            raise ValueError("not of the form p or p/q")
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as err:
-        raise ParseError(f"invalid rational {text!r}") from err
+        return _number(text, "numerator or denominator", Fraction)
+    except ZeroDivisionError:
+        raise ParseError(f"zero denominator in rational {text!r}") from None
 
 
 def _number(token: str, what: str, kind=int, **where):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Union
 
@@ -56,7 +57,9 @@ def parse_surface(text: str, *, line: int | None = None,
         try:
             return Hirzebruch(int(tokens[1]))
         except ValueError:  # more digits than the interpreter converts
-            pass
+            raise ParseError(f"delta has more than "
+                             f"{sys.get_int_max_str_digits()} digits",
+                             line=line, source=source) from None
     raise ParseError(f"invalid surface spec {text!r} (expected 'p2' or 'f <delta>')",
                      line=line, source=source)
 

@@ -189,7 +189,8 @@ def test_criterion_6_redundancy_and_scaling():
         c = random_configuration(rng, rng.randint(1, 25),
                                  Hirzebruch(rng.randint(0, 5)))
         report = epsilon_family_bounds(c, 1)
-        if report.term("(-delta-2)dn/eps") > report.term("(-n-delta)/eps"):
+        terms = dict(report.terms)
+        if terms["(-delta-2)dn/eps"] > terms["(-n-delta)/eps"]:
             failures += 1
         reduced = [v for name, v in report.terms if name != "(-n-delta)/eps"]
         if min(reduced) != report.bound:

@@ -21,6 +21,7 @@ from negbound import (
     polarization_bounds,
     strict_transform_of_exceptional,
 )
+from negbound.bounds import rational_json
 from negbound.surfaces import Hirzebruch, ProjectivePlane
 
 P2 = ProjectivePlane()
@@ -51,6 +52,17 @@ class TestPolarizationBounds:
         assert cases["non_invariant"] == -1  # 3 - 2*2
         assert cases["invariant"] == 0       # 2*(1 - 1)
 
+    @pytest.mark.parametrize("surface, cases", [
+        (P2, {"non_invariant": -43, "invariant": -253}),
+        (Hirzebruch(2), {"non_invariant": -46, "invariant": -4 * 23 * 12}),
+    ], ids=["p2", "f 2"])
+    def test_json_cases(self, sample12, surface, cases):
+        report = polarization_bounds(on_surface(sample12, surface))
+        data = report.as_json_dict()
+        assert data["cases"] == {name: rational_json(value)
+                                 for name, value in report.case_bounds}
+        assert data["cases"] == cases
+
     def test_records_both_conventions(self, sample12):
         report = polarization_bounds(sample12, "example")
         assert (report.n_stated, report.n_example) == (12, 16)
@@ -75,10 +87,11 @@ class TestEpsilonFamilyBounds:
 
     def test_ruled_terms(self, sample12):
         report = epsilon_family_bounds(on_surface(sample12, Hirzebruch(1)), 2)
-        assert report.term("(2-2d-delta)/eps") == Fraction(-45, 2)
-        assert report.term("(-n-delta)/eps") == Fraction(-13, 2)
-        assert report.term("(-delta-2)dn/eps") == Fraction(-3 * 23 * 12, 2)
-        assert report.term("-gamma") == -4
+        terms = dict(report.terms)
+        assert terms["(2-2d-delta)/eps"] == Fraction(-45, 2)
+        assert terms["(-n-delta)/eps"] == Fraction(-13, 2)
+        assert terms["(-delta-2)dn/eps"] == Fraction(-3 * 23 * 12, 2)
+        assert terms["-gamma"] == -4
 
     def test_nonpositive_epsilon(self, sample12):
         with pytest.raises(NonPositiveEpsilonError):
@@ -90,18 +103,9 @@ class TestEpsilonFamilyBounds:
         with pytest.raises(TypeError):
             epsilon_family_bounds(sample12, 0.5)
 
-    def test_gamma_override(self, sample12):
-        report = epsilon_family_bounds(sample12, 1, gamma=0)
-        assert report.term("-gamma") == 0
-
-    def test_empty_cluster_convention(self):
-        report = epsilon_family_bounds(None, 1, surface=P2)
-        assert report.gamma == 0
-        assert (report.n_stated, report.n_example, report.d) == (0, 0, 0)
-
-    def test_empty_cluster_needs_surface(self):
-        with pytest.raises(ValueError):
-            epsilon_family_bounds(None, 1)
+    def test_unknown_convention(self, sample12):
+        with pytest.raises(ValueError, match="n_convention"):
+            epsilon_family_bounds(sample12, 1, "bogus")
 
 
 class TestNefPullbackBounds:
@@ -130,6 +134,10 @@ class TestNefPullbackBounds:
         assert data["convention"] == "example"
         assert {"n_stated", "n_example", "d", "gamma", "terms"} <= set(data)
         assert "epsilon" not in data
+
+    def test_unknown_convention(self, sample12):
+        with pytest.raises(ValueError, match="n_convention"):
+            nef_pullback_bounds(sample12, "bogus")
 
 
 class TestFoliationNegativityBound:

@@ -113,6 +113,15 @@ class TestDvalue:
         assert "origin 1: d = 2" in out
         assert "total d: 2" in out
 
+    def test_interpreter_without_digit_cap(self, capsys, monkeypatch,
+                                           sample12_path):
+        # Python 3.10.0-3.10.6 has no cap on int/str conversion, and so no
+        # sys.set_int_max_str_digits to lift it with.
+        monkeypatch.delattr(sys, "set_int_max_str_digits")
+        code, out, err = run(capsys, ["dvalue", str(sample12_path)])
+        assert code == 0, err
+        assert "total d: 23" in out
+
     def test_two_singletons(self, capsys, tmp_path):
         cfg = tmp_path / "two.cfg"
         cfg.write_text("surface p2\n1 origin\n2 origin\n")
@@ -372,6 +381,20 @@ class TestHarness:
         assert proc.stdout == ""
         assert proc.stderr.startswith("error:")
         assert "Traceback" not in proc.stderr
+        assert len(proc.stderr) < 300
+
+    @pytest.mark.parametrize("epsilon", ["1" * 5001, "1/" + "1" * 5001],
+                             ids=["numerator", "denominator"])
+    def test_over_cap_epsilon_is_short_usage_error(self, capsys, epsilon,
+                                                   sample12_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["bounds", str(sample12_path), "--epsilon", epsilon])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.endswith("argument --epsilon: numerator or denominator "
+                            f"has more than {sys.get_int_max_str_digits()} "
+                            "digits\n")
+        assert len(err) < 500
 
     def test_unknown_subcommand(self, capsys):
         with pytest.raises(SystemExit) as exc:

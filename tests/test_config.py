@@ -15,7 +15,9 @@ from negbound import (
     dot_export,
     exceptional_self_intersections,
     multiplicity_vector,
+    proximity_apply,
     proximity_matrix,
+    proximity_solve,
     subconfiguration,
 )
 from negbound.surfaces import Hirzebruch
@@ -111,6 +113,15 @@ class TestProximityMatrix:
             build_configuration([(1, []), (2, [1]), (3, [2, 1])]))
         assert pm.entries == ((1, 0, 0), (-1, 1, 0), (-1, -1, 1))
         assert pm.inverse == ((1, 0, 0), (1, 1, 0), (2, 1, 1))
+
+    @pytest.mark.parametrize("op", [proximity_solve, proximity_apply],
+                             ids=lambda op: op.__name__)
+    @pytest.mark.parametrize("vector", [[1], [1, 2, 3]],
+                             ids=["short", "long"])
+    def test_wrong_length_vector(self, op, vector):
+        c = build_configuration([(1, []), (2, [1])])
+        with pytest.raises(ValueError, match="length 2"):
+            op(c, vector)
 
 
 class TestMultiplicityVector:

@@ -53,6 +53,10 @@ class TestParseConfiguration:
         with pytest.raises(ParseError):
             parse_configuration("1 origin\n")
 
+    def test_only_comments(self):
+        with pytest.raises(ParseError, match="empty input: no surface"):
+            parse_configuration("# nothing\n\n   # still nothing\n")
+
     def test_no_points(self):
         with pytest.raises(ParseError):
             parse_configuration("surface p2\n# nothing\n")

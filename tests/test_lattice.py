@@ -60,6 +60,17 @@ class TestPairing:
         with pytest.raises(SurfaceMismatchError):
             pairing(plane(1, (1,)), plane(1, (1, 1)))
 
+    @pytest.mark.parametrize("surface, base", [(P2, (1, 2)),
+                                               (Hirzebruch(1), (1,))],
+                             ids=["p2", "f 1"])
+    def test_wrong_number_of_base_coefficients(self, surface, base):
+        with pytest.raises(ValueError, match="base coefficient"):
+            DivisorClass(surface, base)
+
+    def test_plane_class_has_no_b(self):
+        with pytest.raises(NotHirzebruchError):
+            plane(1).b
+
     def test_floats_rejected(self):
         with pytest.raises(TypeError):
             DivisorClass(P2, (1.5,))
@@ -203,6 +214,11 @@ class TestBidegreeOfClosure:
             bidegree_of_closure("U00", None, 2, 2, corner_nonzero=True)
         with pytest.raises(ValueError):
             bidegree_of_closure("U00", 2, -1, 0, deg_total=0)
+        with pytest.raises(ValueError, match="corner_nonzero"):
+            bidegree_of_closure("U00", 2, 3, 3, corner_nonzero=True,
+                                deg_total=4)
+        with pytest.raises(ValueError, match="deg_x, deg_y"):
+            bidegree_of_closure("UX", None, 2, 3, deg_total=6)
 
 
 class TestInvariantBound:

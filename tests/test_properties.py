@@ -216,13 +216,24 @@ class TestValidateOnce:
             return build_configuration(
                 [(pt.id, pt.proximities) for pt in c.points], c.surface)
 
+        def assert_admissible(c):
+            # every proximity target of a point lies in its parent chain
+            chain = {}
+            for pt in c.points:
+                chain[pt.id] = set() if pt.is_origin else \
+                    {pt.parent} | chain[pt.parent]
+                assert set(pt.proximities) <= chain[pt.id], (c, pt)
+
         for c in suite:
+            assert_admissible(c)
             for q in range(1, len(c) + 1):
                 for direction in ("below", "above"):
                     sub = subconfiguration(c, q, direction)
                     assert sub == validated(sub)
+                    assert_admissible(sub)
                     extended = hat_configuration(sub)
                     assert extended == validated(extended)
+                    assert_admissible(extended)
 
 
 class TestDeriveOnce:
@@ -423,8 +434,8 @@ class TestBoundRelations:
                     [(pt.id, list(pt.proximities)) for pt in c.points],
                     Hirzebruch(delta))
                 report = epsilon_family_bounds(cs, 1)
-                assert report.term("(-delta-2)dn/eps") <= \
-                    report.term("(-n-delta)/eps")
+                terms = dict(report.terms)
+                assert terms["(-delta-2)dn/eps"] <= terms["(-n-delta)/eps"]
                 without = [v for name, v in report.terms
                            if name != "(-n-delta)/eps"]
                 assert min(without) == report.bound
