@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Iterable, Literal, NamedTuple, Sequence, TypeVar
+from typing import Iterable, NamedTuple, Sequence, TypeVar
 
 from .errors import (
     ConfigurationError,
@@ -49,18 +49,6 @@ class Point:
         return self.proximities[0] if self.proximities else None
 
     @property
-    def is_origin(self) -> bool:
-        return not self.proximities
-
-    @property
-    def is_free(self) -> bool:
-        return len(self.proximities) == 1
-
-    @property
-    def is_satellite(self) -> bool:
-        return len(self.proximities) == 2
-
-    @property
     def kind(self) -> str:
         return ("origin", "free", "satellite")[len(self.proximities)]
 
@@ -79,9 +67,6 @@ class Configuration:
 
     def __len__(self) -> int:
         return len(self.points)
-
-    def __iter__(self):
-        return iter(self.points)
 
     def point(self, point_id: int) -> Point:
         if not 1 <= point_id <= len(self.points):
@@ -107,7 +92,7 @@ class Configuration:
 
     @property
     def origins(self) -> tuple[int, ...]:
-        return tuple(pt.id for pt in self.points if pt.is_origin)
+        return tuple(pt.id for pt in self.points if not pt.proximities)
 
     @property
     def ends(self) -> tuple[int, ...]:
@@ -118,16 +103,19 @@ def build_configuration(point_specs: Iterable[PointSpec],
                         surface: SurfaceModel | None = None) -> Configuration:
     """Validate ``(id, proximity ids)`` specs and assemble a Configuration.
 
-    Ids must form 1..n (any input order); proximity lists must reference
-    strictly smaller ids, parent (largest target) first, and no two
-    satellites may share both targets.
+    Ids and targets must be ints, the ids 1..n (any input order); proximity
+    lists must reference strictly smaller ids, parent (largest target)
+    first, and no two satellites may share both targets.
 
     A valid cluster is admissible: each proximity target of a point is one
     of its ancestors, by induction on the id, as a satellite's second target
     is among its parent's proximities.  Subclusters and completions keep it.
     """
-    specs = sorted(((pid, tuple(prox)) for pid, prox in point_specs),
-                   key=lambda item: item[0])
+    specs = [(pid, tuple(prox)) for pid, prox in point_specs]
+    for pid, prox in specs:
+        if not all(type(x) is int for x in (pid, *prox)):
+            raise ConfigurationError("point ids and proximity targets must be int")
+    specs.sort(key=lambda item: item[0])
     if not specs:
         raise ConfigurationError("a configuration must contain at least one point")
     seen: set[int] = set()
@@ -196,10 +184,6 @@ class ProximityMatrix:
     entries: IntMatrix
     inverse: IntMatrix
 
-    @property
-    def n(self) -> int:
-        return len(self.entries)
-
 
 def proximity_matrix(c: Configuration) -> ProximityMatrix:
     n = len(c)
@@ -258,18 +242,9 @@ def multiplicity_vector(c: Configuration) -> tuple[int, ...]:
     return tuple(values)
 
 
-def _ancestor_chain(c: Configuration, point_id: int) -> set[int]:
-    chain = {point_id}
-    current = c.point(point_id)
-    while current.parent is not None:
-        chain.add(current.parent)
-        current = c.point(current.parent)
-    return chain
-
-
 def _descendants(c: Configuration, point_id: int) -> set[int]:
-    # A point proximate to q is infinitely near q, so following successors
-    # from q reaches exactly the closure of the parent relation below q.
+    # The cluster is admissible, so a point proximate to q is infinitely near
+    # q and the successors of q reach exactly the subtree below q.
     found = {point_id}
     stack = [point_id]
     while stack:
@@ -280,25 +255,15 @@ def _descendants(c: Configuration, point_id: int) -> set[int]:
     return found
 
 
-def subconfiguration(c: Configuration, point_id: int,
-                     direction: Literal["below", "above"]) -> Configuration:
-    """The subcluster at or above/below ``point_id``, renumbered to 1..k.
-
-    ``below`` keeps the point and everything infinitely near it (transitive
-    closure of the parent relation); ``above`` keeps its ancestor chain, in
-    which its points have all their targets (the cluster is admissible).
-    Proximities to removed points are dropped, which can only turn a satellite below
-    ``point_id`` into a free point, so the subcluster of a valid cluster is
-    valid and is assembled without re-validation.
+def subconfiguration(c: Configuration, point_id: int) -> Configuration:
+    """The subcluster at or below ``point_id``, renumbered to 1..k: the
+    point and everything infinitely near it (transitive closure of the
+    parent relation).  Proximities to removed points are dropped, which can
+    only turn a satellite into a free point, so the subcluster of a valid
+    cluster is valid and is assembled without re-validation.
     """
     c.point(point_id)
-    if direction == "above":
-        retained = _ancestor_chain(c, point_id)
-    elif direction == "below":
-        retained = _descendants(c, point_id)
-    else:
-        raise ValueError(f"direction must be 'below' or 'above', got {direction!r}")
-
+    retained = _descendants(c, point_id)
     kept = sorted(retained)
     renumber = {old: new for new, old in enumerate(kept, start=1)}
     top_level = c.point(kept[0]).level

@@ -72,6 +72,14 @@ class NonPositiveEpsilonError(NegboundError):
     """An epsilon parameter must be a positive rational."""
 
 
+def quote(text: str) -> str:
+    """``repr(text)`` for an error message, cut to a fixed prefix when the
+    text is long, so that no input floods the message."""
+    if len(text) <= 40:
+        return repr(text)
+    return f"{text[:40]!r}... ({len(text)} characters)"
+
+
 class ParseError(NegboundError):
     """A text input (cluster file, divisor literal) could not be parsed."""
 

@@ -7,9 +7,9 @@ Cluster file, one statement per line ('#' starts a comment):
     2 -> 1                # free point, proximate to its parent
     5 -> 4 2              # satellite: parent first, then the second target
 
-Divisor literals are whitespace-insensitive sums of signed terms over the
-generators, e.g. ``3L - 2E1 - E4`` or ``2F + 1M - E3``; coefficients are
-integers or rationals ``p/q``.
+Divisor literals are sums of signed terms over the generators, e.g.
+``3L - 2E1 - E4`` or ``2F + 1M - E3``; coefficients are integers or
+rationals ``p/q``.  Whitespace is ignored, except inside a number.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .config import Configuration, build_configuration
-from .errors import ConfigurationError, ParseError
+from .errors import ConfigurationError, ParseError, quote
 from .lattice import DivisorClass
 from .surfaces import SurfaceModel, parse_surface
 
@@ -33,11 +33,11 @@ def parse_rational(text: str) -> Fraction:
     optional ``/`` with more digits, with surrounding ASCII whitespace
     ignored.  No decimals, exponents or ``_`` separators."""
     if not _RATIONAL_RE.fullmatch(text):
-        raise ParseError(f"invalid rational {text!r} (expected 'p' or 'p/q')")
+        raise ParseError(f"invalid rational {quote(text)} (expected 'p' or 'p/q')")
     try:
         return _number(text, "numerator or denominator", Fraction)
     except ZeroDivisionError:
-        raise ParseError(f"zero denominator in rational {text!r}") from None
+        raise ParseError(f"zero denominator in rational {quote(text)}") from None
 
 
 def _number(token: str, what: str, kind=int, **where):
@@ -56,7 +56,7 @@ def _statements(text: str, source: str):
     for lineno, raw in enumerate(text.splitlines(), start=1):
         statement = raw.split("#", 1)[0].strip()
         if not statement.isascii():
-            raise ParseError(f"non-ASCII character in {statement!r}",
+            raise ParseError(f"non-ASCII character in {quote(statement)}",
                              line=lineno, source=source)
         if statement:
             yield lineno, statement
@@ -78,20 +78,20 @@ def parse_configuration(text: str, *, source: str = "<config>") -> Configuration
         # Statements are ASCII, so isdigit() admits exactly 0-9: no sign,
         # no '_' separator.
         if not tokens[0].isdigit():
-            raise ParseError(f"expected a point id, got {tokens[0]!r}",
+            raise ParseError(f"expected a point id, got {quote(tokens[0])}",
                              line=lineno, source=source)
         pid = _number(tokens[0], "point id", line=lineno, source=source)
         if len(tokens) == 2 and tokens[1].lower() == "origin":
             prox: list[int] = []
         elif 3 <= len(tokens) <= 4 and tokens[1] == "->":
             if not all(tok.isdigit() for tok in tokens[2:]):
-                raise ParseError(f"invalid proximity targets in {statement!r}",
+                raise ParseError(f"invalid proximity targets in {quote(statement)}",
                                  line=lineno, source=source)
             prox = [_number(tok, "proximity target", line=lineno,
                             source=source) for tok in tokens[2:]]
         else:
             raise ParseError(
-                f"malformed point statement {statement!r} (expected "
+                f"malformed point statement {quote(statement)} (expected "
                 f"'<id> origin' or '<id> -> <parent> [<second>]')",
                 line=lineno, source=source)
         specs.append((pid, prox))
@@ -125,7 +125,7 @@ def load_configuration(path: str | Path) -> Configuration:
 def serialize_configuration(c: Configuration) -> str:
     lines = [f"surface {c.surface}"]
     for pt in c.points:
-        if pt.is_origin:
+        if not pt.proximities:
             lines.append(f"{pt.id} origin")
         else:
             targets = " ".join(str(t) for t in pt.proximities)
@@ -133,6 +133,7 @@ def serialize_configuration(c: Configuration) -> str:
     return "\n".join(lines) + "\n"
 
 
+_SPLIT_NUMBER_RE = re.compile(r"[0-9/]\s+[0-9/]")
 _TERM_RE = re.compile(r"([+-]?)((?:\d+(?:/\d+)?)?)(L|F|M|E(\d+))",
                       re.IGNORECASE | re.ASCII)
 
@@ -140,6 +141,8 @@ _TERM_RE = re.compile(r"([+-]?)((?:\d+(?:/\d+)?)?)(L|F|M|E(\d+))",
 def parse_divisor(text: str, surface: SurfaceModel, n: int) -> DivisorClass:
     """Parse a divisor literal over the given surface with n exceptional
     generators."""
+    if _SPLIT_NUMBER_RE.search(text):
+        raise ParseError(f"whitespace inside a number in {quote(text)}")
     compact = "".join(text.split())
     if not compact:
         raise ParseError("empty divisor literal")
@@ -151,16 +154,16 @@ def parse_divisor(text: str, surface: SurfaceModel, n: int) -> DivisorClass:
     while pos < len(compact):
         match = _TERM_RE.match(compact, pos)
         if match is None:
-            raise ParseError(f"cannot parse divisor literal {text!r} "
-                             f"near {compact[pos:]!r}")
+            raise ParseError(f"cannot parse divisor literal "
+                             f"{quote(text)} near {quote(compact[pos:])}")
         sign, coeff, generator, e_index = match.groups()
         if not first and not sign:
-            raise ParseError(f"missing sign between terms in {text!r}")
+            raise ParseError(f"missing sign between terms in {quote(text)}")
         try:
             value = _number(coeff or "1", "coefficient", Fraction)
         except ZeroDivisionError:
-            raise ParseError(f"zero denominator in coefficient {coeff!r} "
-                             f"of {text!r}") from None
+            raise ParseError(f"zero denominator in coefficient "
+                             f"{quote(coeff)} of {quote(text)}") from None
         if sign == "-":
             value = -value
         generator = generator.upper()
@@ -168,7 +171,7 @@ def parse_divisor(text: str, surface: SurfaceModel, n: int) -> DivisorClass:
             index = _number(e_index, "exceptional index")
             if not 1 <= index <= n:
                 raise ParseError(f"exceptional index E{index} out of range "
-                                 f"1..{n} in {text!r}")
+                                 f"1..{n} in {quote(text)}")
             exceptional[index - 1] += value
         elif generator in names:
             base[names.index(generator)] += value

@@ -44,7 +44,7 @@ def hat_configuration(c: Configuration) -> Configuration:
     points = list(c.points)
     for end_id in c.ends:
         end = c.point(end_id)
-        if not end.is_free:
+        if len(end.proximities) != 1:
             continue
         if end.level < 1:
             raise InvariantError(f"free end {end_id} is at level {end.level}")
@@ -103,7 +103,7 @@ def d_value(c: Configuration) -> DValue:
 def origin_d_values(c: Configuration) -> dict[int, DValue]:
     """The d-value of each connected component, keyed by its origin id in
     ``c``.  ``c.d_values`` holds this once per cluster object."""
-    return {origin: d_value(subconfiguration(c, origin, "below"))
+    return {origin: d_value(subconfiguration(c, origin))
             for origin in c.origins}
 
 

@@ -6,7 +6,7 @@ import sys
 from dataclasses import dataclass
 from typing import Union
 
-from .errors import ParseError
+from .errors import ParseError, quote
 
 
 @dataclass(frozen=True)
@@ -60,8 +60,8 @@ def parse_surface(text: str, *, line: int | None = None,
             raise ParseError(f"delta has more than "
                              f"{sys.get_int_max_str_digits()} digits",
                              line=line, source=source) from None
-    raise ParseError(f"invalid surface spec {text!r} (expected 'p2' or 'f <delta>')",
-                     line=line, source=source)
+    raise ParseError(f"invalid surface spec {quote(text)} "
+                     "(expected 'p2' or 'f <delta>')", line=line, source=source)
 
 
 def surface_json_fields(surface: SurfaceModel) -> dict:

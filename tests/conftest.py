@@ -5,8 +5,6 @@ from pathlib import Path
 import pytest
 
 from negbound import Configuration, build_configuration
-from negbound.config import multiplicity_vector
-from negbound.sufficiency import hat_configuration
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -31,17 +29,25 @@ def sample12_path() -> Path:
 def scan_d_value(c: Configuration, limit: int = 10 ** 6) -> int:
     """Literal scan oracle: try d = 1, 2, ... and return the first d for which
     every component of P^{-1}(d e_1 - m) over the completed cluster is
-    positive.  Solves P v = rhs by forward substitution for each d; shares
-    nothing with the closed-form minimization it checks."""
-    extended = hat_configuration(c)
-    n = len(extended)
-    m = multiplicity_vector(extended)
-    prox = {pt.id: pt.proximities for pt in extended.points}
+    positive.  Builds the completion (a satellite above each free end) and
+    the multiplicities from the point specs, and solves P v = rhs by forward
+    substitution for each d; shares no code with what it checks."""
+    prox = [pt.proximities for pt in c.points]
+    targets = {t for point_prox in prox for t in point_prox}
+    prox += [(pid, p[0]) for pid, p in enumerate(prox, start=1)
+             if len(p) == 1 and pid not in targets]
+    n = len(prox)
+    m = [0] * n
+    carried = [0] * n  # sum of the multiplicities proximate to each point
+    for i in reversed(range(n)):
+        m[i] = carried[i] or 1
+        for t in prox[i]:
+            carried[t - 1] += m[i]
     for d in range(1, limit + 1):
         v = [0] * n
-        for pid in range(1, n + 1):
-            rhs = (d if pid == 1 else 0) - m[pid - 1]
-            v[pid - 1] = rhs + sum(v[t - 1] for t in prox[pid])
+        for i in range(n):
+            rhs = (d if i == 0 else 0) - m[i]
+            v[i] = rhs + sum(v[t - 1] for t in prox[i])
         if all(x > 0 for x in v):
             return d
     raise AssertionError(f"no d found up to {limit}")

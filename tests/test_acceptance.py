@@ -53,7 +53,7 @@ def test_criterion_1_component_d_values(sample12):
 
 
 def test_criterion_2_hat_sizes(sample12):
-    bases = {origin: subconfiguration(sample12, origin, "below")
+    bases = {origin: subconfiguration(sample12, origin)
              for origin in (1, 6, 10)}
     hats = {origin: hat_configuration(base) for origin, base in bases.items()}
     sizes = {origin: len(hat) for origin, hat in hats.items()}
@@ -126,7 +126,7 @@ def test_criterion_4_property_suite():
                     != esi.values[pid]:
                 failures.append((index, f"E^2 mismatch at {pid}"))
         for origin in c.origins:
-            component = subconfiguration(c, origin, "below")
+            component = subconfiguration(c, origin)
             if len(component) > 20:
                 continue
             dv = d_value(component)

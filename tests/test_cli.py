@@ -383,6 +383,35 @@ class TestHarness:
         assert "Traceback" not in proc.stderr
         assert len(proc.stderr) < 300
 
+    @pytest.mark.parametrize("case,code", [
+        ("epsilon", 2), ("surface-flag", 1), ("divisor", 1),
+        ("point-id", 1), ("target", 1)])
+    def test_long_malformed_literal_is_quoted_short(self, case, code,
+                                                     tmp_path):
+        junk = "x" + "1" * 5001
+        cluster, curves = tmp_path / "one.cfg", tmp_path / "curves.txt"
+        cluster.write_text(SINGLETON)
+        curves.write_text("1E1\n")
+        divisor, extra = "1L", []
+        if case == "surface-flag":
+            extra = ["--surface", f"f 1{junk}"]
+        elif case == "divisor":
+            divisor = f"1L+{junk}"
+        elif case == "point-id":
+            cluster.write_text(f"{SINGLETON}{junk} -> 1\n")
+        elif case == "target":
+            cluster.write_text(f"{SINGLETON}2 -> 1 {junk}\n")
+        argv = ["nu", str(cluster), "--divisor", divisor,
+                "--curves", str(curves), *extra]
+        if case == "epsilon":
+            argv = ["bounds", str(cluster), "--epsilon", f"1.{junk[1:]}"]
+        proc = run_process(argv)
+        assert proc.returncode == code
+        assert "Traceback" not in proc.stderr
+        # argparse prints its fixed usage block before a usage error
+        message = proc.stderr[proc.stderr.index("error:"):]
+        assert message.endswith("\n") and len(message) < 300
+
     @pytest.mark.parametrize("epsilon", ["1" * 5001, "1/" + "1" * 5001],
                              ids=["numerator", "denominator"])
     def test_over_cap_epsilon_is_short_usage_error(self, capsys, epsilon,

@@ -34,13 +34,20 @@ class TestBuildConfiguration:
         assert c.origins == (1,)
         assert c.ends == (1,)
         pt = c.point(1)
-        assert pt.is_origin and pt.level == 0 and pt.kind == "origin"
+        assert pt.kind == "origin" and pt.level == 0
 
     def test_satellite_chain(self):
         c = build_configuration([(1, []), (2, [1]), (3, [2, 1])])
-        assert c.point(3).is_satellite
+        assert c.point(3).kind == "satellite"
         assert c.point(3).parent == 2
         assert c.point(3).level == 2
+
+    @pytest.mark.parametrize("specs", [
+        [(1, []), (2, [1.0])], [(True, [])], [(1, []), (2, ["1"])],
+        [(1.0, [])]], ids=["float-target", "bool-id", "str-target", "float-id"])
+    def test_ids_and_targets_must_be_int(self, specs):
+        with pytest.raises(ConfigurationError):
+            build_configuration(specs)
 
     def test_satellite_second_target_among_parent_proximities(self):
         base = [(1, []), (2, [1]), (3, [2, 1])]
@@ -170,35 +177,26 @@ class TestClassify:
 
 class TestSubconfiguration:
     def test_below_first_origin(self, sample12):
-        sub = subconfiguration(sample12, 1, "below")
+        sub = subconfiguration(sample12, 1)
         assert specs_of(sub) == [(1, []), (2, [1]), (3, [2]), (4, [2]),
                                  (5, [4, 2])]
 
-    def test_above_satellite(self, sample12):
-        sub = subconfiguration(sample12, 5, "above")
-        # ancestors of 5 are {1, 2, 4, 5}, renumbered to 1..4
-        assert specs_of(sub) == [(1, []), (2, [1]), (3, [2]), (4, [3, 2])]
-
     def test_below_last_origin(self, sample12):
-        sub = subconfiguration(sample12, 10, "below")
+        sub = subconfiguration(sample12, 10)
         assert specs_of(sub) == [(1, []), (2, [1]), (3, [1])]
 
     def test_below_interior_point_drops_outside_proximities(self, sample12):
-        sub = subconfiguration(sample12, 2, "below")
+        sub = subconfiguration(sample12, 2)
         # 2 becomes an origin; the satellite 5 keeps both targets
         assert specs_of(sub) == [(1, []), (2, [1]), (3, [1]), (4, [3, 1])]
 
     def test_unknown_point(self, sample12):
         with pytest.raises(UnknownPointError):
-            subconfiguration(sample12, 99, "below")
-
-    def test_bad_direction(self, sample12):
-        with pytest.raises(ValueError):
-            subconfiguration(sample12, 1, "sideways")
+            subconfiguration(sample12, 99)
 
     def test_surface_is_preserved(self):
         c = build_configuration([(1, []), (2, [1])], Hirzebruch(3))
-        assert subconfiguration(c, 1, "below").surface == Hirzebruch(3)
+        assert subconfiguration(c, 1).surface == Hirzebruch(3)
 
 
 class TestExceptionalSelfIntersections:

@@ -183,6 +183,9 @@ class TestParseDivisor:
         ("3L", Hirzebruch(1), 1),   # L only lives on the plane
         ("E5", P2, 4),              # index out of range
         ("1/0L", P2, 1),
+        ("3L - 2E1 2", P2, 12),     # not E12
+        ("1 0L", P2, 1),            # not 10L
+        ("1 /2L", P2, 1),
         ("\u0663L - E\u0661", P2, 1),  # Arabic-Indic digits
         pytest.param("1" + "0" * 5000 + "L", P2, 1, id="over-cap-coefficient"),
         pytest.param(f"1/{OVER_CAP}L", P2, 1, id="over-cap-denominator"),

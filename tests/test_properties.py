@@ -138,7 +138,7 @@ class TestLinearCore:
                     [(new_id[pid], [new_id[t] for t in c.point(pid).proximities
                                     if t in below])
                      for pid in kept], c.surface)
-                assert subconfiguration(c, q, "below") == expected
+                assert subconfiguration(c, q) == expected
 
 
 class TestDenseMatrixOffProductionPath:
@@ -220,20 +220,19 @@ class TestValidateOnce:
             # every proximity target of a point lies in its parent chain
             chain = {}
             for pt in c.points:
-                chain[pt.id] = set() if pt.is_origin else \
+                chain[pt.id] = set() if pt.kind == "origin" else \
                     {pt.parent} | chain[pt.parent]
                 assert set(pt.proximities) <= chain[pt.id], (c, pt)
 
         for c in suite:
             assert_admissible(c)
             for q in range(1, len(c) + 1):
-                for direction in ("below", "above"):
-                    sub = subconfiguration(c, q, direction)
-                    assert sub == validated(sub)
-                    assert_admissible(sub)
-                    extended = hat_configuration(sub)
-                    assert extended == validated(extended)
-                    assert_admissible(extended)
+                sub = subconfiguration(c, q)
+                assert sub == validated(sub)
+                assert_admissible(sub)
+                extended = hat_configuration(sub)
+                assert extended == validated(extended)
+                assert_admissible(extended)
 
 
 class TestDeriveOnce:
@@ -328,7 +327,7 @@ class TestDValueProperties:
         checked = 0
         for c in suite:
             for origin in c.origins:
-                component = subconfiguration(c, origin, "below")
+                component = subconfiguration(c, origin)
                 if len(component) > 20:
                     continue
                 dv = d_value(component)

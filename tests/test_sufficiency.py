@@ -23,7 +23,7 @@ from conftest import REPO_ROOT, scan_d_value
 
 
 def component(sample12, origin):
-    return subconfiguration(sample12, origin, "below")
+    return subconfiguration(sample12, origin)
 
 
 def added(c, hat):
