@@ -18,6 +18,7 @@ from .config import Configuration, exceptional_self_intersections
 from .errors import (
     NonPositiveEpsilonError,
     SurfaceMismatchError,
+    quote_number,
 )
 from .lattice import DivisorClass, Rational, _exact, pairing
 from .surfaces import SurfaceModel, is_plane, surface_json_fields
@@ -29,7 +30,8 @@ N_CONVENTIONS = ("stated", "example")
 def _positive_epsilon(epsilon: Rational) -> Fraction:
     value = _exact(epsilon)
     if value <= 0:
-        raise NonPositiveEpsilonError(f"epsilon must be positive, got {value}")
+        raise NonPositiveEpsilonError(
+            f"epsilon must be positive, got {quote_number(value)}")
     return value
 
 

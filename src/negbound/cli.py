@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .bounds import empirical_nu, epsilon_family_bounds, nef_pullback_bounds
 from .config import analysis_report, dot_export
-from .errors import NegboundError, ParseError
+from .errors import NegboundError, ParseError, quote
 from .fileformat import (
     load_configuration,
     load_curves,
@@ -49,8 +49,19 @@ def _fraction_arg(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(str(err)) from None
 
 
+class _Parser(argparse.ArgumentParser):
+    """Quotes an invalid choice through ``errors.quote``, so a long one
+    cannot flood stderr; subparsers inherit the class."""
+
+    def _check_value(self, action, value):  # argparse's choice check
+        if action.choices is not None and value not in action.choices:
+            choices = ", ".join(map(repr, action.choices))
+            message = f"invalid choice: {quote(value)} (choose from {choices})"
+            raise argparse.ArgumentError(action, message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="negbound",
         description="Cluster combinatorics and negativity bounds for blowups "
                     "of the plane and Hirzebruch surfaces.")

@@ -23,6 +23,8 @@ from .errors import (
     NormalizationError,
     TooManyProximitiesError,
     UnknownPointError,
+    quote_ids,
+    quote_number,
 )
 from .surfaces import ProjectivePlane, SurfaceModel, surface_json_fields
 
@@ -70,7 +72,8 @@ class Configuration:
 
     def point(self, point_id: int) -> Point:
         if not 1 <= point_id <= len(self.points):
-            raise UnknownPointError(f"no point with id {point_id}", point_id=point_id)
+            raise UnknownPointError(f"no point with id {quote_number(point_id)}",
+                                   point_id=point_id)
         return self.points[point_id - 1]
 
     @cached_property
@@ -111,7 +114,11 @@ def build_configuration(point_specs: Iterable[PointSpec],
     of its ancestors, by induction on the id, as a satellite's second target
     is among its parent's proximities.  Subclusters and completions keep it.
     """
-    specs = [(pid, tuple(prox)) for pid, prox in point_specs]
+    try:
+        specs = [(pid, tuple(prox)) for pid, prox in point_specs]
+    except (TypeError, ValueError):
+        raise ConfigurationError(
+            "each point spec must be an (id, proximity ids) pair") from None
     for pid, prox in specs:
         if not all(type(x) is int for x in (pid, *prox)):
             raise ConfigurationError("point ids and proximity targets must be int")
@@ -121,12 +128,13 @@ def build_configuration(point_specs: Iterable[PointSpec],
     seen: set[int] = set()
     for pid, _ in specs:
         if pid in seen:
-            raise DuplicateIdError(f"duplicate point id {pid}", point_id=pid)
+            raise DuplicateIdError(f"duplicate point id {quote_number(pid)}",
+                                   point_id=pid)
         seen.add(pid)
     if specs[0][0] != 1 or specs[-1][0] != len(specs):
         missing = sorted(set(range(1, len(specs) + 1)) - seen)
-        raise ConfigurationError(
-            f"ids must be exactly 1..{len(specs)} (missing {missing})")
+        raise ConfigurationError(f"ids must be exactly 1..{len(specs)} "
+                                 f"(missing {quote_ids(missing)})")
 
     points: list[Point] = []
     by_id: dict[int, Point] = {}
@@ -139,7 +147,7 @@ def build_configuration(point_specs: Iterable[PointSpec],
         for target in prox:
             if not 1 <= target < pid:
                 raise ForwardReferenceError(
-                    f"point {pid} is proximate to {target}, "
+                    f"point {pid} is proximate to {quote_number(target)}, "
                     f"which is not a strictly smaller id", point_id=pid)
         if len(prox) == 2:
             parent, second = prox

@@ -80,6 +80,32 @@ def quote(text: str) -> str:
     return f"{text[:40]!r}... ({len(text)} characters)"
 
 
+def quote_number(value) -> str:
+    """``str(value)`` of an int or Fraction for an error message; a part
+    with more than 40 digits is named by its digit count instead, so no
+    number floods the message or meets the interpreter's int/str cap."""
+    def part(x: int) -> str:
+        magnitude = abs(x)
+        if magnitude < 10 ** 40:
+            return str(x)
+        # a lower bound from the bit length, raised to the exact count
+        digits = int((magnitude.bit_length() - 1) * 0.30102999566398)
+        while 10 ** digits <= magnitude:
+            digits += 1
+        return f"{'-' if x < 0 else ''}<{digits} digits>"
+
+    if value.denominator == 1:
+        return part(value.numerator)
+    return f"{part(value.numerator)}/{part(value.denominator)}"
+
+
+def quote_ids(ids) -> str:
+    """``repr`` of a list or tuple of ids for an error message, cut to the
+    first five."""
+    more = f" and {len(ids) - 5} more" if len(ids) > 5 else ""
+    return f"{ids[:5]!r}{more}"
+
+
 class ParseError(NegboundError):
     """A text input (cluster file, divisor literal) could not be parsed."""
 

@@ -20,7 +20,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .config import Configuration, build_configuration
-from .errors import ConfigurationError, ParseError, quote
+from .errors import ConfigurationError, ParseError, quote, quote_number
 from .lattice import DivisorClass
 from .surfaces import SurfaceModel, parse_surface
 
@@ -170,8 +170,8 @@ def parse_divisor(text: str, surface: SurfaceModel, n: int) -> DivisorClass:
         if generator.startswith("E"):
             index = _number(e_index, "exceptional index")
             if not 1 <= index <= n:
-                raise ParseError(f"exceptional index E{index} out of range "
-                                 f"1..{n} in {quote(text)}")
+                raise ParseError(f"exceptional index E{quote_number(index)} "
+                                 f"out of range 1..{n} in {quote(text)}")
             exceptional[index - 1] += value
         elif generator in names:
             base[names.index(generator)] += value

@@ -28,6 +28,8 @@ HIRZEBRUCH_CHARTS = ("U00", "U01", "U10", "U11")
 
 
 def _exact(value) -> Fraction:
+    if type(value) is Fraction:  # already exact: no new object
+        return value
     if isinstance(value, float):
         raise TypeError(f"float coefficient {value!r} rejected; use Fraction")
     return Fraction(value)
@@ -131,14 +133,16 @@ class DivisorClass:
 
 
 def pairing(x: DivisorClass, y: DivisorClass) -> Fraction:
-    """Intersection number of two classes on the same lattice."""
+    """Intersection number of two classes on the same lattice; only the
+    exceptional coordinates nonzero in both classes are multiplied."""
     x._check_compatible(y)
     if is_plane(x.surface):
         base = x.base[0] * y.base[0]
     else:
         delta = x.surface.delta
         base = x.a * y.b + x.b * y.a + delta * x.b * y.b
-    return base - sum(p * q for p, q in zip(x.exceptional, y.exceptional))
+    return base - sum(p * q for p, q in zip(x.exceptional, y.exceptional)
+                      if p and q)
 
 
 def strict_transform_of_exceptional(c: Configuration, point_id: int) -> DivisorClass:

@@ -24,6 +24,7 @@ from .errors import (
     InvariantError,
     MultipleOriginsError,
     NonPositiveCoefficientError,
+    quote_ids,
 )
 
 
@@ -40,7 +41,8 @@ def hat_configuration(c: Configuration) -> Configuration:
     origins = c.origins
     if len(origins) != 1:
         raise MultipleOriginsError(
-            f"expected a unique origin, found {len(origins)}: {origins}")
+            f"expected a unique origin, found {len(origins)}: "
+            f"{quote_ids(origins)}")
     points = list(c.points)
     for end_id in c.ends:
         end = c.point(end_id)

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from negbound import Configuration, build_configuration
+from negbound import Configuration, DivisorClass, build_configuration
+from negbound.surfaces import ProjectivePlane
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -51,6 +53,18 @@ def scan_d_value(c: Configuration, limit: int = 10 ** 6) -> int:
         if all(x > 0 for x in v):
             return d
     raise AssertionError(f"no d found up to {limit}")
+
+
+def dense_pairing(x: DivisorClass, y: DivisorClass) -> Fraction:
+    """Reference intersection number: the base form (L^2 = 1; F^2 = 0,
+    F.M = 1, M^2 = delta) minus the product of every pair of exceptional
+    coordinates, zeros included."""
+    if x.surface == ProjectivePlane():
+        base = x.base[0] * y.base[0]
+    else:
+        (f1, m1), (f2, m2) = x.base, y.base
+        base = f1 * m2 + m1 * f2 + x.surface.delta * m1 * m2
+    return base - sum(p * q for p, q in zip(x.exceptional, y.exceptional))
 
 
 def mat_mul(a, b):

@@ -385,7 +385,8 @@ class TestHarness:
 
     @pytest.mark.parametrize("case,code", [
         ("epsilon", 2), ("surface-flag", 1), ("divisor", 1),
-        ("point-id", 1), ("target", 1)])
+        ("point-id", 1), ("target", 1), ("n-convention", 2),
+        ("subcommand", 2)])
     def test_long_malformed_literal_is_quoted_short(self, case, code,
                                                      tmp_path):
         junk = "x" + "1" * 5001
@@ -405,12 +406,49 @@ class TestHarness:
                 "--curves", str(curves), *extra]
         if case == "epsilon":
             argv = ["bounds", str(cluster), "--epsilon", f"1.{junk[1:]}"]
+        elif case == "n-convention":
+            argv = ["bounds", str(cluster), "--pullback",
+                    "--n-convention", junk[1:]]
+        elif case == "subcommand":
+            argv = [junk, str(cluster)]
         proc = run_process(argv)
         assert proc.returncode == code
         assert "Traceback" not in proc.stderr
         # argparse prints its fixed usage block before a usage error
         message = proc.stderr[proc.stderr.index("error:"):]
         assert message.endswith("\n") and len(message) < 300
+
+    @pytest.mark.parametrize("case", ["target", "divisor-index",
+                                      "epsilon"])
+    def test_long_integer_is_named_by_digit_count(self, case, tmp_path):
+        digits = "1" * 4000  # under the interpreter's int/str cap
+        cluster, curves = tmp_path / "one.cfg", tmp_path / "curves.txt"
+        cluster.write_text(SINGLETON)
+        curves.write_text("1E1\n")
+        divisor = f"L - E{digits}" if case == "divisor-index" else "1L"
+        argv = ["nu", str(cluster), "--divisor", divisor, "--curves", str(curves)]
+        if case == "target":
+            cluster.write_text(f"{SINGLETON}2 -> {digits}\n")
+        elif case == "epsilon":
+            argv = ["bounds", str(cluster), "--epsilon", f"-{digits}"]
+        proc = run_process(argv)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error:")
+        assert "<4000 digits>" in proc.stderr and len(proc.stderr) < 300
+
+    @pytest.mark.parametrize("argv, message", [
+        (["bounds", "x.cfg", "--pullback", "--n-convention", "bogus"],
+         "argument --n-convention: invalid choice: 'bogus' "
+         "(choose from 'stated', 'example')"),
+        (["bogus"], "argument command: invalid choice: 'bogus' (choose from "
+         "'analyze', 'dvalue', 'bounds', 'nu', 'dot')")],
+        ids=["n-convention", "subcommand"])
+    def test_short_invalid_choice_is_quoted_whole(self, capsys, argv,
+                                                  message):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(f"error: {message}\n")
 
     @pytest.mark.parametrize("epsilon", ["1" * 5001, "1/" + "1" * 5001],
                              ids=["numerator", "denominator"])

@@ -44,10 +44,31 @@ class TestBuildConfiguration:
 
     @pytest.mark.parametrize("specs", [
         [(1, []), (2, [1.0])], [(True, [])], [(1, []), (2, ["1"])],
-        [(1.0, [])]], ids=["float-target", "bool-id", "str-target", "float-id"])
+        [(1.0, [])], [(1, []), (2, 1)], [(1, None)], [1], [(1,)],
+        [(1, [], 3)]],
+        ids=["float-target", "bool-id", "str-target", "float-id",
+             "int-proximities", "none-proximities", "bare-id", "one-field",
+             "three-fields"])
     def test_ids_and_targets_must_be_int(self, specs):
         with pytest.raises(ConfigurationError):
             build_configuration(specs)
+
+    @pytest.mark.parametrize("specs", [
+        [(1, []), (2, [10 ** 5000])], [(1, []), (2, [10 ** 4000])],
+        [(1, []), (10 ** 5000, []), (10 ** 5000, [])],
+        [(1, [])] + [(i, []) for i in range(10 ** 4, 2 * 10 ** 4)]],
+        ids=["over-cap-target", "long-target", "long-duplicate-id",
+             "many-missing-ids"])
+    def test_long_numbers_in_messages_are_cut(self, specs):
+        with pytest.raises(ConfigurationError) as exc:
+            build_configuration(specs)
+        assert len(str(exc.value)) < 300
+
+    def test_long_unknown_point_id_is_cut(self):
+        c = build_configuration([(1, [])])
+        with pytest.raises(UnknownPointError) as exc:
+            c.point(10 ** 5000)
+        assert str(exc.value) == "no point with id <5001 digits>"
 
     def test_satellite_second_target_among_parent_proximities(self):
         base = [(1, []), (2, [1]), (3, [2, 1])]

@@ -6,26 +6,36 @@ same examples and writes no files.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from negbound import (
+    DivisorClass,
     build_configuration,
     hat_configuration,
     multiplicity_vector,
+    pairing,
     parse_configuration,
     proximity_matrix,
     serialize_configuration,
     subconfiguration,
 )
+from negbound.errors import quote_number
 from negbound.surfaces import Hirzebruch, ProjectivePlane
-from conftest import scan_d_value
+from conftest import dense_pairing, scan_d_value
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None,
                     max_examples=100)
 
 surfaces = st.one_of(st.just(ProjectivePlane()),
                      st.integers(0, 5).map(Hirzebruch))
+
+# zero, negative and non-integral coefficients, zero most often
+coefficients = st.one_of(
+    st.just(Fraction(0)), st.integers(-5, 5).map(Fraction),
+    st.fractions(min_value=-10, max_value=10, max_denominator=9))
 
 
 @st.composite
@@ -75,3 +85,52 @@ def test_transposed_proximity_times_m_is_the_end_indicator(c):
         assert [sum(entries[i][j] * m[i] for i in range(len(hat)))
                 for j in range(len(hat))] == \
             [int(j + 1 in ends) for j in range(len(hat))]
+
+
+@st.composite
+def class_pairs(draw, max_n: int = 10):
+    """Two classes on one lattice; with ``disjoint`` drawn, the second is
+    zero wherever the first has a nonzero exceptional coefficient."""
+    surface = draw(surfaces)
+    n = draw(st.integers(0, max_n))
+    disjoint = draw(st.booleans())
+
+    def coordinates(k):
+        return draw(st.lists(coefficients, min_size=k, max_size=k))
+
+    k = len(surface.generators)
+    x = DivisorClass(surface, tuple(coordinates(k)), tuple(coordinates(n)))
+    y_exc = coordinates(n)
+    if disjoint:
+        y_exc = [0 if p else q for p, q in zip(x.exceptional, y_exc)]
+    return x, DivisorClass(surface, tuple(coordinates(k)), tuple(y_exc))
+
+
+@SETTINGS
+@given(class_pairs())
+def test_pairing_equals_the_dense_formula(pair):
+    x, y = pair
+    value = pairing(x, y)
+    assert value == dense_pairing(x, y) == pairing(y, x)
+    assert type(value) is Fraction and type(pairing(y, x)) is Fraction
+
+
+@SETTINGS
+@given(st.integers(0, 300), st.integers(-1, 1), st.booleans(),
+       st.integers(1, 10 ** 45))
+def test_quote_number_names_the_exact_digit_count(k, offset, negative, den):
+    """Around each power of ten, where a digit count from the bit length
+    is easiest to get wrong."""
+    value = max(10 ** k + offset, 0) * (-1 if negative else 1)
+
+    def expected(x):
+        digits = len(str(abs(x)))
+        return str(x) if digits <= 40 else \
+            f"{'-' if x < 0 else ''}<{digits} digits>"
+
+    assert quote_number(value) == expected(value)
+    ratio = Fraction(value, den)
+    assert quote_number(ratio) == (expected(ratio.numerator)
+                                   if ratio.denominator == 1 else
+                                   f"{expected(ratio.numerator)}/"
+                                   f"{expected(ratio.denominator)}")

@@ -21,6 +21,7 @@ from negbound import (
     strict_exceptional_coordinates,
     strict_transform_of_exceptional,
 )
+from negbound.lattice import _exact
 from negbound.surfaces import Hirzebruch, ProjectivePlane
 
 P2 = ProjectivePlane()
@@ -78,6 +79,25 @@ class TestPairing:
     def test_rational_coefficients(self):
         half = DivisorClass(P2, (Fraction(1, 2),))
         assert pairing(half, half) == Fraction(1, 4)
+
+    @pytest.mark.parametrize("surface, base", [(P2, (0,)),
+                                               (Hirzebruch(2), (0, 0))],
+                             ids=["p2", "f 2"])
+    def test_disjoint_supports_pair_to_a_fraction(self, surface, base):
+        x = DivisorClass(surface, base, (1, 0, -2, 0))
+        y = DivisorClass(surface, base, (0, 3, 0, 0))
+        assert pairing(x, y) == 0 and type(pairing(x, y)) is Fraction
+
+    def test_exact_keeps_fractions_and_converts_the_rest(self):
+        class Half(Fraction):
+            pass
+
+        value = Fraction(3, 4)
+        assert _exact(value) is value
+        for x in (True, 3, Half(1, 2)):
+            assert type(_exact(x)) is Fraction and _exact(x) == x
+        with pytest.raises(TypeError):
+            _exact(0.5)
 
 
 class TestArithmetic:

@@ -74,6 +74,16 @@ class TestHatConfiguration:
         with pytest.raises(MultipleOriginsError):
             hat_configuration(sample12)
 
+    def test_many_origins_are_listed_short(self, sample12):
+        with pytest.raises(MultipleOriginsError) as exc:
+            hat_configuration(sample12)
+        assert str(exc.value) == "expected a unique origin, found 3: (1, 6, 10)"
+        many = build_configuration([(i, []) for i in range(1, 20001)])
+        with pytest.raises(MultipleOriginsError) as exc:
+            hat_configuration(many)
+        assert str(exc.value) == ("expected a unique origin, found 20000: "
+                                  "(1, 2, 3, 4, 5) and 19995 more")
+
 
 class TestDValue:
     BAD_D_VALUE = """
