@@ -12,17 +12,24 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import NamedTuple, Sequence, Union
+from typing import TYPE_CHECKING, NamedTuple, Sequence, Union
 
-from .config import Configuration, exceptional_self_intersections
+from .config import (
+    Configuration,
+    Rational,
+    _exact,
+    exceptional_self_intersections,
+)
 from .errors import (
     NonPositiveEpsilonError,
     SurfaceMismatchError,
     quote_number,
 )
-from .lattice import DivisorClass, Rational, _exact, pairing
 from .surfaces import SurfaceModel, is_plane, surface_json_fields
 from .sufficiency import total_d
+
+if TYPE_CHECKING:  # the lattice loads only for the curve-list reports
+    from .lattice import DivisorClass
 
 N_CONVENTIONS = ("stated", "example")
 
@@ -304,6 +311,7 @@ class NuReport:
 
 def empirical_nu(curves: Sequence[DivisorClass],
                  big_nef: DivisorClass) -> NuReport:
+    from .lattice import pairing
     ratios = []
     for index, curve in enumerate(curves, start=1):
         big_nef._check_compatible(curve)
@@ -346,6 +354,7 @@ class DeltaMembershipReport:
 def delta_membership_check(d: DivisorClass, g: DivisorClass,
                            epsilon: Rational,
                            witnesses: Sequence[DivisorClass]) -> DeltaMembershipReport:
+    from .lattice import pairing
     eps = _positive_epsilon(epsilon)
     d._check_compatible(g)
     shifted = d - eps * g

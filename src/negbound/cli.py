@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 from contextlib import contextmanager
-from decimal import Context, Decimal
 from fractions import Fraction
 from pathlib import Path
 
-from .bounds import empirical_nu, epsilon_family_bounds, nef_pullback_bounds
+# sufficiency, bounds and json are imported by the subcommands that use
+# them, so a one-shot process loads no more than its report needs.
 from .config import analysis_report, dot_export
 from .errors import NegboundError, ParseError, quote
 from .fileformat import (
@@ -26,7 +25,6 @@ from .fileformat import (
     parse_divisor,
     parse_rational,
 )
-from .sufficiency import d_value_report
 from .surfaces import parse_surface
 
 
@@ -37,6 +35,7 @@ def format_rational(value: Fraction) -> str:
     if sys.float_info.min <= abs(value) <= sys.float_info.max:
         approx = float(value)
     else:  # outside the normal float range: round in decimal instead
+        from decimal import Context, Decimal
         approx = Context(prec=6).divide(Decimal(value.numerator),
                                         value.denominator).normalize()
     return f"{value} ({approx:.6g})"
@@ -119,6 +118,7 @@ def _cmd_analyze(config, args) -> tuple[dict, str]:
 
 
 def _cmd_dvalue(config, args) -> tuple[dict, str]:
+    from .sufficiency import d_value_report
     report = d_value_report(config)
     lines = [f"origin {entry['id']}: d = {entry['d']}   "
              f"(hat size {entry['hat_size']})"
@@ -128,6 +128,7 @@ def _cmd_dvalue(config, args) -> tuple[dict, str]:
 
 
 def _cmd_bounds(config, args) -> tuple[dict, str]:
+    from .bounds import epsilon_family_bounds, nef_pullback_bounds
     if args.pullback:
         report = nef_pullback_bounds(config, args.n_convention)
     else:
@@ -151,6 +152,7 @@ def _cmd_bounds(config, args) -> tuple[dict, str]:
 
 
 def _cmd_nu(config, args) -> tuple[dict, str]:
+    from .bounds import empirical_nu
     divisor = args.divisor  # parsed by main, like every input
     report = empirical_nu(args.curves, divisor)
     lines = [f"divisor: {divisor}"]
@@ -196,6 +198,8 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "bounds" and args.pullback and args.epsilon is not None:
+        parser.error("--epsilon cannot be combined with --pullback")
     if args.command == "bounds" and not args.pullback and args.epsilon is None:
         parser.error("--epsilon is required unless --pullback is given")
     try:
@@ -210,6 +214,7 @@ def main(argv: list[str] | None = None) -> int:
         with _uncapped_int_digits():
             data, text = _COMMANDS[args.command](config, args)
             if getattr(args, "json", False):
+                import json
                 text = json.dumps(data, indent=2)
         if args.output is not None:
             args.output.write_text(text + "\n", encoding="utf-8")

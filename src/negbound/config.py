@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence, TypeVar
+from typing import Iterable, NamedTuple, Sequence, TypeVar, Union
 
 from .errors import (
     ConfigurationError,
@@ -31,6 +31,15 @@ from .surfaces import ProjectivePlane, SurfaceModel, surface_json_fields
 PointSpec = tuple[int, Sequence[int]]
 IntMatrix = tuple[tuple[int, ...], ...]
 Scalar = TypeVar("Scalar", int, Fraction)
+Rational = Union[int, Fraction]
+
+
+def _exact(value) -> Fraction:
+    if type(value) is Fraction:  # already exact: no new object
+        return value
+    if isinstance(value, float):
+        raise TypeError(f"float coefficient {value!r} rejected; use Fraction")
+    return Fraction(value)
 
 
 @dataclass(frozen=True)

@@ -18,11 +18,14 @@ import re
 import sys
 from fractions import Fraction
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .config import Configuration, build_configuration
 from .errors import ConfigurationError, ParseError, quote, quote_number
-from .lattice import DivisorClass
 from .surfaces import SurfaceModel, parse_surface
+
+if TYPE_CHECKING:  # the lattice loads with the first divisor literal
+    from .lattice import DivisorClass
 
 
 _RATIONAL_RE = re.compile(r"\s*[+-]?\d+(?:/\d+)?\s*", re.ASCII)
@@ -141,6 +144,7 @@ _TERM_RE = re.compile(r"([+-]?)((?:\d+(?:/\d+)?)?)(L|F|M|E(\d+))",
 def parse_divisor(text: str, surface: SurfaceModel, n: int) -> DivisorClass:
     """Parse a divisor literal over the given surface with n exceptional
     generators."""
+    from .lattice import DivisorClass
     if _SPLIT_NUMBER_RE.search(text):
         raise ParseError(f"whitespace inside a number in {quote(text)}")
     compact = "".join(text.split())

@@ -11,9 +11,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Sequence
 
-from .config import Configuration, proximity_apply, proximity_solve
+from .config import (
+    Configuration,
+    Rational,
+    _exact,
+    proximity_apply,
+    proximity_solve,
+)
 from .errors import (
     NotHirzebruchError,
     SurfaceMismatchError,
@@ -21,18 +27,8 @@ from .errors import (
 )
 from .surfaces import Hirzebruch, SurfaceModel, is_plane
 
-Rational = Union[int, Fraction]
-
 PLANE_CHARTS = ("UX", "UY", "UZ")
 HIRZEBRUCH_CHARTS = ("U00", "U01", "U10", "U11")
-
-
-def _exact(value) -> Fraction:
-    if type(value) is Fraction:  # already exact: no new object
-        return value
-    if isinstance(value, float):
-        raise TypeError(f"float coefficient {value!r} rejected; use Fraction")
-    return Fraction(value)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import importlib
 import json
 import os
 import subprocess
@@ -8,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+import negbound
 from negbound import (
     Hirzebruch,
     ParseError,
@@ -38,12 +40,17 @@ def run(capsys, argv):
     return code, captured.out, captured.err
 
 
-def run_process(argv):
-    """Run the CLI in a fresh interpreter, so a traceback would show."""
+def run_python(args, cwd=None, text=False) -> subprocess.CompletedProcess:
+    """Run ``python *args`` in a fresh interpreter on the checkout's src/."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-m", "negbound.cli", *argv],
-                          env=env, capture_output=True, text=True, timeout=60)
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
+                          capture_output=True, text=text, timeout=60)
+
+
+def run_process(argv):
+    """Run the CLI in a fresh interpreter, so a traceback would show."""
+    return run_python(["-m", "negbound.cli", *argv], text=True)
 
 
 class TestAnalyze:
@@ -177,6 +184,16 @@ class TestBounds:
         with pytest.raises(SystemExit) as exc:
             main(["bounds", str(sample12_path)])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("extra", [["--pullback", "--epsilon", "1/2"],
+                                       ["--epsilon", "3", "--pullback"]])
+    def test_epsilon_with_pullback_is_usage_error(self, capsys, sample12_path,
+                                                  extra):
+        with pytest.raises(SystemExit) as exc:
+            main(["bounds", str(sample12_path), *extra])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "--epsilon cannot be combined with --pullback" in err
 
     def test_nonpositive_epsilon_is_validation_error(self, capsys, sample12_path):
         code, _, err = run(capsys, ["bounds", str(sample12_path),
@@ -472,3 +489,134 @@ class TestHarness:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+
+# Every public name of the package as of the eager __init__, by module.
+PUBLIC_NAMES = {
+    "bounds": """AttachedFoliationReport BoundReport ClusterData CurveRatio
+        DeltaMembershipReport FoliationBoundReport FoliationDegree
+        HirzebruchBidegree NuReport PlaneDegree WitnessCheck
+        attached_foliation_degree_bounds cluster_bound_data
+        delta_membership_check empirical_nu epsilon_family_bounds
+        foliation_negativity_bound nef_pullback_bounds polarization_bounds""",
+    "config": """Configuration ExceptionalSelfIntersections Point
+        ProximityMatrix analysis_report build_configuration dot_export
+        exceptional_self_intersections multiplicity_vector proximity_apply
+        proximity_matrix proximity_solve subconfiguration""",
+    "errors": """ConfigurationError DuplicateIdError ForwardReferenceError
+        InvalidSatelliteError InvariantError LatticeError
+        MultipleOriginsError NegboundError NonPositiveCoefficientError
+        NonPositiveEpsilonError NormalizationError NotHirzebruchError
+        ParseError SurfaceMismatchError TooManyProximitiesError
+        UnknownChartError UnknownPointError""",
+    "fileformat": """load_configuration load_curves parse_configuration
+        parse_curves parse_divisor parse_rational serialize_configuration""",
+    "lattice": """Bidegree BidegreeBounds DivisorClass InvariantBoundReport
+        MultiplicityBoundReport bidegree_of_closure
+        divisor_from_strict_coordinates invariant_bound_check
+        multiplicity_bound_check pairing special_section_class
+        strict_exceptional_coordinates strict_transform_of_exceptional""",
+    "sufficiency": """DValue d_value d_value_report hat_configuration
+        origin_d_values total_d""",
+    "surfaces": "Hirzebruch ProjectivePlane SurfaceModel parse_surface",
+}
+
+# Runs cli.main on argv with its output discarded, then prints the exit
+# code and the negbound.* modules the process has loaded.
+LOADED_BY_MAIN = """
+import io, sys
+from negbound.cli import main
+out, sys.stdout, sys.stderr = sys.stdout, io.StringIO(), io.StringIO()
+code = main(sys.argv[1:])
+print(code, *sorted(m for m in sys.modules if m.startswith("negbound.")),
+      file=out)
+"""
+
+SAMPLE = str(REPO_ROOT / "configs" / "sample12.cfg")
+CURVES_P2 = str(REPO_ROOT / "tests" / "goldens" / "curves_p2.txt")
+
+
+class TestLoading:
+    """Each subcommand loads only the modules its report needs, checked in
+    fresh interpreters, since this test process has imported them all."""
+
+    def test_import_loads_no_submodule(self):
+        proc = run_python(["-c", "import negbound, sys; print(*(m for m in "
+                           "sys.modules if m.startswith('negbound')))"],
+                          text=True)
+        assert proc.stdout.split() == ["negbound"], proc.stderr
+
+    @staticmethod
+    def loaded_by(argv) -> set[str]:
+        proc = run_python(["-c", LOADED_BY_MAIN, *argv], text=True)
+        code, *modules = proc.stdout.split()
+        assert code == "0", proc.stderr
+        return {m.removeprefix("negbound.") for m in modules}
+
+    @pytest.mark.parametrize("argv, absent", [
+        (["analyze", SAMPLE], {"sufficiency", "bounds", "lattice"}),
+        (["analyze", SAMPLE, "--json"], {"sufficiency", "bounds", "lattice"}),
+        (["dot", SAMPLE], {"sufficiency", "bounds", "lattice"}),
+        (["dvalue", SAMPLE, "--json"], {"bounds", "lattice"}),
+        (["bounds", SAMPLE, "--pullback"], {"lattice"}),
+        (["bounds", SAMPLE, "--epsilon", "1/2", "--surface", "f 3"],
+         {"lattice"}),
+    ], ids=["analyze", "analyze-json", "dot", "dvalue", "bounds-pullback",
+            "bounds-epsilon"])
+    def test_subcommand_loads_only_what_it_needs(self, argv, absent):
+        loaded = self.loaded_by(argv)
+        assert {"cli", "config", "fileformat"} <= loaded
+        assert loaded & absent == set()
+
+    def test_nu_loads_the_lattice(self):
+        loaded = self.loaded_by(["nu", SAMPLE, "--divisor", "3L - E1",
+                                 "--curves", CURVES_P2])
+        assert {"bounds", "lattice"} <= loaded
+
+    @pytest.mark.parametrize("module", sorted(PUBLIC_NAMES))
+    def test_public_names_resolve_to_their_module(self, module):
+        submodule = importlib.import_module(f"negbound.{module}")
+        for name in PUBLIC_NAMES[module].split():
+            assert getattr(negbound, name) is getattr(submodule, name), name
+            assert name in negbound.__all__ and name in dir(negbound), name
+        assert getattr(negbound, module) is submodule
+
+    def test_only_listed_names_resolve(self):
+        assert all(hasattr(negbound, name) for name in negbound.__all__)
+        with pytest.raises(AttributeError, match="no_such_name"):
+            negbound.no_such_name
+        assert not hasattr(negbound, "main")
+
+
+BENCH_GOLDENS = REPO_ROOT / "bench" / "goldens" / "cli-sample12.json"
+
+
+@pytest.fixture(scope="module")
+def bench_workloads():
+    """The benchmark's workload module, for its CLI calls and curve list."""
+    sys.path.insert(0, str(REPO_ROOT / "bench"))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(REPO_ROOT / "bench"))
+    return workloads
+
+
+def test_bench_cli_calls_match_their_goldens_as_processes(bench_workloads,
+                                                          tmp_path):
+    """The benchmark's CLI calls as real ``python -m negbound.cli``
+    processes, each with only the modules its subcommand imports, match the
+    benchmark's goldens byte for byte."""
+    goldens = json.loads(BENCH_GOLDENS.read_text(encoding="utf-8"))
+    calls = [list(args) for args in bench_workloads.CLI_CALLS]
+    assert [g["args"] for g in goldens] == calls
+    (tmp_path / "configs").mkdir()
+    (tmp_path / "configs" / "sample12.cfg").write_bytes(
+        (REPO_ROOT / bench_workloads.SAMPLE12).read_bytes())
+    bench_workloads.write_text(tmp_path / bench_workloads.CURVES,
+                               bench_workloads.curves_text())
+    for golden in goldens:
+        proc = run_python(["-m", "negbound.cli", *golden["args"]],
+                          cwd=tmp_path)
+        assert (proc.returncode, proc.stdout.decode(), proc.stderr.decode()) == \
+            (golden["code"], golden["stdout"], golden["stderr"]), golden["args"]

@@ -56,6 +56,9 @@ def cli_calls() -> list[list[str]]:
               ["bounds", SAMPLE, "--epsilon", "abc"],
               ["nu", SAMPLE, "--divisor", "3F", "--curves",
                "tests/goldens/curves_p2.txt"]]
+    # --pullback takes no epsilon: a usage error, not a silently dropped value
+    calls += [["bounds", SAMPLE, "--pullback", "--epsilon", "1/2"],
+              ["bounds", SAMPLE, "--epsilon", "3", "--pullback", "--json"]]
     return calls
 
 

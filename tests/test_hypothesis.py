@@ -18,7 +18,9 @@ from negbound import (
     multiplicity_vector,
     pairing,
     parse_configuration,
+    proximity_apply,
     proximity_matrix,
+    proximity_solve,
     serialize_configuration,
     subconfiguration,
 )
@@ -85,6 +87,29 @@ def test_transposed_proximity_times_m_is_the_end_indicator(c):
         assert [sum(entries[i][j] * m[i] for i in range(len(hat)))
                 for j in range(len(hat))] == \
             [int(j + 1 in ends) for j in range(len(hat))]
+
+
+@SETTINGS
+@given(st.data())
+def test_proximity_apply_undoes_the_solve(data):
+    c = data.draw(clusters())
+    for entries in (st.integers(-10 ** 6, 10 ** 6), coefficients):
+        w = data.draw(st.lists(entries, min_size=len(c), max_size=len(c)))
+        v = proximity_solve(c, w)
+        assert proximity_apply(c, v) == w
+        assert [type(x) for x in v] == [type(x) for x in w]
+
+
+@SETTINGS
+@given(clusters())
+def test_dense_view_is_a_matrix_and_its_inverse(c):
+    n, view = len(c), proximity_matrix(c)
+    p, inverse = view.entries, view.inverse
+    identity = [[int(i == j) for j in range(n)] for i in range(n)]
+    assert [[sum(p[i][k] * inverse[k][j] for k in range(n))
+             for j in range(n)] for i in range(n)] == identity
+    assert [list(column) for column in zip(*inverse)] == \
+        [proximity_solve(c, row) for row in identity]
 
 
 @st.composite
