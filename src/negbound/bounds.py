@@ -14,12 +14,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple, Sequence, Union
 
-from .config import (
-    Configuration,
-    Rational,
-    _exact,
-    exceptional_self_intersections,
-)
+from .config import Configuration, Rational, _exact
 from .errors import (
     NonPositiveEpsilonError,
     SurfaceMismatchError,
@@ -55,7 +50,7 @@ def cluster_bound_data(c: Configuration) -> ClusterData:
         n_stated=len(c),
         n_example=sum(dv.hat_size for dv in c.d_values.values()),
         d=total_d(c),
-        gamma=exceptional_self_intersections(c).gamma)
+        gamma=c.gamma)
 
 
 def rational_json(value: Fraction) -> int | str:

@@ -89,6 +89,8 @@ def build_parser() -> argparse.ArgumentParser:
     bounds_p.add_argument("--pullback", action="store_true",
                           help="bound for pullbacks of nef divisors "
                                "(no epsilon needed)")
+    # main's --epsilon/--pullback checks print the bounds usage line
+    bounds_p.set_defaults(usage_error=bounds_p.error)
 
     nu_p = sub.add_parser("nu", help="empirical infimum over a curve list")
     add_common(nu_p)
@@ -199,9 +201,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "bounds" and args.pullback and args.epsilon is not None:
-        parser.error("--epsilon cannot be combined with --pullback")
+        args.usage_error("--epsilon cannot be combined with --pullback")
     if args.command == "bounds" and not args.pullback and args.epsilon is None:
-        parser.error("--epsilon is required unless --pullback is given")
+        args.usage_error("--epsilon is required unless --pullback is given")
     try:
         config = load_configuration(args.input)
         if args.surface is not None:

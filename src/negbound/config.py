@@ -10,7 +10,7 @@ self-intersections) is derived from this data with exact integer arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence, TypeVar, Union
@@ -64,6 +64,17 @@ class Point:
         return ("origin", "free", "satellite")[len(self.proximities)]
 
 
+class _SurfaceFree:
+    """The values of one points tuple that no base surface changes: the
+    per-origin d-values and gamma, each filled on first use.  It keeps the
+    tuple itself, so its identity cannot be reused while the holder lives."""
+
+    def __init__(self, points: tuple[Point, ...]) -> None:
+        self.points = points
+        self.d_values: dict | None = None
+        self.gamma: int | None = None
+
+
 @dataclass(frozen=True)
 class Configuration:
     """A validated cluster: points in blowup order (ids 1..n) over a surface.
@@ -75,6 +86,15 @@ class Configuration:
 
     points: tuple[Point, ...]
     surface: SurfaceModel = ProjectivePlane()
+    # Handed on by dataclasses.replace; __post_init__ swaps in a new holder
+    # unless it was derived from this very points tuple.
+    _surface_free: _SurfaceFree | None = field(default=None, compare=False,
+                                               repr=False)
+
+    def __post_init__(self) -> None:
+        shared = self._surface_free
+        if shared is None or shared.points is not self.points:
+            object.__setattr__(self, "_surface_free", _SurfaceFree(self.points))
 
     def __len__(self) -> int:
         return len(self.points)
@@ -94,13 +114,24 @@ class Configuration:
                 succ[target].append(pt.id)
         return {pid: tuple(ids) for pid, ids in succ.items()}
 
-    @cached_property
+    @property
     def d_values(self) -> dict:
         """``origin_d_values`` of this cluster (a DValue per origin id),
-        derived once per object; a ``dataclasses.replace`` copy derives it
-        again."""
-        from .sufficiency import origin_d_values  # sufficiency imports config
-        return origin_d_values(self)
+        derived once per points tuple: ``dataclasses.replace(c, surface=...)``
+        copies share it."""
+        shared = self._surface_free
+        if shared.d_values is None:
+            from .sufficiency import origin_d_values  # sufficiency imports config
+            shared.d_values = origin_d_values(self)
+        return shared.d_values
+
+    @property
+    def gamma(self) -> int:
+        """max(-E_q^2) over the points, shared like ``d_values``."""
+        shared = self._surface_free
+        if shared.gamma is None:
+            shared.gamma = exceptional_self_intersections(self).gamma
+        return shared.gamma
 
     @property
     def origins(self) -> tuple[int, ...]:

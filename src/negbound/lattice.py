@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 from typing import Sequence
 
 from .config import (
@@ -81,6 +83,18 @@ class DivisorClass:
     def multiplicities(self) -> tuple[Fraction, ...]:
         return tuple(-e for e in self.exceptional)
 
+    @cached_property
+    def _integer_form(self) -> tuple[int, tuple[int, ...], dict[int, int]]:
+        """The class over one common denominator D, the lcm of all its
+        coordinate denominators: D, the base numerators over D, and the
+        nonzero exceptional numerators over D by index."""
+        base = [x.as_integer_ratio() for x in self.base]
+        exc = [(i, x.as_integer_ratio())
+               for i, x in enumerate(self.exceptional) if x]
+        den = lcm(*[d for _, d in base], *[d for _, (_, d) in exc])
+        return (den, tuple(n * (den // d) for n, d in base),
+                {i: n * (den // d) for i, (n, d) in exc})
+
     def _check_compatible(self, other: "DivisorClass") -> None:
         if self.surface != other.surface or self.n != other.n:
             raise SurfaceMismatchError(
@@ -129,16 +143,24 @@ class DivisorClass:
 
 
 def pairing(x: DivisorClass, y: DivisorClass) -> Fraction:
-    """Intersection number of two classes on the same lattice; only the
-    exceptional coordinates nonzero in both classes are multiplied."""
+    """Intersection number of two classes on the same lattice, in integers
+    over the two classes' common denominators; only the exceptional
+    coordinates nonzero in both classes are multiplied."""
     x._check_compatible(y)
+    x_den, x_base, x_exc = x._integer_form
+    y_den, y_base, y_exc = y._integer_form
     if is_plane(x.surface):
-        base = x.base[0] * y.base[0]
+        total = x_base[0] * y_base[0]
     else:
-        delta = x.surface.delta
-        base = x.a * y.b + x.b * y.a + delta * x.b * y.b
-    return base - sum(p * q for p, q in zip(x.exceptional, y.exceptional)
-                      if p and q)
+        (xa, xb), (ya, yb) = x_base, y_base
+        total = xa * yb + xb * ya + x.surface.delta * xb * yb
+    if len(x_exc) > len(y_exc):
+        x_exc, y_exc = y_exc, x_exc
+    for i, p in x_exc.items():
+        q = y_exc.get(i)
+        if q is not None:
+            total -= p * q
+    return Fraction(total, x_den * y_den)
 
 
 def strict_transform_of_exceptional(c: Configuration, point_id: int) -> DivisorClass:

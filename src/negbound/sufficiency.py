@@ -104,7 +104,7 @@ def d_value(c: Configuration) -> DValue:
 
 def origin_d_values(c: Configuration) -> dict[int, DValue]:
     """The d-value of each connected component, keyed by its origin id in
-    ``c``.  ``c.d_values`` holds this once per cluster object."""
+    ``c``.  ``c.d_values`` holds this once per points tuple."""
     return {origin: d_value(subconfiguration(c, origin))
             for origin in c.origins}
 

@@ -195,6 +195,20 @@ class TestBounds:
         out, err = capsys.readouterr()
         assert out == "" and "--epsilon cannot be combined with --pullback" in err
 
+    @pytest.mark.parametrize("extra, message", [
+        ([], "--epsilon is required unless --pullback is given"),
+        (["--pullback", "--epsilon", "1/2"],
+         "--epsilon cannot be combined with --pullback")],
+        ids=["missing", "combined"])
+    def test_epsilon_usage_errors_print_the_bounds_usage(
+            self, capsys, sample12_path, extra, message):
+        with pytest.raises(SystemExit) as exc:
+            main(["bounds", str(sample12_path), *extra])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("usage: negbound bounds ")
+        assert err.endswith(f"\nnegbound bounds: error: {message}\n")
+
     def test_nonpositive_epsilon_is_validation_error(self, capsys, sample12_path):
         code, _, err = run(capsys, ["bounds", str(sample12_path),
                                     "--epsilon", "0"])

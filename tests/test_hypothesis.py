@@ -1,14 +1,19 @@
-"""Property tests over a shrinking strategy of valid clusters.
+"""Property tests over shrinking strategies of valid clusters, divisor
+classes and CLI calls.
 
 Runs are derandomized and keep no example database, so every run draws the
-same examples and writes no files.
+same examples; only the CLI property writes files, in a temporary directory.
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from negbound import (
@@ -24,6 +29,7 @@ from negbound import (
     serialize_configuration,
     subconfiguration,
 )
+from negbound.cli import main
 from negbound.errors import quote_number
 from negbound.surfaces import Hirzebruch, ProjectivePlane
 from conftest import dense_pairing, scan_d_value
@@ -112,23 +118,51 @@ def test_dense_view_is_a_matrix_and_its_inverse(c):
         [proximity_solve(c, row) for row in identity]
 
 
+# Coordinate families for the pairing: small rationals, integers only, and
+# rationals over large pairwise coprime denominators, whose common
+# denominator is their product.
+COORDINATES = {
+    "small": coefficients,
+    "integer": st.integers(-10 ** 12, 10 ** 12),
+    "coprime": st.builds(Fraction, st.integers(-10 ** 12, 10 ** 12),
+                         st.sampled_from((65537, 998244353, 10 ** 9 + 7,
+                                          10 ** 9 + 9, 2 ** 61 - 1))),
+}
+REBUILDS = ("none", "add", "subtract", "scale", "from_multiplicities")
+
+
 @st.composite
 def class_pairs(draw, max_n: int = 10):
-    """Two classes on one lattice; with ``disjoint`` drawn, the second is
-    zero wherever the first has a nonzero exceptional coefficient."""
+    """Two classes on one lattice, with coordinates from one family of
+    ``COORDINATES``; with ``disjoint`` drawn, the second is zero wherever
+    the first has a nonzero exceptional coefficient.  The first class is
+    then kept or rebuilt by ``+``, ``-``, a scalar ``*`` or
+    ``from_multiplicities``."""
     surface = draw(surfaces)
     n = draw(st.integers(0, max_n))
+    entries = COORDINATES[draw(st.sampled_from(sorted(COORDINATES)))]
     disjoint = draw(st.booleans())
 
     def coordinates(k):
-        return draw(st.lists(coefficients, min_size=k, max_size=k))
+        return draw(st.lists(entries, min_size=k, max_size=k))
 
     k = len(surface.generators)
     x = DivisorClass(surface, tuple(coordinates(k)), tuple(coordinates(n)))
     y_exc = coordinates(n)
     if disjoint:
         y_exc = [0 if p else q for p, q in zip(x.exceptional, y_exc)]
-    return x, DivisorClass(surface, tuple(coordinates(k)), tuple(y_exc))
+    y = DivisorClass(surface, tuple(coordinates(k)), tuple(y_exc))
+    rebuild = draw(st.sampled_from(REBUILDS))
+    if rebuild == "add":
+        x = x + y
+    elif rebuild == "subtract":
+        x = x - y
+    elif rebuild == "scale":
+        x = draw(entries) * x
+    elif rebuild == "from_multiplicities":
+        x = DivisorClass.from_multiplicities(surface, coordinates(k),
+                                             coordinates(n))
+    return x, y
 
 
 @SETTINGS
@@ -138,6 +172,94 @@ def test_pairing_equals_the_dense_formula(pair):
     value = pairing(x, y)
     assert value == dense_pairing(x, y) == pairing(y, x)
     assert type(value) is Fraction and type(pairing(y, x)) is Fraction
+    for cls in pair:
+        square = cls.self_intersection()
+        assert square == pairing(cls, cls) == dense_pairing(cls, cls)
+        assert type(square) is Fraction
+
+
+# Snippets spliced into CLI inputs: syntax pieces, non-ASCII digits and
+# spaces, and integers on both sides of the 4300-digit int/str cap.
+SNIPPETS = st.one_of(
+    st.sampled_from(("0", "-", "+", "/", "->", "#", "\n", " ", "L", "F", "M",
+                     "E", "origin", "surface", "f", "p2", "\u0661", "\xa0")),
+    st.text(max_size=3),
+    st.sampled_from((1, 4299, 4301)).map(lambda k: "9" * k))
+
+
+@st.composite
+def mutated(draw, text: str) -> str:
+    """``text`` with one to three short slices replaced, each starting
+    anywhere in the text."""
+    for _ in range(draw(st.integers(1, 3))):
+        start = draw(st.sampled_from(range(len(text) + 1)))
+        end = min(len(text), start + draw(st.integers(0, 4)))
+        text = text[:start] + draw(SNIPPETS) + text[end:]
+    return text
+
+
+@st.composite
+def cli_calls(draw):
+    """A cluster file, a curve file and an argv for one of the five
+    subcommands, naming the files ``CLUSTER`` and ``CURVES``.  At most one
+    input is mutated, so each error path is reached past valid others."""
+    target = draw(st.sampled_from((None, "cluster", "curves", "divisor",
+                                   "epsilon", "surface")))
+
+    def maybe_mutated(name: str, text: str) -> str:
+        return draw(mutated(text)) if name == target else text
+
+    c = draw(clusters(max_points=8))
+    plane = c.surface == ProjectivePlane()
+    cluster = maybe_mutated("cluster", serialize_configuration(c))
+    curves = maybe_mutated("curves", "L - E1\nE1\n" if plane
+                           else "F - E1\nE1\n")
+    command = draw(st.sampled_from(("analyze", "dvalue", "bounds", "nu",
+                                    "dot")))
+    argv = [command, "CLUSTER"]
+    if command != "dot" and draw(st.booleans()):
+        argv.append("--json")
+    if draw(st.booleans()):
+        own = "p2" if plane else f"f {c.surface.delta}"
+        surface = draw(st.sampled_from((own, "p2", "f 0", "f 3")))
+        argv += ["--surface", maybe_mutated("surface", surface)]
+    if command == "bounds":
+        mode = draw(st.sampled_from(("pullback", "epsilon", "both", "neither")))
+        if mode in ("pullback", "both"):
+            argv.append("--pullback")
+        if mode in ("epsilon", "both"):
+            epsilon = draw(st.sampled_from(("1/2", "3", "0", "-1/2")))
+            argv.append("--epsilon=" + maybe_mutated("epsilon", epsilon))
+    if command == "nu":
+        divisor = "3L - E1" if plane else "2F + M - E1"
+        argv += ["--divisor", maybe_mutated("divisor", divisor),
+                 "--curves", "CURVES"]
+    return cluster, curves, argv
+
+
+@SETTINGS
+@given(cli_calls())
+@example(("surface p2\n1 origin\n2 -> 1\n", "",
+          ["bounds", "CLUSTER", "--epsilon=-1/2"]))
+@example(("surface f 1\n1 origin\n", "E1\n",
+          ["nu", "CLUSTER", "--divisor", "3L", "--curves", "CURVES"]))
+def test_cli_main_exits_only_0_1_or_2(call):
+    """Usage errors arrive from argparse as ``SystemExit(2)``; any other
+    exception fails the property."""
+    cluster, curves, argv = call
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {"CLUSTER": Path(tmp, "cluster.cfg"),
+                 "CURVES": Path(tmp, "curves.txt")}
+        paths["CLUSTER"].write_text(cluster, encoding="utf-8")
+        paths["CURVES"].write_text(curves, encoding="utf-8")
+        argv = [str(paths.get(arg, arg)) for arg in argv]
+        sink = io.StringIO()
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    assert code in (0, 1, 2), argv
 
 
 @SETTINGS

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -87,6 +88,19 @@ class TestPairing:
         x = DivisorClass(surface, base, (1, 0, -2, 0))
         y = DivisorClass(surface, base, (0, 3, 0, 0))
         assert pairing(x, y) == 0 and type(pairing(x, y)) is Fraction
+
+    def test_pairing_changes_no_equality_hash_repr_or_pickle(self):
+        x = DivisorClass(Hirzebruch(3), (Fraction(1, 6), 2),
+                         (Fraction(-5, 4), 0, 3))
+        twin = DivisorClass(x.surface, x.base, x.exceptional)
+        before = (hash(x), repr(x))
+        assert pairing(x, x) == Fraction(1, 6) * 2 * 2 + 3 * 4 \
+            - Fraction(25, 16) - 9
+        assert x == twin and (hash(x), repr(x)) == before
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            copy = pickle.loads(pickle.dumps(x, protocol))
+            assert copy == x and hash(copy) == before[0]
+            assert pairing(copy, twin) == pairing(x, x)
 
     def test_exact_keeps_fractions_and_converts_the_rest(self):
         class Half(Fraction):

@@ -4,15 +4,18 @@ import dataclasses
 import pickle
 import random
 import sys
+import threading
 from fractions import Fraction
 
 import pytest
 
 from negbound import (
+    Configuration,
     DivisorClass,
     analysis_report,
     attached_foliation_degree_bounds,
     build_configuration,
+    cluster_bound_data,
     d_value,
     d_value_report,
     divisor_from_strict_coordinates,
@@ -39,7 +42,7 @@ from negbound import (
 )
 from negbound.cli import main
 from negbound.surfaces import Hirzebruch, ProjectivePlane
-from conftest import identity, mat_mul, scan_d_value
+from conftest import SAMPLE12_SPECS, identity, mat_mul, scan_d_value
 from random_configs import random_configuration
 
 SEED = 940221
@@ -235,22 +238,34 @@ class TestValidateOnce:
                 assert_admissible(extended)
 
 
+def count_calls(monkeypatch, function) -> list:
+    """Rebind ``function`` in every loaded negbound module to a wrapper
+    that records the first argument of each call."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return function(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "negbound" and \
+                getattr(module, function.__name__, None) is function:
+            monkeypatch.setattr(module, function.__name__, counting)
+    return calls
+
+
 class TestDeriveOnce:
-    """Each cluster object derives its per-origin d once, in ``d_values``;
-    every report and bound reads it from there."""
+    """Each points tuple derives its per-origin d and gamma once; every
+    report and bound reads them from the cluster, and surface copies made
+    with ``dataclasses.replace`` share them."""
+
+    SWEEP = (ProjectivePlane(), Hirzebruch(0), Hirzebruch(1), Hirzebruch(3))
+    # d 6 and gamma 2, where sample12 has d 23 and gamma 4
+    OTHER_SPECS = [(1, []), (2, [1]), (3, [2])]
 
     def test_one_derivation_per_parsed_cluster(self, monkeypatch, capsys,
                                                sample12_path, tmp_path):
-        calls = []
-
-        def counting(c):
-            calls.append(c)
-            return origin_d_values(c)
-
-        for name, module in list(sys.modules.items()):
-            if name.split(".")[0] == "negbound" and \
-                    hasattr(module, "origin_d_values"):
-                monkeypatch.setattr(module, "origin_d_values", counting)
+        calls = count_calls(monkeypatch, origin_d_values)
         multi = random_configuration(random.Random(SEED + 7), 80)
         assert len(multi.origins) > 1
         multi_path = tmp_path / "multi.cfg"
@@ -272,6 +287,23 @@ class TestDeriveOnce:
             assert len(calls) == 1
         capsys.readouterr()
 
+    def test_surface_sweep_derives_once(self, monkeypatch, sample12):
+        derivations = count_calls(monkeypatch, origin_d_values)
+        gammas = count_calls(monkeypatch, exceptional_self_intersections)
+        multi = random_configuration(random.Random(SEED + 7), 80)
+        for c in (sample12, multi):
+            derivations.clear()
+            gammas.clear()
+            data = []
+            for surface in self.SWEEP:
+                copy = dataclasses.replace(c, surface=surface)
+                data.append(cluster_bound_data(copy))
+                nef_pullback_bounds(copy)
+                epsilon_family_bounds(copy, Fraction(1, 2))
+                polarization_bounds(copy)
+            assert len(derivations) == 1 and len(gammas) <= 1
+            assert data == [data[0]] * len(self.SWEEP)
+
     def test_surface_copy_derives_the_same_values(self, sample12):
         multi = random_configuration(random.Random(SEED + 7), 80)
         for c in (sample12, multi):
@@ -281,11 +313,72 @@ class TestDeriveOnce:
                 assert d_value_report(copy) == report
                 assert copy.d_values == c.d_values
 
+    def test_other_points_never_read_these_values(self, sample12):
+        expected = cluster_bound_data(build_configuration(self.OTHER_SPECS))
+        mine = cluster_bound_data(sample12)
+        assert (expected.d, expected.gamma) != (mine.d, mine.gamma)
+        other = build_configuration(self.OTHER_SPECS)
+        for c in (dataclasses.replace(sample12, points=other.points),
+                  Configuration(other.points, sample12.surface)):
+            assert cluster_bound_data(c) == expected
+        assert cluster_bound_data(sample12) == mine
+        for origin in sample12.origins:
+            sub = subconfiguration(sample12, origin)
+            hat = hat_configuration(sub)
+            assert sub.d_values == {1: sample12.d_values[origin]}
+            assert sub.gamma == exceptional_self_intersections(sub).gamma
+            assert hat.gamma == exceptional_self_intersections(hat).gamma
+            assert total_d(hat) == d_value(hat).d
+
+    def test_threads_filling_one_holder_read_the_same_values(self):
+        """Copies filling their shared values at once may each derive them,
+        a benign race: every thread must still read the serial values."""
+        expected = cluster_bound_data(
+            random_configuration(random.Random(SEED + 7), 80))
+        c = random_configuration(random.Random(SEED + 7), 80)
+        copies = [dataclasses.replace(c, surface=surface)
+                  for surface in self.SWEEP * 4]
+        results = [None] * len(copies)
+        start = threading.Barrier(len(copies))
+
+        def work(i):
+            start.wait(timeout=10)
+            results[i] = cluster_bound_data(copies[i])
+
+        threads = [threading.Thread(target=work, args=(i,))
+                   for i in range(len(copies))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == [expected] * len(copies)
+
     def test_cluster_pickles_after_derivation(self, sample12):
+        data = cluster_bound_data(sample12)
         report = d_value_report(sample12)
-        copy = pickle.loads(pickle.dumps(sample12))
-        assert copy == sample12
-        assert d_value_report(copy) == report
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            copy = pickle.loads(pickle.dumps(sample12, protocol))
+            assert copy == sample12 and hash(copy) == hash(sample12)
+            assert d_value_report(copy) == report
+            assert cluster_bound_data(copy) == data
+
+    def test_derivation_changes_no_equality_hash_or_repr(self, sample12):
+        twin = build_configuration(SAMPLE12_SPECS)
+        before = (hash(sample12), repr(sample12))
+        assert sample12 == twin
+        cluster_bound_data(sample12)
+        assert sample12 == twin and twin == sample12
+        assert (hash(sample12), repr(sample12)) == before == \
+            (hash(twin), repr(twin))
+        copy = dataclasses.replace(sample12, surface=Hirzebruch(1))
+        assert copy != sample12
+        assert dataclasses.replace(copy, surface=ProjectivePlane()) == twin
 
 
 class TestRenumberingInvariance:
