@@ -50,7 +50,7 @@ def cluster_bound_data(c: Configuration) -> ClusterData:
         n_stated=len(c),
         n_example=sum(dv.hat_size for dv in c.d_values.values()),
         d=total_d(c),
-        gamma=c.gamma)
+        gamma=c.self_intersections.gamma)
 
 
 def rational_json(value: Fraction) -> int | str:
@@ -309,7 +309,6 @@ def empirical_nu(curves: Sequence[DivisorClass],
     from .lattice import pairing
     ratios = []
     for index, curve in enumerate(curves, start=1):
-        big_nef._check_compatible(curve)
         c_sq = pairing(curve, curve)
         dc = pairing(big_nef, curve)
         qualifies = c_sq < 0 and dc > 0
@@ -351,11 +350,9 @@ def delta_membership_check(d: DivisorClass, g: DivisorClass,
                            witnesses: Sequence[DivisorClass]) -> DeltaMembershipReport:
     from .lattice import pairing
     eps = _positive_epsilon(epsilon)
-    d._check_compatible(g)
     shifted = d - eps * g
     checks = []
     for index, witness in enumerate(witnesses, start=1):
-        d._check_compatible(witness)
         dc = pairing(d, witness)
         slack = pairing(shifted, witness)
         applicable = dc > 0

@@ -44,7 +44,7 @@ def _exact(value) -> Fraction:
 
 @dataclass(frozen=True)
 class Point:
-    """One blowup center.
+    """One blowup center, as the ``points`` view of a cluster shows it.
 
     ``proximities`` lists the ids this point is proximate to, parent first
     (the parent is the proximate point of maximal id).  Origins have none,
@@ -65,81 +65,93 @@ class Point:
 
 
 class _SurfaceFree:
-    """The values of one points tuple that no base surface changes: the
-    per-origin d-values and gamma, each filled on first use.  It keeps the
-    tuple itself, so its identity cannot be reused while the holder lives."""
+    """The surface-free values of one proximities tuple, by name.  It keeps
+    the tuple itself, so its identity cannot be reused while it lives."""
 
-    def __init__(self, points: tuple[Point, ...]) -> None:
-        self.points = points
-        self.d_values: dict | None = None
-        self.gamma: int | None = None
+    def __init__(self, proximities: tuple[tuple[int, ...], ...]) -> None:
+        self.proximities = proximities
+        self.values: dict[str, object] = {}
 
 
 @dataclass(frozen=True)
 class Configuration:
-    """A validated cluster: points in blowup order (ids 1..n) over a surface.
+    """A validated cluster over a surface, stored as its proximity tuples:
+    entry ``i`` lists the targets of point ``i + 1``, parent first.
 
     Valid by construction: build it with :func:`build_configuration` or
     ``parse_configuration``, because the bare constructor checks nothing.
-    Subclusters and satellite completions reuse the points of a valid one.
+    Subclusters and satellite completions reuse the tuples of a valid one.
     """
 
-    points: tuple[Point, ...]
+    proximities: tuple[tuple[int, ...], ...]
     surface: SurfaceModel = ProjectivePlane()
     # Handed on by dataclasses.replace; __post_init__ swaps in a new holder
-    # unless it was derived from this very points tuple.
+    # unless it was derived from this very proximities tuple.
     _surface_free: _SurfaceFree | None = field(default=None, compare=False,
                                                repr=False)
 
     def __post_init__(self) -> None:
         shared = self._surface_free
-        if shared is None or shared.points is not self.points:
-            object.__setattr__(self, "_surface_free", _SurfaceFree(self.points))
+        if shared is None or shared.proximities is not self.proximities:
+            object.__setattr__(self, "_surface_free",
+                               _SurfaceFree(self.proximities))
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.proximities)
 
-    def point(self, point_id: int) -> Point:
-        if not 1 <= point_id <= len(self.points):
+    @cached_property
+    def points(self) -> tuple[Point, ...]:
+        """Built on first use; a point's level is its parent's plus one."""
+        points: list[Point] = []
+        for pid, prox in enumerate(self.proximities, start=1):
+            level = points[prox[0] - 1].level + 1 if prox else 0
+            points.append(Point(pid, prox, level))
+        return tuple(points)
+
+    def _check_id(self, point_id: int) -> None:
+        if not 1 <= point_id <= len(self.proximities):
             raise UnknownPointError(f"no point with id {quote_number(point_id)}",
                                    point_id=point_id)
+
+    def point(self, point_id: int) -> Point:
+        self._check_id(point_id)
         return self.points[point_id - 1]
 
     @cached_property
     def successors(self) -> dict[int, tuple[int, ...]]:
         """For each id, the ids of the points proximate to it (ascending)."""
-        succ: dict[int, list[int]] = {pt.id: [] for pt in self.points}
-        for pt in self.points:
-            for target in pt.proximities:
-                succ[target].append(pt.id)
-        return {pid: tuple(ids) for pid, ids in succ.items()}
+        succ: list[list[int]] = [[] for _ in self.proximities]
+        for pid, prox in enumerate(self.proximities, start=1):
+            for target in prox:
+                succ[target - 1].append(pid)
+        return {pid: tuple(ids) for pid, ids in enumerate(succ, start=1)}
+
+    def _shared(self, name: str, derive):
+        values = self._surface_free.values
+        if name not in values:
+            values[name] = derive(self)
+        return values[name]
 
     @property
     def d_values(self) -> dict:
-        """``origin_d_values`` of this cluster (a DValue per origin id),
-        derived once per points tuple: ``dataclasses.replace(c, surface=...)``
-        copies share it."""
-        shared = self._surface_free
-        if shared.d_values is None:
-            from .sufficiency import origin_d_values  # sufficiency imports config
-            shared.d_values = origin_d_values(self)
-        return shared.d_values
+        """``origin_d_values`` of this cluster (a DValue per origin id), once
+        per proximities tuple: ``replace(c, surface=...)`` copies share it."""
+        from .sufficiency import origin_d_values  # sufficiency imports config
+        return self._shared("d_values", origin_d_values)
 
     @property
-    def gamma(self) -> int:
-        """max(-E_q^2) over the points, shared like ``d_values``."""
-        shared = self._surface_free
-        if shared.gamma is None:
-            shared.gamma = exceptional_self_intersections(self).gamma
-        return shared.gamma
+    def self_intersections(self) -> ExceptionalSelfIntersections:
+        """``exceptional_self_intersections(c)``, shared like ``d_values``."""
+        return self._shared("self_intersections", exceptional_self_intersections)
 
     @property
     def origins(self) -> tuple[int, ...]:
-        return tuple(pt.id for pt in self.points if not pt.proximities)
+        return tuple(pid for pid, prox in enumerate(self.proximities, start=1)
+                     if not prox)
 
     @property
     def ends(self) -> tuple[int, ...]:
-        return tuple(pt.id for pt in self.points if not self.successors[pt.id])
+        return tuple(pid for pid, succ in self.successors.items() if not succ)
 
 
 def build_configuration(point_specs: Iterable[PointSpec],
@@ -153,6 +165,10 @@ def build_configuration(point_specs: Iterable[PointSpec],
     A valid cluster is admissible: each proximity target of a point is one
     of its ancestors, by induction on the id, as a satellite's second target
     is among its parent's proximities.  Subclusters and completions keep it.
+    The rules are also complete (proof sketch): E_p and E_q (p < q) meet
+    exactly when p is a target of q and no satellite is proximate to both,
+    as a blowup makes the new curve meet the curves through its center and
+    parts two that met there; and a center lies on 0, 1 or 2 of the curves.
     """
     try:
         specs = [(pid, tuple(prox)) for pid, prox in point_specs]
@@ -176,8 +192,7 @@ def build_configuration(point_specs: Iterable[PointSpec],
         raise ConfigurationError(f"ids must be exactly 1..{len(specs)} "
                                  f"(missing {quote_ids(missing)})")
 
-    points: list[Point] = []
-    by_id: dict[int, Point] = {}
+    proximities: list[tuple[int, ...]] = []
     satellite_at: dict[tuple[int, ...], int] = {}
     for pid, prox in specs:
         if len(prox) > 2:
@@ -199,7 +214,7 @@ def build_configuration(point_specs: Iterable[PointSpec],
                 raise NormalizationError(
                     f"point {pid}: parent (largest id) must be listed first, "
                     f"got {prox}", point_id=pid)
-            if second not in by_id[parent].proximities:
+            if second not in proximities[parent - 1]:
                 raise InvalidSatelliteError(
                     f"point {pid}: second target {second} is not among the "
                     f"proximities of its parent {parent}", point_id=pid)
@@ -210,12 +225,9 @@ def build_configuration(point_specs: Iterable[PointSpec],
                     f"points {satellite_at[prox]} and {pid} are both "
                     f"proximate to {parent} and {second}", point_id=pid)
             satellite_at[prox] = pid
-        level = 0 if not prox else by_id[prox[0]].level + 1
-        point = Point(id=pid, proximities=prox, level=level)
-        points.append(point)
-        by_id[pid] = point
-    return Configuration(points=tuple(points),
-                         surface=surface if surface is not None else ProjectivePlane())
+        proximities.append(prox)
+    return Configuration(tuple(proximities),
+                         surface if surface is not None else ProjectivePlane())
 
 
 @dataclass(frozen=True)
@@ -236,19 +248,17 @@ class ProximityMatrix:
 def proximity_matrix(c: Configuration) -> ProximityMatrix:
     n = len(c)
     entries = [[0] * n for _ in range(n)]
-    for pt in c.points:
-        i = pt.id - 1
+    for i, prox in enumerate(c.proximities):
         entries[i][i] = 1
-        for target in pt.proximities:
+        for target in prox:
             entries[i][target - 1] = -1
     # Row i of the inverse is e_i plus the inverse rows of i's proximity
     # targets; nonnegativity is immediate from this recursion.
     inverse = [[0] * n for _ in range(n)]
-    for pt in c.points:
-        i = pt.id - 1
+    for i, prox in enumerate(c.proximities):
         row = inverse[i]
         row[i] = 1
-        for target in pt.proximities:
+        for target in prox:
             trow = inverse[target - 1]
             for j in range(target):
                 row[j] += trow[j]
@@ -260,8 +270,8 @@ def proximity_solve(c: Configuration, w: Sequence[Scalar]) -> list[Scalar]:
     """P^{-1} w by forward substitution: v_i = w_i + sum of v_t over the
     proximity targets t of point i.  O(n), exact, same scalar type as w."""
     v = _vector(c, w)
-    for i, pt in enumerate(c.points):
-        for target in pt.proximities:
+    for i, prox in enumerate(c.proximities):
+        for target in prox:
             v[i] += v[target - 1]
     return v
 
@@ -269,8 +279,8 @@ def proximity_solve(c: Configuration, w: Sequence[Scalar]) -> list[Scalar]:
 def proximity_apply(c: Configuration, v: Sequence[Scalar]) -> list[Scalar]:
     """P v: (P v)_i = v_i - sum of v_t over the proximity targets t of i."""
     v = _vector(c, v)
-    return [v[i] - sum(v[t - 1] for t in pt.proximities)
-            for i, pt in enumerate(c.points)]
+    return [v[i] - sum(v[t - 1] for t in prox)
+            for i, prox in enumerate(c.proximities)]
 
 
 def _vector(c: Configuration, values: Sequence[Scalar]) -> list[Scalar]:
@@ -284,23 +294,9 @@ def multiplicity_vector(c: Configuration) -> tuple[int, ...]:
     """Multiplicities of a generic germ through the cluster: 1 at the ends,
     the sum over proximate successors elsewhere."""
     values = [0] * len(c)
-    for pt in reversed(c.points):
-        succ = c.successors[pt.id]
-        values[pt.id - 1] = sum(values[s - 1] for s in succ) if succ else 1
+    for pid, succ in reversed(c.successors.items()):
+        values[pid - 1] = sum(values[s - 1] for s in succ) if succ else 1
     return tuple(values)
-
-
-def _descendants(c: Configuration, point_id: int) -> set[int]:
-    # The cluster is admissible, so a point proximate to q is infinitely near
-    # q and the successors of q reach exactly the subtree below q.
-    found = {point_id}
-    stack = [point_id]
-    while stack:
-        for succ in c.successors[stack.pop()]:
-            if succ not in found:
-                found.add(succ)
-                stack.append(succ)
-    return found
 
 
 def subconfiguration(c: Configuration, point_id: int) -> Configuration:
@@ -310,18 +306,20 @@ def subconfiguration(c: Configuration, point_id: int) -> Configuration:
     only turn a satellite into a free point, so the subcluster of a valid
     cluster is valid and is assembled without re-validation.
     """
-    c.point(point_id)
-    retained = _descendants(c, point_id)
-    kept = sorted(retained)
+    c._check_id(point_id)
+    # The cluster is admissible, so a point proximate to q is infinitely near
+    # q and the successors of q reach exactly the subtree below q.
+    found, stack = {point_id}, [point_id]
+    while stack:
+        for succ in c.successors[stack.pop()]:
+            if succ not in found:
+                found.add(succ)
+                stack.append(succ)
+    kept = sorted(found)
     renumber = {old: new for new, old in enumerate(kept, start=1)}
-    top_level = c.point(kept[0]).level
-    points = []
-    for old in kept:
-        pt = c.point(old)
-        prox = tuple(renumber[t] for t in pt.proximities if t in retained)
-        points.append(Point(id=renumber[old], proximities=prox,
-                            level=pt.level - top_level))
-    return Configuration(points=tuple(points), surface=c.surface)
+    return Configuration(
+        tuple(tuple(renumber[t] for t in c.proximities[old - 1] if t in renumber)
+              for old in kept), c.surface)
 
 
 class ExceptionalSelfIntersections(NamedTuple):
@@ -332,7 +330,7 @@ class ExceptionalSelfIntersections(NamedTuple):
 def exceptional_self_intersections(c: Configuration) -> ExceptionalSelfIntersections:
     """Self-intersection of each strict exceptional transform on the sky,
     E_q^2 = -1 - #{p : p proximate to q}, and gamma = max(-E_q^2)."""
-    values = {pt.id: -1 - len(c.successors[pt.id]) for pt in c.points}
+    values = {pid: -1 - len(succ) for pid, succ in c.successors.items()}
     return ExceptionalSelfIntersections(values=values,
                                         gamma=max(-v for v in values.values()))
 
@@ -360,7 +358,7 @@ def dot_export(c: Configuration) -> str:
 
 def analysis_report(c: Configuration) -> dict:
     """JSON-ready report: per-point data, gamma, origins and ends."""
-    esi = exceptional_self_intersections(c)
+    esi = c.self_intersections
     report = surface_json_fields(c.surface)
     report["points"] = [
         {"id": pt.id, "level": pt.level, "kind": pt.kind,

@@ -49,7 +49,7 @@ class NonPositiveCoefficientError(NegboundError):
 
 
 class InvariantError(NegboundError):
-    """A derived object (completion, d certificate) breaks its invariant."""
+    """A derived object (a d certificate) breaks its invariant."""
 
 
 class LatticeError(NegboundError):

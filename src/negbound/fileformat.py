@@ -127,12 +127,11 @@ def load_configuration(path: str | Path) -> Configuration:
 
 def serialize_configuration(c: Configuration) -> str:
     lines = [f"surface {c.surface}"]
-    for pt in c.points:
-        if not pt.proximities:
-            lines.append(f"{pt.id} origin")
+    for pid, prox in enumerate(c.proximities, start=1):
+        if not prox:
+            lines.append(f"{pid} origin")
         else:
-            targets = " ".join(str(t) for t in pt.proximities)
-            lines.append(f"{pt.id} -> {targets}")
+            lines.append(f"{pid} -> {' '.join(str(t) for t in prox)}")
     return "\n".join(lines) + "\n"
 
 

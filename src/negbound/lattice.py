@@ -165,7 +165,7 @@ def pairing(x: DivisorClass, y: DivisorClass) -> Fraction:
 
 def strict_transform_of_exceptional(c: Configuration, point_id: int) -> DivisorClass:
     """The class E_q* - sum over p proximate to q of E_p* on the sky of c."""
-    c.point(point_id)
+    c._check_id(point_id)
     exc = [Fraction(0)] * len(c)
     exc[point_id - 1] = Fraction(1)
     for succ in c.successors[point_id]:
@@ -307,6 +307,5 @@ class InvariantBoundReport:
 
 
 def invariant_bound_check(k_f: DivisorClass, c: DivisorClass) -> InvariantBoundReport:
-    c._check_compatible(k_f)
     return InvariantBoundReport(self_intersection=pairing(c, c),
                                 lower_bound=-pairing(k_f, c))

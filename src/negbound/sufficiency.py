@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 from .config import (
     Configuration,
-    Point,
     multiplicity_vector,
     proximity_solve,
     subconfiguration,
@@ -43,17 +42,12 @@ def hat_configuration(c: Configuration) -> Configuration:
         raise MultipleOriginsError(
             f"expected a unique origin, found {len(origins)}: "
             f"{quote_ids(origins)}")
-    points = list(c.points)
-    for end_id in c.ends:
-        end = c.point(end_id)
-        if len(end.proximities) != 1:
-            continue
-        if end.level < 1:
-            raise InvariantError(f"free end {end_id} is at level {end.level}")
-        points.append(Point(id=len(points) + 1,
-                            proximities=(end_id, end.parent),
-                            level=end.level + 1))
-    return Configuration(points=tuple(points), surface=c.surface)
+    proximities = list(c.proximities)
+    for end in c.ends:
+        prox = c.proximities[end - 1]
+        if len(prox) == 1:
+            proximities.append((end, prox[0]))
+    return Configuration(tuple(proximities), c.surface)
 
 
 @dataclass(frozen=True)
@@ -104,7 +98,7 @@ def d_value(c: Configuration) -> DValue:
 
 def origin_d_values(c: Configuration) -> dict[int, DValue]:
     """The d-value of each connected component, keyed by its origin id in
-    ``c``.  ``c.d_values`` holds this once per points tuple."""
+    ``c``.  ``c.d_values`` holds this once per proximities tuple."""
     return {origin: d_value(subconfiguration(c, origin))
             for origin in c.origins}
 

@@ -1,0 +1,90 @@
+"""Every small cluster, from an independent model of blowups.
+
+The model keeps the dual graph of the exceptional curves: which pairs of
+curves meet.  A new center lies on no curve (a new origin), at a general
+point of one curve E_p (a free point proximate to p), or where two curves
+E_p and E_q with p < q meet (a satellite proximate to q, its parent, and
+to p).  Blowing it up makes the new curve meet each curve it lay on, and
+E_p and E_q no longer meet.  A point's depth is its parent's plus one.
+
+``check_clusters(n)`` compares ``build_configuration`` with the model over
+every spec list of up to ``n`` points in which each point lists at most two
+distinct smaller targets.  Tier-1 runs it up to 6 points; for 7 (27007
+clusters, about 20 s on one core of a 2-vCPU VM) run
+
+    PYTHONPATH=src:tests python -c "from test_exhaustive import check_clusters; check_clusters(7)"
+"""
+
+from __future__ import annotations
+
+from itertools import product
+
+from negbound import (
+    ConfigurationError,
+    build_configuration,
+    parse_configuration,
+    serialize_configuration,
+)
+
+# Labelled clusters of 1..7 points.
+COUNTS = (1, 2, 7, 37, 266, 2431, 27007)
+
+
+def model_clusters(n: int) -> dict[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """Proximities -> depths of every cluster of ``n`` points the blowups
+    can make."""
+    found = {}
+
+    def grow(prox, depth, meets):
+        new = len(prox) + 1
+        if new > n:
+            found[tuple(prox)] = tuple(depth)
+            return
+        grow(prox + [()], depth + [0], meets)
+        for p in range(1, new):
+            grow(prox + [(p,)], depth + [depth[p - 1] + 1], meets | {(p, new)})
+        for p, q in meets:
+            grow(prox + [(q, p)], depth + [depth[q - 1] + 1],
+                 meets - {(p, q)} | {(p, new), (q, new)})
+
+    grow([], [], frozenset())
+    return found
+
+
+def spec_lists(n: int):
+    """Every list of ``n`` proximity tuples in which point k lists none,
+    one or two distinct targets below k, in either order."""
+    choices = [[()] + [(a,) for a in range(1, k)] +
+               [(a, b) for a in range(1, k) for b in range(1, k) if a != b]
+               for k in range(1, n + 1)]
+    return product(*choices)
+
+
+def check_clusters(max_points: int) -> list[int]:
+    """Check the validator against the model for 1..``max_points`` points
+    and return the number of clusters of each size."""
+    counts = []
+    for n in range(1, max_points + 1):
+        ids = range(1, n + 1)
+        accepted = {}
+        for prox in spec_lists(n):
+            try:
+                c = build_configuration(zip(ids, prox))
+            except ConfigurationError:
+                continue  # any other exception fails the check
+            accepted[c.proximities] = c
+        model = model_clusters(n)
+        assert accepted.keys() == model.keys(), n
+        for prox, c in accepted.items():
+            assert parse_configuration(serialize_configuration(c)) == c
+            assert tuple(pt.level for pt in c.points) == model[prox]
+        counts.append(len(model))
+    return counts
+
+
+def test_validator_accepts_exactly_the_model_clusters():
+    assert check_clusters(6) == list(COUNTS[:6])
+
+
+def test_model_counts_up_to_seven_points():
+    assert [len(model_clusters(n)) for n in range(1, 8)] == list(COUNTS)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import pickle
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -72,6 +73,42 @@ def clusters(draw, max_points: int = 14):
 @given(clusters())
 def test_serialize_then_parse_round_trips(c):
     assert parse_configuration(serialize_configuration(c)) == c
+
+
+def chain_levels(c) -> list[int]:
+    """Each point's level, counted by walking its parents up to an origin."""
+    levels = []
+    for pid in range(1, len(c) + 1):
+        level = 0
+        while c.proximities[pid - 1]:
+            pid = c.proximities[pid - 1][0]
+            level += 1
+        levels.append(level)
+    return levels
+
+
+@SETTINGS
+@given(clusters())
+def test_point_views_and_both_routes_agree(c):
+    """The view of a cluster, of each subcluster and of each completion
+    carries the walked levels; a cluster built from specs and one parsed
+    from text are equal, hash equal and pickle to equals."""
+    parts = [c, *(subconfiguration(c, q) for q in range(1, len(c) + 1)),
+             *(hat_configuration(subconfiguration(c, o)) for o in c.origins)]
+    for part in parts:
+        assert [(pt.id, pt.proximities, pt.level) for pt in part.points] == \
+            list(zip(range(1, len(part) + 1), part.proximities,
+                     chain_levels(part)))
+    built = build_configuration(
+        [(pid, list(prox)) for pid, prox in enumerate(c.proximities, 1)],
+        c.surface)
+    parsed = parse_configuration(serialize_configuration(c))
+    assert built == parsed and hash(built) == hash(parsed)
+    assert built.points == parsed.points
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        copy = pickle.loads(pickle.dumps(built, protocol))
+        assert copy == parsed and hash(copy) == hash(parsed)
+        assert copy.points == parsed.points
 
 
 @SETTINGS

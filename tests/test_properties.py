@@ -12,6 +12,8 @@ import pytest
 from negbound import (
     Configuration,
     DivisorClass,
+    Point,
+    UnknownPointError,
     analysis_report,
     attached_foliation_degree_bounds,
     build_configuration,
@@ -294,6 +296,7 @@ class TestDeriveOnce:
         for c in (sample12, multi):
             derivations.clear()
             gammas.clear()
+            report = analysis_report(c)
             data = []
             for surface in self.SWEEP:
                 copy = dataclasses.replace(c, surface=surface)
@@ -301,8 +304,10 @@ class TestDeriveOnce:
                 nef_pullback_bounds(copy)
                 epsilon_family_bounds(copy, Fraction(1, 2))
                 polarization_bounds(copy)
-            assert len(derivations) == 1 and len(gammas) <= 1
+                assert analysis_report(copy)["points"] == report["points"]
+            assert len(derivations) == 1 and len(gammas) == 1
             assert data == [data[0]] * len(self.SWEEP)
+            assert data[0].gamma == report["gamma"]
 
     def test_surface_copy_derives_the_same_values(self, sample12):
         multi = random_configuration(random.Random(SEED + 7), 80)
@@ -318,16 +323,16 @@ class TestDeriveOnce:
         mine = cluster_bound_data(sample12)
         assert (expected.d, expected.gamma) != (mine.d, mine.gamma)
         other = build_configuration(self.OTHER_SPECS)
-        for c in (dataclasses.replace(sample12, points=other.points),
-                  Configuration(other.points, sample12.surface)):
+        for c in (dataclasses.replace(sample12, proximities=other.proximities),
+                  Configuration(other.proximities, sample12.surface)):
             assert cluster_bound_data(c) == expected
         assert cluster_bound_data(sample12) == mine
         for origin in sample12.origins:
             sub = subconfiguration(sample12, origin)
             hat = hat_configuration(sub)
             assert sub.d_values == {1: sample12.d_values[origin]}
-            assert sub.gamma == exceptional_self_intersections(sub).gamma
-            assert hat.gamma == exceptional_self_intersections(hat).gamma
+            assert sub.self_intersections == exceptional_self_intersections(sub)
+            assert hat.self_intersections == exceptional_self_intersections(hat)
             assert total_d(hat) == d_value(hat).d
 
     def test_threads_filling_one_holder_read_the_same_values(self):
@@ -369,6 +374,7 @@ class TestDeriveOnce:
             assert cluster_bound_data(copy) == data
 
     def test_derivation_changes_no_equality_hash_or_repr(self, sample12):
+        sample12.points  # the view is cached on the object, not compared
         twin = build_configuration(SAMPLE12_SPECS)
         before = (hash(sample12), repr(sample12))
         assert sample12 == twin
@@ -564,3 +570,34 @@ class TestBoundRelations:
                     report = empirical_nu([witness], divisor)
                     assert report.value is not None
                     assert report.value >= bound
+
+
+class TestPointView:
+    """A cluster stores only its proximity tuples: ``Point`` objects are
+    built by the ``points`` view alone, and only when something reads it."""
+
+    def test_derivations_build_no_point(self, monkeypatch):
+        built = []
+        init = Point.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        multi = random_configuration(random.Random(SEED + 7), 80)
+        assert len(multi.origins) > 1
+        monkeypatch.setattr(Point, "__init__", counting)
+        for specs in (SAMPLE12_SPECS, list(enumerate(multi.proximities, 1))):
+            c = build_configuration(specs)
+            for origin in c.origins:
+                hat_configuration(subconfiguration(c, origin))
+            d_value_report(c)
+            for bad in (0, len(c) + 1):
+                for cut in (subconfiguration, strict_transform_of_exceptional):
+                    with pytest.raises(UnknownPointError) as exc:
+                        cut(c, bad)
+                    assert str(exc.value) == f"no point with id {bad}"
+            assert built == []
+        assert [pt.id for pt in c.points] == list(range(1, len(c) + 1))
+        assert len(built) == len(c)
+        assert c.point(len(c)) is c.points[-1] and len(built) == len(c)

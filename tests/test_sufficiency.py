@@ -7,10 +7,7 @@ import sys
 import pytest
 
 from negbound import (
-    Configuration,
-    InvariantError,
     MultipleOriginsError,
-    Point,
     build_configuration,
     d_value,
     d_value_report,
@@ -64,11 +61,6 @@ class TestHatConfiguration:
         c = build_configuration([(1, []), (2, [1]), (3, [2, 1])])
         hat = hat_configuration(c)
         assert hat == c
-
-    def test_free_end_below_level_one_rejected(self):
-        c = Configuration(points=(Point(1, (), 0), Point(2, (1,), 0)))
-        with pytest.raises(InvariantError):
-            hat_configuration(c)
 
     def test_multiple_origins_rejected(self, sample12):
         with pytest.raises(MultipleOriginsError):
