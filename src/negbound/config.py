@@ -96,6 +96,10 @@ class Configuration:
             object.__setattr__(self, "_surface_free",
                                _SurfaceFree(self.proximities))
 
+    def __reduce__(self):
+        # The fields only: cached views and the holder are derived again.
+        return Configuration, (self.proximities, self.surface)
+
     def __len__(self) -> int:
         return len(self.proximities)
 

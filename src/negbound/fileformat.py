@@ -150,8 +150,8 @@ def parse_divisor(text: str, surface: SurfaceModel, n: int) -> DivisorClass:
     if not compact:
         raise ParseError("empty divisor literal")
     names = surface.generators
-    base = [Fraction(0)] * len(names)
-    exceptional = [Fraction(0)] * n
+    base: list[int | Fraction] = [0] * len(names)
+    exceptional: dict[int, int | Fraction] = {}
     pos = 0
     first = True
     while pos < len(compact):
@@ -163,7 +163,8 @@ def parse_divisor(text: str, surface: SurfaceModel, n: int) -> DivisorClass:
         if not first and not sign:
             raise ParseError(f"missing sign between terms in {quote(text)}")
         try:
-            value = _number(coeff or "1", "coefficient", Fraction)
+            value = _number(coeff or "1", "coefficient",
+                            Fraction if "/" in coeff else int)
         except ZeroDivisionError:
             raise ParseError(f"zero denominator in coefficient "
                              f"{quote(coeff)} of {quote(text)}") from None
@@ -175,14 +176,14 @@ def parse_divisor(text: str, surface: SurfaceModel, n: int) -> DivisorClass:
             if not 1 <= index <= n:
                 raise ParseError(f"exceptional index E{quote_number(index)} "
                                  f"out of range 1..{n} in {quote(text)}")
-            exceptional[index - 1] += value
+            exceptional[index] = exceptional.get(index, 0) + value
         elif generator in names:
             base[names.index(generator)] += value
         else:
             raise ParseError(f"generator {generator} is not valid over {surface}")
         pos = match.end()
         first = False
-    return DivisorClass(surface, tuple(base), tuple(exceptional))
+    return DivisorClass._make(surface, n, base, exceptional)
 
 
 def parse_curves(text: str, surface: SurfaceModel, n: int, *,

@@ -11,9 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from math import lcm
-from typing import Sequence
+from math import gcd, lcm
+from typing import Mapping, Sequence
 
 from .config import (
     Configuration,
@@ -33,92 +32,130 @@ PLANE_CHARTS = ("UX", "UY", "UZ")
 HIRZEBRUCH_CHARTS = ("U00", "U01", "U10", "U11")
 
 
-@dataclass(frozen=True)
-class DivisorClass:
-    """A divisor class with exact rational coordinates.
+def _rational(value) -> Rational:
+    """An int as it is, anything else through ``_exact``."""
+    return value if type(value) is int else _exact(value)
 
-    ``base`` holds the coefficient of L* (plane) or of F* and M* (Hirzebruch);
-    ``exceptional`` holds the coefficients of the E_i*.  The multiplicity
-    vector of a curve class a L* - sum(m_i E_i*) is the negated exceptional
-    part.
+
+@dataclass(frozen=True, init=False)
+class DivisorClass:
+    """A divisor class with exact rational coordinates over one denominator
+    ``den`` > 0: the numerators of L* (plane) or of F* and M* (Hirzebruch),
+    and by increasing index i those of the E_i* with a nonzero coefficient,
+    all of gcd 1 with ``den``, so equal classes have equal fields.
+
+    ``base``, ``exceptional`` and ``multiplicities`` are dense views built on
+    demand; the multiplicity vector of a curve class a L* - sum(m_i E_i*) is
+    the negated exceptional part.
     """
 
     surface: SurfaceModel
-    base: tuple[Fraction, ...]
-    exceptional: tuple[Fraction, ...] = ()
+    n: int
+    den: int
+    base_numerators: tuple[int, ...]
+    exceptional_numerators: dict[int, int]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "base", tuple(_exact(x) for x in self.base))
-        object.__setattr__(self, "exceptional",
-                           tuple(_exact(x) for x in self.exceptional))
-        expected = len(self.surface.generators)
-        if len(self.base) != expected:
+    def __init__(self, surface: SurfaceModel, base: Sequence[Rational],
+                 exceptional: Sequence[Rational] = ()) -> None:
+        exceptional = tuple(exceptional)
+        self._store(surface, len(exceptional), tuple(base),
+                    dict(enumerate(exceptional, start=1)))
+
+    @classmethod
+    def _make(cls, surface: SurfaceModel, n: int, base: Sequence[Rational],
+              exceptional: Mapping[int, Rational], den: int = 1) -> "DivisorClass":
+        """The class with base coordinates ``base[k] / den`` and exceptional
+        coordinates ``exceptional[i] / den`` (0 for a missing i)."""
+        self = object.__new__(cls)
+        self._store(surface, n, base, exceptional, den)
+        return self
+
+    def _store(self, surface, n, base, exceptional, den=1) -> None:
+        if len(base) != len(surface.generators):
             raise ValueError(
-                f"surface {self.surface} needs {expected} base coefficient(s), "
-                f"got {len(self.base)}")
+                f"surface {surface} needs {len(surface.generators)} base "
+                f"coefficient(s), got {len(base)}")
+        values = [_rational(x) for x in (*base, *exceptional.values())]
+        scale = lcm(*[x.denominator for x in values])
+        nums = [x.numerator * (scale // x.denominator) for x in values]
+        den *= scale
+        g = gcd(den, *nums)
+        if g != 1:
+            den, nums = den // g, [x // g for x in nums]
+        k = len(base)
+        vars(self).update(
+            surface=surface, n=n, den=den, base_numerators=tuple(nums[:k]),
+            exceptional_numerators={i: x for i, x in
+                                    sorted(zip(exceptional, nums[k:])) if x})
+
+    def __hash__(self) -> int:
+        return hash((self.surface, self.n, self.den, self.base_numerators,
+                     frozenset(self.exceptional_numerators.items())))
 
     @classmethod
     def from_multiplicities(cls, surface: SurfaceModel,
                             base: Sequence[Rational],
                             multiplicities: Sequence[Rational] = ()) -> "DivisorClass":
         """Build a L* - sum(m_i E_i*) (resp. a F* + b M* - sum(m_i E_i*))."""
-        return cls(surface, tuple(base),
-                   tuple(-_exact(m) for m in multiplicities))
+        return cls(surface, base, [-_rational(m) for m in multiplicities])
 
     @property
-    def n(self) -> int:
-        return len(self.exceptional)
+    def base(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(x, self.den) for x in self.base_numerators)
+
+    @property
+    def exceptional(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(x, self.den) for x in self._numerator_vector())
+
+    def _numerator_vector(self) -> list[int]:
+        """The exceptional numerators over ``den``, zeros included."""
+        return [self.exceptional_numerators.get(i, 0)
+                for i in range(1, self.n + 1)]
 
     @property
     def a(self) -> Fraction:
-        return self.base[0]
+        return Fraction(self.base_numerators[0], self.den)
 
     @property
     def b(self) -> Fraction:
         if is_plane(self.surface):
             raise NotHirzebruchError("plane classes have a single base coefficient")
-        return self.base[1]
+        return Fraction(self.base_numerators[1], self.den)
 
     @property
     def multiplicities(self) -> tuple[Fraction, ...]:
         return tuple(-e for e in self.exceptional)
 
-    @cached_property
-    def _integer_form(self) -> tuple[int, tuple[int, ...], dict[int, int]]:
-        """The class over one common denominator D, the lcm of all its
-        coordinate denominators: D, the base numerators over D, and the
-        nonzero exceptional numerators over D by index."""
-        base = [x.as_integer_ratio() for x in self.base]
-        exc = [(i, x.as_integer_ratio())
-               for i, x in enumerate(self.exceptional) if x]
-        den = lcm(*[d for _, d in base], *[d for _, (_, d) in exc])
-        return (den, tuple(n * (den // d) for n, d in base),
-                {i: n * (den // d) for i, (n, d) in exc})
-
     def _check_compatible(self, other: "DivisorClass") -> None:
-        if self.surface != other.surface or self.n != other.n:
+        if (self.surface is not other.surface
+                and self.surface != other.surface) or self.n != other.n:
             raise SurfaceMismatchError(
                 f"incompatible lattices: ({self.surface}, n={self.n}) vs "
                 f"({other.surface}, n={other.n})")
 
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
         self._check_compatible(other)
-        return DivisorClass(self.surface,
-                            tuple(x + y for x, y in zip(self.base, other.base)),
-                            tuple(x + y for x, y in
-                                  zip(self.exceptional, other.exceptional)))
+        s, t = other.den, self.den
+        exc = {i: s * x for i, x in self.exceptional_numerators.items()}
+        for i, y in other.exceptional_numerators.items():
+            exc[i] = exc.get(i, 0) + t * y
+        return self._make(self.surface, self.n,
+                          [s * x + t * y for x, y in
+                           zip(self.base_numerators, other.base_numerators)],
+                          exc, s * t)
 
     def __sub__(self, other: "DivisorClass") -> "DivisorClass":
         return self + (-other)
 
     def __neg__(self) -> "DivisorClass":
-        return DivisorClass(self.surface, tuple(-x for x in self.base),
-                            tuple(-x for x in self.exceptional))
+        return self * -1
 
     def __mul__(self, scalar: Rational) -> "DivisorClass":
-        s = _exact(scalar)
-        return DivisorClass(self.surface, tuple(s * x for x in self.base),
-                            tuple(s * x for x in self.exceptional))
+        s = _rational(scalar)
+        return self._make(self.surface, self.n,
+                          [s * x for x in self.base_numerators],
+                          {i: s * x for i, x in
+                           self.exceptional_numerators.items()}, self.den)
 
     __rmul__ = __mul__
 
@@ -126,52 +163,48 @@ class DivisorClass:
         return pairing(self, self)
 
     def __str__(self) -> str:
-        terms = list(zip(self.base, self.surface.generators))
-        terms += [(coeff, f"E{i}") for i, coeff in
-                  enumerate(self.exceptional, start=1)]
+        terms = list(zip(self.base_numerators, self.surface.generators))
+        terms += [(x, f"E{i}") for i, x in self.exceptional_numerators.items()]
         out = ""
-        for coeff, name in terms:
-            if coeff == 0:
+        for x, name in terms:
+            if x == 0:
                 continue
-            mag = abs(coeff)
+            mag = Fraction(abs(x), self.den)
             lead = "" if mag == 1 else str(mag)
             if not out:
-                out = f"{'-' if coeff < 0 else ''}{lead}{name}"
+                out = f"{'-' if x < 0 else ''}{lead}{name}"
             else:
-                out += f" {'-' if coeff < 0 else '+'} {lead}{name}"
+                out += f" {'-' if x < 0 else '+'} {lead}{name}"
         return out or "0"
 
 
 def pairing(x: DivisorClass, y: DivisorClass) -> Fraction:
     """Intersection number of two classes on the same lattice, in integers
-    over the two classes' common denominators; only the exceptional
-    coordinates nonzero in both classes are multiplied."""
+    over the two classes' denominators; only the exceptional coordinates
+    nonzero in both classes are multiplied."""
     x._check_compatible(y)
-    x_den, x_base, x_exc = x._integer_form
-    y_den, y_base, y_exc = y._integer_form
-    if is_plane(x.surface):
+    x_base, y_base = x.base_numerators, y.base_numerators
+    if len(x_base) == 1:  # the plane
         total = x_base[0] * y_base[0]
     else:
         (xa, xb), (ya, yb) = x_base, y_base
         total = xa * yb + xb * ya + x.surface.delta * xb * yb
+    x_exc, y_exc = x.exceptional_numerators, y.exceptional_numerators
     if len(x_exc) > len(y_exc):
         x_exc, y_exc = y_exc, x_exc
     for i, p in x_exc.items():
         q = y_exc.get(i)
         if q is not None:
             total -= p * q
-    return Fraction(total, x_den * y_den)
+    return Fraction(total, x.den * y.den)
 
 
 def strict_transform_of_exceptional(c: Configuration, point_id: int) -> DivisorClass:
     """The class E_q* - sum over p proximate to q of E_p* on the sky of c."""
     c._check_id(point_id)
-    exc = [Fraction(0)] * len(c)
-    exc[point_id - 1] = Fraction(1)
-    for succ in c.successors[point_id]:
-        exc[succ - 1] = Fraction(-1)
-    base = (Fraction(0),) if is_plane(c.surface) else (Fraction(0), Fraction(0))
-    return DivisorClass(c.surface, base, tuple(exc))
+    exc = {point_id: 1, **dict.fromkeys(c.successors[point_id], -1)}
+    return DivisorClass._make(c.surface, len(c),
+                              (0,) * len(c.surface.generators), exc)
 
 
 def strict_exceptional_coordinates(c: Configuration,
@@ -186,7 +219,8 @@ def strict_exceptional_coordinates(c: Configuration,
         raise SurfaceMismatchError(
             f"class lives on ({cls.surface}, n={cls.n}), cluster has "
             f"({c.surface}, n={len(c)})")
-    return tuple(proximity_solve(c, cls.exceptional))
+    return tuple(Fraction(v, cls.den)
+                 for v in proximity_solve(c, cls._numerator_vector()))
 
 
 def divisor_from_strict_coordinates(c: Configuration,
@@ -197,19 +231,20 @@ def divisor_from_strict_coordinates(c: Configuration,
     Inverse of :func:`strict_exceptional_coordinates`: total-transform
     coordinates are w = P v with P the proximity matrix of the cluster.
     """
-    v = [_exact(x) for x in coefficients]
-    if len(v) != len(c):
+    v = DivisorClass(c.surface, base, coefficients)  # in the strict basis
+    if v.n != len(c):
         raise SurfaceMismatchError(
-            f"expected {len(c)} strict coordinates, got {len(v)}")
-    return DivisorClass(c.surface, tuple(base), tuple(proximity_apply(c, v)))
+            f"expected {len(c)} strict coordinates, got {v.n}")
+    w = proximity_apply(c, v._numerator_vector())
+    return DivisorClass._make(c.surface, len(c), v.base_numerators,
+                              dict(enumerate(w, start=1)), v.den)
 
 
 def special_section_class(surface: SurfaceModel, n: int = 0) -> DivisorClass:
     """The special section M0 = M* - delta F*, of self-intersection -delta."""
     if is_plane(surface):
         raise NotHirzebruchError("the special section lives on a Hirzebruch surface")
-    return DivisorClass(surface, (Fraction(-surface.delta), Fraction(1)),
-                        (Fraction(0),) * n)
+    return DivisorClass._make(surface, n, (-surface.delta, 1), {})
 
 
 @dataclass(frozen=True)

@@ -15,9 +15,11 @@ from negbound import (
     bidegree_of_closure,
     build_configuration,
     divisor_from_strict_coordinates,
+    empirical_nu,
     invariant_bound_check,
     multiplicity_bound_check,
     pairing,
+    parse_divisor,
     special_section_class,
     strict_exceptional_coordinates,
     strict_transform_of_exceptional,
@@ -133,6 +135,59 @@ class TestArithmetic:
         assert str(plane(0)) == "0"
 
 
+class TestStoredForm:
+    """Classes equal in value have one stored form, whatever built them."""
+
+    F1 = Hirzebruch(1)
+
+    def routes(self):
+        half = DivisorClass(self.F1, (Fraction(1, 2), 0), (0, Fraction(1, 2)))
+        x = DivisorClass(P2, (2,), (1, Fraction(-2, 3), 0))
+        zero = DivisorClass(P2, (0,), (0, 0, 0))
+        yield parse_divisor("3L - 2E1 - E3", P2, 3), \
+            DivisorClass(P2, (3,), (-2, 0, -1))
+        yield DivisorClass(P2, (Fraction(3),), (-2, Fraction(0), True - 2)), \
+            plane(3, (2, 0, 1))
+        yield plane(1, (1, 0, 0)) + plane(2, (1, 0, 1)), plane(3, (2, 0, 1))
+        yield plane(4, (2, 1, 1)) - plane(1, (0, 1, 0)), plane(3, (2, 0, 1))
+        yield Fraction(1, 2) * plane(6, (4, 0, 2)), plane(3, (2, 0, 1))
+        yield plane(3, (2, 0, 1)) * 0, zero
+        yield x - x, zero
+        yield -x + x, zero * Fraction(5, 7)
+        yield parse_divisor("1/2E1 + 1/2E1", P2, 2), parse_divisor("E1", P2, 2)
+        yield half + half, ruled(1, 1, 0, (0, -1))
+        yield 2 * half, parse_divisor("F + E2", self.F1, 2)
+        yield parse_divisor("1/3F - 2/6M + 4/12E2", self.F1, 2), \
+            Fraction(1, 3) * ruled(1, 1, -1, (0, -1))
+
+    def test_equal_fields_hashes_and_pickles(self):
+        for x, y in self.routes():
+            assert x == y and hash(x) == hash(y) and repr(x) == repr(y)
+            assert x.den > 0 and all(type(v) is int for v in
+                                     (*x.base_numerators,
+                                      *x.exceptional_numerators.values()))
+            assert 0 not in x.exceptional_numerators.values()
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+                copy = pickle.loads(pickle.dumps(x, protocol))
+                assert copy == y and hash(copy) == hash(y)
+
+    def test_views_keep_their_values_and_types(self):
+        x = DivisorClass(self.F1, (Fraction(1, 2), 2), (0, Fraction(-3, 4), 5))
+        assert (x.den, x.base_numerators, x.exceptional_numerators) == \
+            (4, (2, 8), {2: -3, 3: 20})
+        assert x.base == (Fraction(1, 2), Fraction(2))
+        assert x.exceptional == (0, Fraction(-3, 4), 5)
+        assert x.multiplicities == (0, Fraction(3, 4), -5)
+        assert (x.a, x.b, x.n) == (Fraction(1, 2), 2, 3)
+        for view in (x.base, x.exceptional, x.multiplicities, (x.a, x.b)):
+            assert all(type(v) is Fraction for v in view)
+
+    def test_str_of_fractional_and_negative_coefficients(self):
+        x = DivisorClass(self.F1, (Fraction(-1, 2), 1), (0, Fraction(3, 4), -1))
+        assert str(x) == "-1/2F + M + 3/4E2 - E3"
+        assert str(parse_divisor("-E2 + 2/4E1", P2, 2)) == "1/2E1 - E2"
+
+
 class TestStrictTransforms:
     def test_singleton(self):
         c = build_configuration([(1, [])])
@@ -150,6 +205,29 @@ class TestStrictTransforms:
     def test_once_blown_point(self, sample12):
         e = strict_transform_of_exceptional(sample12, 4)
         assert e.self_intersection() == -2
+
+    def test_nu_over_all_strict_transforms_reads_no_dense_view(self, monkeypatch):
+        # A satellite chain k -> k-1 k-2: each E_q* has two successors.
+        n = 2000
+        c = build_configuration([(1, []), (2, [1])] +
+                                [(k, [k - 1, k - 2]) for k in range(3, n + 1)])
+
+        def nu():
+            curves = [strict_transform_of_exceptional(c, q)
+                      for q in range(1, n + 1)]
+            big_nef = parse_divisor(f"{n}L - E1 - 2E2 - 1/2E1999 - 3E{n}",
+                                    c.surface, n)
+            return empirical_nu(curves, big_nef)
+
+        expected = nu()
+
+        def dense(cls):
+            raise AssertionError("dense view read")
+
+        monkeypatch.setattr(DivisorClass, "exceptional", property(dense))
+        monkeypatch.setattr(DivisorClass, "base", property(dense))
+        assert nu() == expected
+        assert expected.value == Fraction(-3, 2)
 
 
 class TestBasisConversion:
@@ -210,6 +288,17 @@ class TestMultiplicityBound:
     def test_plane_rejected(self):
         with pytest.raises(NotHirzebruchError):
             multiplicity_bound_check(plane(1))
+
+    def test_zero_multiplicity_violates_a_negative_limit(self):
+        report = multiplicity_bound_check(ruled(1, -3, 1, (0, 2, 0)))
+        assert report.limit == -1
+        assert report.violations == ((1, 0), (2, 2), (3, 0))
+
+    def test_special_section_has_n_zero_exceptional_coordinates(self):
+        cls = special_section_class(Hirzebruch(2), 4)
+        assert cls.n == 4 and cls.exceptional == (0,) * 4
+        report = multiplicity_bound_check(cls)
+        assert report.limit == 1 and report.passed
 
 
 class TestBidegreeOfClosure:

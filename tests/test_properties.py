@@ -373,6 +373,14 @@ class TestDeriveOnce:
             assert d_value_report(copy) == report
             assert cluster_bound_data(copy) == data
 
+    def test_pickle_carries_only_the_fields(self):
+        c = random_configuration(random.Random(1), 1000)
+        bare = [pickle.dumps(c, protocol)
+                for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        c.successors, c.points, c.d_values, c.self_intersections
+        assert [pickle.dumps(c, protocol)
+                for protocol in range(pickle.HIGHEST_PROTOCOL + 1)] == bare
+
     def test_derivation_changes_no_equality_hash_or_repr(self, sample12):
         sample12.points  # the view is cached on the object, not compared
         twin = build_configuration(SAMPLE12_SPECS)
