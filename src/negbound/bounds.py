@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple, Sequence, Union
 
-from .config import Configuration, Rational, _exact
+from .config import Configuration, Rational, _rational
 from .errors import (
     NonPositiveEpsilonError,
     SurfaceMismatchError,
@@ -30,7 +30,7 @@ N_CONVENTIONS = ("stated", "example")
 
 
 def _positive_epsilon(epsilon: Rational) -> Fraction:
-    value = _exact(epsilon)
+    value = Fraction(_rational(epsilon))
     if value <= 0:
         raise NonPositiveEpsilonError(
             f"epsilon must be positive, got {quote_number(value)}")
@@ -225,7 +225,7 @@ def foliation_negativity_bound(degree: FoliationDegree, surface: SurfaceModel,
     eps = None if epsilon is None else _positive_epsilon(epsilon)
     scaled = None if eps is None else bound / eps
     generic = None if eps is None else Fraction(-1) / eps
-    alpha = None if alpha_hat is None else _exact(alpha_hat)
+    alpha = None if alpha_hat is None else Fraction(_rational(alpha_hat))
     combined = None
     if alpha is not None or gamma is not None:
         pieces = [scaled if scaled is not None else bound]

@@ -10,6 +10,7 @@ self-intersections) is derived from this data with exact integer arithmetic.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
@@ -34,12 +35,14 @@ Scalar = TypeVar("Scalar", int, Fraction)
 Rational = Union[int, Fraction]
 
 
-def _exact(value) -> Fraction:
-    if type(value) is Fraction:  # already exact: no new object
+def _rational(value) -> Rational:
+    """An int or Fraction as it is, another ``numbers.Rational`` as a
+    Fraction; anything else (float, Decimal, str) raises TypeError."""
+    if type(value) is int or type(value) is Fraction:
         return value
-    if isinstance(value, float):
-        raise TypeError(f"float coefficient {value!r} rejected; use Fraction")
-    return Fraction(value)
+    if isinstance(value, numbers.Rational):
+        return Fraction(value)
+    raise TypeError(f"expected an int or Fraction, got {type(value).__name__}")
 
 
 @dataclass(frozen=True)
@@ -113,6 +116,8 @@ class Configuration:
         return tuple(points)
 
     def _check_id(self, point_id: int) -> None:
+        if type(point_id) is not int:  # build_configuration's rule for ids
+            raise UnknownPointError(f"point ids are int, not {type(point_id).__name__}")
         if not 1 <= point_id <= len(self.proximities):
             raise UnknownPointError(f"no point with id {quote_number(point_id)}",
                                    point_id=point_id)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+
 
 class NegboundError(Exception):
     """Base class for every error raised by this package."""
@@ -119,3 +121,14 @@ class ParseError(NegboundError):
         super().__init__(f"{prefix}: {message}" if prefix else message)
         self.line = line
         self.source = source
+
+
+def _number(token: str, what: str, kind=int, **where):
+    """``kind(token)`` (``int`` or ``Fraction``) of an ASCII digit literal,
+    with a ParseError in place of the ValueError raised past the
+    interpreter's cap on the length of int/str conversions."""
+    try:
+        return kind(token)
+    except ValueError:
+        raise ParseError(f"{what} has more than {sys.get_int_max_str_digits()}"
+                         " digits", **where) from None

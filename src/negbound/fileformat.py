@@ -15,13 +15,12 @@ rationals ``p/q``.  Whitespace is ignored, except inside a number.
 from __future__ import annotations
 
 import re
-import sys
 from fractions import Fraction
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .config import Configuration, build_configuration
-from .errors import ConfigurationError, ParseError, quote, quote_number
+from .errors import ConfigurationError, ParseError, _number, quote, quote_number
 from .surfaces import SurfaceModel, parse_surface
 
 if TYPE_CHECKING:  # the lattice loads with the first divisor literal
@@ -41,18 +40,6 @@ def parse_rational(text: str) -> Fraction:
         return _number(text, "numerator or denominator", Fraction)
     except ZeroDivisionError:
         raise ParseError(f"zero denominator in rational {quote(text)}") from None
-
-
-def _number(token: str, what: str, kind=int, **where):
-    """``kind(token)`` (``int`` or ``Fraction``) of an ASCII digit literal,
-    with a ParseError in place of the ValueError raised past the
-    interpreter's cap on the length of int/str conversions."""
-    try:
-        return kind(token)
-    except ValueError:
-        raise ParseError(f"{what} has more than "
-                         f"{sys.get_int_max_str_digits()} digits",
-                         **where) from None
 
 
 def _statements(text: str, source: str):

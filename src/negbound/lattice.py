@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 from .config import (
     Configuration,
     Rational,
-    _exact,
+    _rational,
     proximity_apply,
     proximity_solve,
 )
@@ -30,11 +30,6 @@ from .surfaces import Hirzebruch, SurfaceModel, is_plane
 
 PLANE_CHARTS = ("UX", "UY", "UZ")
 HIRZEBRUCH_CHARTS = ("U00", "U01", "U10", "U11")
-
-
-def _rational(value) -> Rational:
-    """An int as it is, anything else through ``_exact``."""
-    return value if type(value) is int else _exact(value)
 
 
 @dataclass(frozen=True, init=False)
@@ -97,7 +92,7 @@ class DivisorClass:
                             base: Sequence[Rational],
                             multiplicities: Sequence[Rational] = ()) -> "DivisorClass":
         """Build a L* - sum(m_i E_i*) (resp. a F* + b M* - sum(m_i E_i*))."""
-        return cls(surface, base, [-_rational(m) for m in multiplicities])
+        return cls(surface, base, [-m for m in multiplicities])
 
     @property
     def base(self) -> tuple[Fraction, ...]:

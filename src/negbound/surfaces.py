@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from typing import Union
 
-from .errors import ParseError, quote
+from .errors import ParseError, _number, quote
 
 
 @dataclass(frozen=True)
@@ -54,12 +53,8 @@ def parse_surface(text: str, *, line: int | None = None,
     if len(tokens) == 1 and tokens[0].lower() == "p2":
         return ProjectivePlane()
     if len(tokens) == 2 and tokens[0].lower() == "f" and tokens[1].isdigit():
-        try:
-            return Hirzebruch(int(tokens[1]))
-        except ValueError:  # more digits than the interpreter converts
-            raise ParseError(f"delta has more than "
-                             f"{sys.get_int_max_str_digits()} digits",
-                             line=line, source=source) from None
+        return Hirzebruch(_number(tokens[1], "delta", line=line,
+                                  source=source))
     raise ParseError(f"invalid surface spec {quote(text)} "
                      "(expected 'p2' or 'f <delta>')", line=line, source=source)
 

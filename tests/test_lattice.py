@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import pickle
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -24,7 +25,7 @@ from negbound import (
     strict_exceptional_coordinates,
     strict_transform_of_exceptional,
 )
-from negbound.lattice import _exact
+from negbound.config import _rational
 from negbound.surfaces import Hirzebruch, ProjectivePlane
 
 P2 = ProjectivePlane()
@@ -104,16 +105,17 @@ class TestPairing:
             assert copy == x and hash(copy) == before[0]
             assert pairing(copy, twin) == pairing(x, x)
 
-    def test_exact_keeps_fractions_and_converts_the_rest(self):
+    def test_gate_keeps_ints_and_fractions_and_converts_other_rationals(self):
         class Half(Fraction):
             pass
 
-        value = Fraction(3, 4)
-        assert _exact(value) is value
-        for x in (True, 3, Half(1, 2)):
-            assert type(_exact(x)) is Fraction and _exact(x) == x
-        with pytest.raises(TypeError):
-            _exact(0.5)
+        for value in (Fraction(3, 4), 3, 10 ** 50):
+            assert _rational(value) is value
+        for x in (True, Half(1, 2)):
+            assert type(_rational(x)) is Fraction and _rational(x) == x
+        for bad in (0.5, Decimal("0.1"), "1/2", "nan", None):
+            with pytest.raises(TypeError):
+                _rational(bad)
 
 
 class TestArithmetic:
