@@ -169,8 +169,8 @@ class PlaneDegree:
     r: int
 
     def __post_init__(self) -> None:
-        if self.r < 0:
-            raise ValueError("the degree of a plane foliation is nonnegative")
+        if type(self.r) is not int or self.r < 0:
+            raise ValueError("the degree of a plane foliation is a nonnegative int")
 
 
 @dataclass(frozen=True)
@@ -179,6 +179,10 @@ class HirzebruchBidegree:
 
     r1: int
     r2: int
+
+    def __post_init__(self) -> None:
+        if type(self.r1) is not int or type(self.r2) is not int:
+            raise ValueError("a foliation bidegree is a pair of ints")
 
 
 FoliationDegree = Union[PlaneDegree, HirzebruchBidegree]
@@ -220,20 +224,16 @@ def foliation_negativity_bound(degree: FoliationDegree, surface: SurfaceModel,
     if isinstance(degree, PlaneDegree) != is_plane(surface):
         raise SurfaceMismatchError(
             f"foliation degree {degree} does not match surface {surface}")
+    if gamma is not None and type(gamma) is not int:
+        raise ValueError("gamma must be an int")
     beta = degree_sum(degree)
     bound = Fraction(-beta)
     eps = None if epsilon is None else _positive_epsilon(epsilon)
     scaled = None if eps is None else bound / eps
     generic = None if eps is None else Fraction(-1) / eps
     alpha = None if alpha_hat is None else Fraction(_rational(alpha_hat))
-    combined = None
-    if alpha is not None or gamma is not None:
-        pieces = [scaled if scaled is not None else bound]
-        if alpha is not None:
-            pieces.append(-alpha)
-        if gamma is not None:
-            pieces.append(Fraction(-gamma))
-        combined = min(pieces)
+    pieces = [-Fraction(x) for x in (alpha, gamma) if x is not None]
+    combined = min(bound if eps is None else scaled, *pieces) if pieces else None
     return FoliationBoundReport(beta=beta, bound=bound, epsilon=eps,
                                 scaled_bound=scaled, generic_bound=generic,
                                 alpha_hat=alpha, gamma=gamma,

@@ -239,6 +239,8 @@ def special_section_class(surface: SurfaceModel, n: int = 0) -> DivisorClass:
     """The special section M0 = M* - delta F*, of self-intersection -delta."""
     if is_plane(surface):
         raise NotHirzebruchError("the special section lives on a Hirzebruch surface")
+    if type(n) is not int or n < 0:
+        raise ValueError("n must be a nonnegative int")
     return DivisorClass._make(surface, n, (-surface.delta, 1), {})
 
 

@@ -178,6 +178,33 @@ class TestFoliationNegativityBound:
         with pytest.raises(ValueError):
             PlaneDegree(-1)
 
+    @pytest.mark.parametrize("make", [
+        lambda: PlaneDegree(2.5),
+        lambda: PlaneDegree(Fraction(2)),
+        lambda: HirzebruchBidegree(1.5, 2),
+        lambda: HirzebruchBidegree(1, True),
+        lambda: foliation_negativity_bound(PlaneDegree(2), P2, gamma=1.5),
+    ], ids=["plane-float", "plane-fraction", "bidegree-float", "bidegree-bool",
+            "gamma-float"])
+    def test_integer_parameters_take_only_ints(self, make):
+        with pytest.raises(ValueError):
+            make()
+
+    @pytest.mark.parametrize("epsilon, alpha_hat, gamma, combined", [
+        (None, None, None, None),
+        (None, Fraction(1, 2), None, -2),
+        (None, None, 3, -3),
+        (Fraction(1, 2), Fraction(1, 2), None, -4),
+        (Fraction(1, 2), 5, 1, -5),
+    ])
+    def test_combined_bound_is_the_least_piece(self, epsilon, alpha_hat, gamma,
+                                               combined):
+        # PlaneDegree(3): the bound is -2, or -4 scaled by epsilon = 1/2
+        report = foliation_negativity_bound(PlaneDegree(3), P2, epsilon,
+                                            alpha_hat=alpha_hat, gamma=gamma)
+        assert report.combined_bound == combined
+        assert combined is None or type(report.combined_bound) is Fraction
+
 
 class TestAttachedFoliationDegreeBounds:
     def test_sample12_plane(self, sample12):

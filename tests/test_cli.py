@@ -560,6 +560,11 @@ class TestLoading:
                           text=True)
         assert proc.stdout.split() == ["negbound"], proc.stderr
 
+    def test_submodule_loads_on_first_attribute_read(self):
+        proc = run_python(["-c", "import negbound, sys; print(negbound.bounds "
+                           "is sys.modules['negbound.bounds'])"], text=True)
+        assert proc.stdout.split() == ["True"], proc.stderr
+
     @staticmethod
     def loaded_by(argv) -> set[str]:
         proc = run_python(["-c", LOADED_BY_MAIN, *argv], text=True)

@@ -9,25 +9,48 @@ E_p and E_q no longer meet.  A point's depth is its parent's plus one.
 
 ``check_clusters(n)`` compares ``build_configuration`` with the model over
 every spec list of up to ``n`` points in which each point lists at most two
-distinct smaller targets.  Tier-1 runs it up to 6 points; for 7 (27007
-clusters, about 20 s on one core of a 2-vCPU VM) run
+distinct smaller targets.  On every accepted cluster it then checks each
+origin's ``d`` against ``scan_d_value``, ``P^t m`` on each completion, both
+reports and the pullback and epsilon bounds against the benchmark's oracle
+(``bench/oracle.py``, imported read-only).  Tier-1 runs it up to 6 points;
+for 7 (27007 clusters) run
 
     PYTHONPATH=src:tests python -c "from test_exhaustive import check_clusters; check_clusters(7)"
 """
 
 from __future__ import annotations
 
+import sys
+from dataclasses import replace
+from fractions import Fraction
 from itertools import product
 
 from negbound import (
     ConfigurationError,
+    analysis_report,
     build_configuration,
+    d_value_report,
+    epsilon_family_bounds,
+    hat_configuration,
+    multiplicity_vector,
+    nef_pullback_bounds,
     parse_configuration,
     serialize_configuration,
+    subconfiguration,
 )
+from negbound.surfaces import Hirzebruch, ProjectivePlane
+from conftest import REPO_ROOT, scan_d_value
+
+sys.path.insert(0, str(REPO_ROOT / "bench"))
+try:
+    from oracle import bound_terms, end_indicator_holds, expected
+finally:
+    sys.path.remove(str(REPO_ROOT / "bench"))
 
 # Labelled clusters of 1..7 points.
 COUNTS = (1, 2, 7, 37, 266, 2431, 27007)
+HALF = Fraction(1, 2)
+SURFACES = (ProjectivePlane(), Hirzebruch(1))
 
 
 def model_clusters(n: int) -> dict[tuple[tuple[int, ...], ...], tuple[int, ...]]:
@@ -78,8 +101,37 @@ def check_clusters(max_points: int) -> list[int]:
         for prox, c in accepted.items():
             assert parse_configuration(serialize_configuration(c)) == c
             assert tuple(pt.level for pt in c.points) == model[prox]
+            check_against_oracles(c)
         counts.append(len(model))
     return counts
+
+
+def check_against_oracles(c) -> None:
+    """``d``, ``P^t m``, the reports and the bounds of a cluster over the
+    plane, each against a computation that shares no code with it."""
+    oracle = expected(list(enumerate(c.proximities, start=1)), "p2")
+    assert analysis_report(c) == oracle.analysis
+    assert d_value_report(c) == oracle.dvalue
+    for origin, dv in c.d_values.items():
+        sub = subconfiguration(c, origin)
+        assert dv.d == scan_d_value(sub)
+        hat = hat_configuration(sub)
+        specs = list(enumerate(hat.proximities, start=1))
+        assert specs == oracle.hats[origin]
+        assert end_indicator_holds(specs, multiplicity_vector(hat))
+    for surface in SURFACES:
+        on = replace(c, surface=surface)
+        for convention, n in (("stated", oracle.n_stated),
+                              ("example", oracle.n_example)):
+            data = (str(surface), n, oracle.d, oracle.gamma)
+            for report, terms in (
+                    (nef_pullback_bounds(on, convention),
+                     bound_terms("pullback", *data)),
+                    (epsilon_family_bounds(on, HALF, convention),
+                     bound_terms("epsilon", *data, HALF))):
+                # every term, as the minimum alone hides the ones never least
+                assert [value for _, value in report.terms] == terms
+                assert report.bound == min(terms)
 
 
 def test_validator_accepts_exactly_the_model_clusters():

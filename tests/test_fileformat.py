@@ -149,6 +149,11 @@ class TestParseSurface:
         with pytest.raises(ParseError):
             parse_surface(bad)
 
+    def test_line_without_source_prefixes_the_message(self):
+        with pytest.raises(ParseError) as exc:
+            parse_surface("x", line=3)
+        assert str(exc.value).startswith("line 3: invalid surface spec")
+
 
 class TestParseDivisor:
     def test_plane_literal(self):

@@ -9,14 +9,20 @@ import pytest
 from negbound import (
     Bidegree,
     BidegreeBounds,
+    Configuration,
     DivisorClass,
     NotHirzebruchError,
+    PlaneDegree,
     SurfaceMismatchError,
     UnknownChartError,
+    UnknownPointError,
     bidegree_of_closure,
     build_configuration,
+    delta_membership_check,
     divisor_from_strict_coordinates,
     empirical_nu,
+    epsilon_family_bounds,
+    foliation_negativity_bound,
     invariant_bound_check,
     multiplicity_bound_check,
     pairing,
@@ -24,6 +30,7 @@ from negbound import (
     special_section_class,
     strict_exceptional_coordinates,
     strict_transform_of_exceptional,
+    subconfiguration,
 )
 from negbound.config import _rational
 from negbound.surfaces import Hirzebruch, ProjectivePlane
@@ -272,6 +279,11 @@ class TestSpecialSection:
         with pytest.raises(NotHirzebruchError):
             special_section_class(P2)
 
+    @pytest.mark.parametrize("n", [1.5, Fraction(2), True, -1])
+    def test_n_is_a_nonnegative_int(self, n):
+        with pytest.raises(ValueError):
+            special_section_class(Hirzebruch(1), n)
+
 
 class TestMultiplicityBound:
     def test_fiber_through_point(self):
@@ -365,3 +377,53 @@ class TestInvariantBound:
         assert invariant_bound_check(k, plane(1)).passed
         e = DivisorClass(P2, (0,), ())
         assert invariant_bound_check(k, e).passed  # 0 >= 0
+
+
+class Half(Fraction):
+    """A Fraction subclass: the gate hands it on as a plain Fraction."""
+
+
+# Every public entry that takes an exact number, each fed the value x.
+GATED = {
+    "DivisorClass": lambda c, x: DivisorClass(P2, (x,), (0, x)),
+    "mul": lambda c, x: plane(3, (1, 2)) * x,
+    "rmul": lambda c, x: x * plane(3, (1, 2)),
+    "from_multiplicities":
+        lambda c, x: DivisorClass.from_multiplicities(P2, (1,), (x, 2)),
+    "epsilon_family_bounds": epsilon_family_bounds,
+    "alpha_hat":
+        lambda c, x: foliation_negativity_bound(PlaneDegree(2), P2, alpha_hat=x),
+    "delta_membership_check":
+        lambda c, x: delta_membership_check(plane(3, (1,)), plane(1, (0,)), x,
+                                            [plane(1, (0,)), plane(0, (-1,))]),
+}
+
+
+class TestInputGates:
+    """One rule per input: exact numbers pass ``config._rational`` and ids
+    must be ints, at every public entry."""
+
+    @pytest.mark.parametrize("bad", [0.5, Decimal("0.1"), "1/2", "nan"],
+                             ids=repr)
+    @pytest.mark.parametrize("name", sorted(GATED))
+    def test_only_rationals_pass(self, sample12, name, bad):
+        with pytest.raises(TypeError):
+            GATED[name](sample12, bad)
+
+    @pytest.mark.parametrize("value", [3, Fraction(3, 4), True, Half(1, 2)],
+                             ids=repr)
+    @pytest.mark.parametrize("name", sorted(GATED))
+    def test_rational_kinds_match_the_fraction(self, sample12, name, value):
+        got = GATED[name](sample12, value)
+        plain = GATED[name](sample12, Fraction(value))
+        assert got == plain and repr(got) == repr(plain)
+
+    @pytest.mark.parametrize("bad", [0.5, 1.5, 2.0, "1", True, None], ids=repr)
+    @pytest.mark.parametrize("call", [subconfiguration,
+                                      strict_transform_of_exceptional,
+                                      Configuration.point],
+                             ids=["subconfiguration", "strict_transform",
+                                  "point"])
+    def test_non_int_ids_are_unknown_points(self, sample12, call, bad):
+        with pytest.raises(UnknownPointError, match="point ids are int"):
+            call(sample12, bad)

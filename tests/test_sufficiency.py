@@ -7,7 +7,9 @@ import sys
 import pytest
 
 from negbound import (
+    Configuration,
     MultipleOriginsError,
+    NonPositiveCoefficientError,
     build_configuration,
     d_value,
     d_value_report,
@@ -118,6 +120,12 @@ for d, certificate, previous in [(1, (1,), (0,)), (2, (0,), (-1,)),
     def test_multiple_origins_rejected(self, sample12):
         with pytest.raises(MultipleOriginsError):
             d_value(sample12)
+
+    def test_zero_unloading_coefficient_is_a_typed_error(self):
+        # Hand-built past the validator: point 2 lists itself, so a_2 = 0,
+        # and the closed form would divide by it.
+        with pytest.raises(NonPositiveCoefficientError, match=r"points \[2\]"):
+            d_value(Configuration(((), (2,))))
 
 
 class TestTotals:
