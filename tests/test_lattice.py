@@ -38,6 +38,10 @@ from negbound.surfaces import Hirzebruch, ProjectivePlane
 P2 = ProjectivePlane()
 
 
+class Half(Fraction):
+    """A Fraction subclass: the gate hands it on as a plain Fraction."""
+
+
 def plane(a, mults=()):
     return DivisorClass.from_multiplicities(P2, (a,), mults)
 
@@ -113,9 +117,6 @@ class TestPairing:
             assert pairing(copy, twin) == pairing(x, x)
 
     def test_gate_keeps_ints_and_fractions_and_converts_other_rationals(self):
-        class Half(Fraction):
-            pass
-
         for value in (Fraction(3, 4), 3, 10 ** 50):
             assert _rational(value) is value
         for x in (True, Half(1, 2)):
@@ -377,10 +378,6 @@ class TestInvariantBound:
         assert invariant_bound_check(k, plane(1)).passed
         e = DivisorClass(P2, (0,), ())
         assert invariant_bound_check(k, e).passed  # 0 >= 0
-
-
-class Half(Fraction):
-    """A Fraction subclass: the gate hands it on as a plain Fraction."""
 
 
 # Every public entry that takes an exact number, each fed the value x.
