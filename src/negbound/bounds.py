@@ -20,7 +20,7 @@ from .errors import (
     SurfaceMismatchError,
     quote_number,
 )
-from .surfaces import SurfaceModel, is_plane, surface_json_fields
+from .surfaces import SurfaceModel, is_plane, surface_json_fields, surface_name
 from .sufficiency import total_d
 
 if TYPE_CHECKING:  # the lattice loads only for the curve-list reports
@@ -97,22 +97,6 @@ class BoundReport:
         return data
 
 
-def _resolve(c: Configuration, n_convention: str) -> tuple[ClusterData, int]:
-    if n_convention not in N_CONVENTIONS:
-        raise ValueError(f"n_convention must be one of {N_CONVENTIONS}")
-    data = cluster_bound_data(c)
-    return data, data.n_stated if n_convention == "stated" else data.n_example
-
-
-def _report(c: Configuration, data: ClusterData, convention: str, n: int,
-            epsilon: Fraction | None, terms) -> BoundReport:
-    return BoundReport(surface=c.surface, n_stated=data.n_stated,
-                       n_example=data.n_example, convention=convention, n=n,
-                       d=data.d, gamma=data.gamma, epsilon=epsilon,
-                       terms=tuple(terms),
-                       bound=min(value for _, value in terms))
-
-
 def _terms(surface: SurfaceModel, n: int,
            d: int) -> tuple[tuple[str, str, int], ...]:
     """The base terms shared by every bound family, as (name, name in the
@@ -125,6 +109,27 @@ def _terms(surface: SurfaceModel, n: int,
     return (("2-2d-delta", "(2-2d-delta)/eps", 2 - 2 * d - delta),
             ("-n-delta", "(-n-delta)/eps", -n - delta),
             ("-(delta+2)dn", "(-delta-2)dn/eps", -(delta + 2) * d * n))
+
+
+def _bound_report(c: Configuration, n_convention: str,
+                  eps: Fraction | None) -> BoundReport:
+    """The base terms of ``c`` and their minimum; with ``eps``, the epsilon
+    family's terms: each divided by ``eps``, and -gamma appended."""
+    if n_convention not in N_CONVENTIONS:
+        raise ValueError(f"n_convention must be one of {N_CONVENTIONS}")
+    data = cluster_bound_data(c)
+    n = data.n_stated if n_convention == "stated" else data.n_example
+    base = _terms(c.surface, n, data.d)
+    if eps is None:
+        terms = [(name, Fraction(value)) for name, _, value in base]
+    else:
+        terms = [(name, Fraction(value) / eps) for _, name, value in base]
+        terms.append(("-gamma", Fraction(-data.gamma)))
+    return BoundReport(surface=c.surface, n_stated=data.n_stated,
+                       n_example=data.n_example, convention=n_convention, n=n,
+                       d=data.d, gamma=data.gamma, epsilon=eps,
+                       terms=tuple(terms),
+                       bound=min(value for _, value in terms))
 
 
 def polarization_bounds(c: Configuration,
@@ -145,21 +150,13 @@ def epsilon_family_bounds(c: Configuration, epsilon: Rational,
                           n_convention: str = "stated") -> BoundReport:
     """Bound on nu_D for every nef divisor in the epsilon family of the
     pullback polarization: min of the scaled case terms and -gamma."""
-    eps = _positive_epsilon(epsilon)
-    data, n = _resolve(c, n_convention)
-    terms = [(eps_name, Fraction(value) / eps)
-             for _, eps_name, value in _terms(c.surface, n, data.d)]
-    terms.append(("-gamma", Fraction(-data.gamma)))
-    return _report(c, data, n_convention, n, eps, terms)
+    return _bound_report(c, n_convention, _positive_epsilon(epsilon))
 
 
 def nef_pullback_bounds(c: Configuration,
                         n_convention: str = "stated") -> BoundReport:
     """Bound on nu_{D*} for the pullback of any nef divisor on the base."""
-    data, n = _resolve(c, n_convention)
-    terms = [(name, Fraction(value))
-             for name, _, value in _terms(c.surface, n, data.d)]
-    return _report(c, data, n_convention, n, None, terms)
+    return _bound_report(c, n_convention, None)
 
 
 @dataclass(frozen=True)
@@ -188,13 +185,6 @@ class HirzebruchBidegree:
 FoliationDegree = Union[PlaneDegree, HirzebruchBidegree]
 
 
-def degree_sum(degree: FoliationDegree) -> int:
-    """r - 1 on the plane, r1 + r2 on a Hirzebruch surface."""
-    if isinstance(degree, PlaneDegree):
-        return degree.r - 1
-    return degree.r1 + degree.r2
-
-
 @dataclass(frozen=True)
 class FoliationBoundReport:
     """Negativity bounds determined by a foliation of known (bi)degree.
@@ -221,12 +211,13 @@ def foliation_negativity_bound(degree: FoliationDegree, surface: SurfaceModel,
                                epsilon: Rational | None = None, *,
                                alpha_hat: Rational | None = None,
                                gamma: int | None = None) -> FoliationBoundReport:
-    if isinstance(degree, PlaneDegree) != is_plane(surface):
-        raise SurfaceMismatchError(
-            f"foliation degree {degree} does not match surface {surface}")
+    plane = isinstance(degree, PlaneDegree)
+    if plane != is_plane(surface):
+        raise SurfaceMismatchError(f"{type(degree).__name__} does not match "
+                                   f"surface {surface_name(surface)}")
     if gamma is not None and type(gamma) is not int:
         raise ValueError("gamma must be an int")
-    beta = degree_sum(degree)
+    beta = degree.r - 1 if plane else degree.r1 + degree.r2  # degree sum
     bound = Fraction(-beta)
     eps = None if epsilon is None else _positive_epsilon(epsilon)
     scaled = None if eps is None else bound / eps

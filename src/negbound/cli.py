@@ -66,7 +66,10 @@ def build_parser() -> argparse.ArgumentParser:
                     "of the plane and Hirzebruch surfaces.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, with_json: bool = True):
+    def add_common(name: str, summary: str, run, with_json: bool = True):
+        """Subcommand ``name``, handled by ``run(config, args)``."""
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(run=run)
         p.add_argument("input", type=Path, help="cluster file")
         if with_json:
             p.add_argument("--json", action="store_true",
@@ -75,12 +78,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write the report to a file instead of stdout")
         p.add_argument("--surface", default=None, metavar="SPEC",
                        help="override the file's surface ('p2' or 'f <delta>')")
+        return p
 
-    add_common(sub.add_parser("analyze", help="validate and describe a cluster"))
-    add_common(sub.add_parser("dvalue", help="per-origin minimal degrees"))
+    add_common("analyze", "validate and describe a cluster", _cmd_analyze)
+    add_common("dvalue", "per-origin minimal degrees", _cmd_dvalue)
 
-    bounds_p = sub.add_parser("bounds", help="evaluate the bound formulas")
-    add_common(bounds_p)
+    bounds_p = add_common("bounds", "evaluate the bound formulas", _cmd_bounds)
     bounds_p.add_argument("--epsilon", type=_fraction_arg, default=None,
                           metavar="P/Q",
                           help="positive rational epsilon for the epsilon-family bound")
@@ -92,14 +95,13 @@ def build_parser() -> argparse.ArgumentParser:
     # main's --epsilon/--pullback checks print the bounds usage line
     bounds_p.set_defaults(usage_error=bounds_p.error)
 
-    nu_p = sub.add_parser("nu", help="empirical infimum over a curve list")
-    add_common(nu_p)
+    nu_p = add_common("nu", "empirical infimum over a curve list", _cmd_nu)
     nu_p.add_argument("--divisor", required=True, metavar="LITERAL",
                       help="nef divisor literal, e.g. '3L - E2'")
     nu_p.add_argument("--curves", required=True, type=Path,
                       help="file with one curve-class literal per line")
 
-    add_common(sub.add_parser("dot", help="export the proximity graph as DOT"),
+    add_common("dot", "export the proximity graph as DOT", _cmd_dot,
                with_json=False)
     return parser
 
@@ -188,15 +190,6 @@ def _uncapped_int_digits():
         sys.set_int_max_str_digits(limit)
 
 
-_COMMANDS = {
-    "analyze": _cmd_analyze,
-    "dvalue": _cmd_dvalue,
-    "bounds": _cmd_bounds,
-    "nu": _cmd_nu,
-    "dot": _cmd_dot,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -214,7 +207,7 @@ def main(argv: list[str] | None = None) -> int:
             args.curves = load_curves(args.curves, config.surface, len(config))
         # All input is parsed, under the cap; results are exact at any size.
         with _uncapped_int_digits():
-            data, text = _COMMANDS[args.command](config, args)
+            data, text = args.run(config, args)
             if getattr(args, "json", False):
                 import json
                 text = json.dumps(data, indent=2)

@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING
 
 from .config import Configuration, build_configuration
 from .errors import ConfigurationError, ParseError, _number, quote, quote_number
-from .surfaces import SurfaceModel, parse_surface
+from .surfaces import SurfaceModel, parse_surface, surface_name
 
 if TYPE_CHECKING:  # the lattice loads with the first divisor literal
     from .lattice import DivisorClass
@@ -131,6 +131,8 @@ def parse_divisor(text: str, surface: SurfaceModel, n: int) -> DivisorClass:
     """Parse a divisor literal over the given surface with n exceptional
     generators."""
     from .lattice import DivisorClass
+    if type(n) is not int or n < 0:
+        raise ValueError("n must be a nonnegative int")
     if _SPLIT_NUMBER_RE.search(text):
         raise ParseError(f"whitespace inside a number in {quote(text)}")
     compact = "".join(text.split())
@@ -161,13 +163,14 @@ def parse_divisor(text: str, surface: SurfaceModel, n: int) -> DivisorClass:
         if generator.startswith("E"):
             index = _number(e_index, "exceptional index")
             if not 1 <= index <= n:
-                raise ParseError(f"exceptional index E{quote_number(index)} "
-                                 f"out of range 1..{n} in {quote(text)}")
+                raise ParseError(f"exceptional index E{quote_number(index)} out "
+                                 f"of range 1..{quote_number(n)} in {quote(text)}")
             exceptional[index] = exceptional.get(index, 0) + value
         elif generator in names:
             base[names.index(generator)] += value
         else:
-            raise ParseError(f"generator {generator} is not valid over {surface}")
+            raise ParseError(f"generator {generator} is not valid over "
+                             f"{surface_name(surface)}")
         pos = match.end()
         first = False
     return DivisorClass._make(surface, n, base, exceptional)
@@ -176,6 +179,8 @@ def parse_divisor(text: str, surface: SurfaceModel, n: int) -> DivisorClass:
 def parse_curves(text: str, surface: SurfaceModel, n: int, *,
                  source: str = "<curves>") -> tuple[DivisorClass, ...]:
     """Parse a file with one divisor literal per line."""
+    if type(n) is not int or n < 0:
+        raise ValueError("n must be a nonnegative int")
     curves = []
     for lineno, statement in _statements(text, source):
         try:

@@ -25,8 +25,9 @@ from .errors import (
     NotHirzebruchError,
     SurfaceMismatchError,
     UnknownChartError,
+    quote,
 )
-from .surfaces import Hirzebruch, SurfaceModel, is_plane
+from .surfaces import SurfaceModel, is_plane, surface_name
 
 PLANE_CHARTS = ("UX", "UY", "UZ")
 HIRZEBRUCH_CHARTS = ("U00", "U01", "U10", "U11")
@@ -68,8 +69,8 @@ class DivisorClass:
     def _store(self, surface, n, base, exceptional, den=1) -> None:
         if len(base) != len(surface.generators):
             raise ValueError(
-                f"surface {surface} needs {len(surface.generators)} base "
-                f"coefficient(s), got {len(base)}")
+                f"surface {surface_name(surface)} needs "
+                f"{len(surface.generators)} base coefficient(s), got {len(base)}")
         values = [_rational(x) for x in (*base, *exceptional.values())]
         scale = lcm(*[x.denominator for x in values])
         nums = [x.numerator * (scale // x.denominator) for x in values]
@@ -125,8 +126,8 @@ class DivisorClass:
         if (self.surface is not other.surface
                 and self.surface != other.surface) or self.n != other.n:
             raise SurfaceMismatchError(
-                f"incompatible lattices: ({self.surface}, n={self.n}) vs "
-                f"({other.surface}, n={other.n})")
+                f"incompatible lattices: ({surface_name(self.surface)}, "
+                f"n={self.n}) vs ({surface_name(other.surface)}, n={other.n})")
 
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
         self._check_compatible(other)
@@ -212,8 +213,8 @@ def strict_exceptional_coordinates(c: Configuration,
     """
     if len(c) != cls.n or c.surface != cls.surface:
         raise SurfaceMismatchError(
-            f"class lives on ({cls.surface}, n={cls.n}), cluster has "
-            f"({c.surface}, n={len(c)})")
+            f"class lives on ({surface_name(cls.surface)}, n={cls.n}), "
+            f"cluster has ({surface_name(c.surface)}, n={len(c)})")
     return tuple(Fraction(v, cls.den)
                  for v in proximity_solve(c, cls._numerator_vector()))
 
@@ -296,10 +297,11 @@ def bidegree_of_closure(chart: str, delta: int | None = None,
     name = chart.upper()
     if name not in PLANE_CHARTS and name not in HIRZEBRUCH_CHARTS:
         raise UnknownChartError(
-            f"unknown chart {chart!r}; expected one of "
+            f"unknown chart {quote(chart)}; expected one of "
             f"{PLANE_CHARTS + HIRZEBRUCH_CHARTS}")
-    if deg_x < 0 or deg_y < 0:
-        raise ValueError("degrees must be nonnegative")
+    ints = [deg_x, deg_y] + [x for x in (delta, deg_total) if x is not None]
+    if any(type(x) is not int for x in ints) or deg_x < 0 or deg_y < 0:
+        raise ValueError("the degrees and delta must be ints, deg_x and deg_y >= 0")
     if corner_nonzero:
         if deg_x != deg_y:
             raise ValueError(

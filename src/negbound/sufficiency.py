@@ -24,6 +24,7 @@ from .errors import (
     MultipleOriginsError,
     NonPositiveCoefficientError,
     quote_ids,
+    quote_number,
 )
 
 
@@ -67,8 +68,8 @@ class DValue:
         if (self.d < 2 or not all(v > 0 for v in self.certificate)
                 or all(v > 0 for v in self.previous)):
             raise InvariantError(
-                f"d = {self.d} is not certified minimal: need d >= 2, "
-                f"{self.certificate} positive, {self.previous} not")
+                f"d = {quote_number(self.d)} is not certified minimal: need "
+                f"d >= 2, a positive certificate and a previous one that is not")
 
     @property
     def hat_size(self) -> int:
@@ -88,7 +89,7 @@ def d_value(c: Configuration) -> DValue:
     bad = [i + 1 for i, ai in enumerate(a) if ai <= 0]
     if bad:
         raise NonPositiveCoefficientError(
-            f"nonpositive unloading coefficients at points {bad}; "
+            f"nonpositive unloading coefficients at points {quote_ids(bad)}; "
             f"the cluster is not a single-origin cluster")
     d = max(bi // ai + 1 for ai, bi in zip(a, b))
     return DValue(d=d,

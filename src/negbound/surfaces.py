@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from .errors import ParseError, _number, quote
+from .errors import ParseError, _number, quote, quote_number
 
 
 @dataclass(frozen=True)
@@ -31,7 +31,7 @@ class Hirzebruch:
 
     def __post_init__(self) -> None:
         if type(self.delta) is not int or self.delta < 0:
-            raise ValueError(f"delta must be a nonnegative integer, got {self.delta!r}")
+            raise ValueError("delta must be a nonnegative int")
 
     def __str__(self) -> str:
         return f"f {self.delta}"
@@ -42,6 +42,11 @@ SurfaceModel = Union[ProjectivePlane, Hirzebruch]
 
 def is_plane(surface: SurfaceModel) -> bool:
     return isinstance(surface, ProjectivePlane)
+
+
+def surface_name(surface: SurfaceModel) -> str:
+    """``p2`` or ``f <delta>`` for an error message, delta by quote_number."""
+    return "p2" if is_plane(surface) else f"f {quote_number(surface.delta)}"
 
 
 def parse_surface(text: str, *, line: int | None = None,

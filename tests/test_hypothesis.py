@@ -10,6 +10,7 @@ from __future__ import annotations
 import contextlib
 import io
 import pickle
+import sys
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -33,7 +34,13 @@ from negbound import (
 from negbound.cli import main
 from negbound.errors import quote_number
 from negbound.surfaces import Hirzebruch, ProjectivePlane
-from conftest import dense_pairing, scan_d_value
+from conftest import REPO_ROOT, dense_pairing, scan_d_value
+
+sys.path.insert(0, str(REPO_ROOT / "bench"))
+try:
+    import oracle  # the benchmark's reference model, imported read-only
+finally:
+    sys.path.remove(str(REPO_ROOT / "bench"))
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None,
                     max_examples=100)
@@ -85,6 +92,52 @@ def chain_levels(c) -> list[int]:
             level += 1
         levels.append(level)
     return levels
+
+
+@st.composite
+def satellite_chains(draw, max_points: int = 40):
+    """A single-origin chain: each point's parent is the point before it,
+    and at drawn positions it is a satellite whose second target is drawn
+    from its parent's own proximities (a parent has one child, so no pair
+    repeats).  Runs of satellites grow d exponentially: the all-satellite
+    chain of 40 points has a 9-digit d.  Shrinks towards fewer points and
+    free points."""
+    prox: list[tuple[int, ...]] = [()]
+    for pid in range(2, draw(st.integers(1, max_points)) + 1):
+        second = draw(st.sampled_from([None, *prox[-1]]))
+        prox.append((pid - 1,) if second is None else (pid - 1, second))
+    return build_configuration(enumerate(prox, start=1), draw(surfaces))
+
+
+FIBONACCI_CHAIN = build_configuration(
+    [(1, ()), (2, (1,))] + [(k, (k - 1, k - 2)) for k in range(3, 41)])
+SCAN_LIMIT = 1000  # the scan tries every d up to the answer
+
+
+@SETTINGS
+@given(satellite_chains())
+@example(FIBONACCI_CHAIN)
+def test_satellite_chain_d_against_the_oracle_and_the_definition(c):
+    """``d`` and its certificates against ``bench/oracle.py``, and against
+    the definition: every entry of P^-1(d e_1 - m) over the completion is
+    positive at d and not at d - 1; the scan too where d is small."""
+    specs = list(enumerate(c.proximities, start=1))
+    (dv,) = c.d_values.values()
+    expected = oracle.d_value(specs)
+    assert (dv.d, dv.hat_size, list(dv.certificate)) == \
+        (expected.d, expected.hat_size, expected.certificate)
+    hat = oracle.hat(specs)
+    m = oracle.multiplicities(hat)
+
+    def solved_at(d):
+        return oracle.solve(hat, [d * (i == 0) - mi for i, mi in enumerate(m)])
+
+    assert all(v > 0 for v in solved_at(dv.d))
+    assert not all(v > 0 for v in solved_at(dv.d - 1))
+    assert list(dv.previous) == solved_at(dv.d - 1)
+    if dv.d <= SCAN_LIMIT:
+        assert dv.d == scan_d_value(c)
+    assert parse_configuration(serialize_configuration(c)) == c
 
 
 @SETTINGS
