@@ -15,11 +15,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple, Sequence, Union
 
 from .config import Configuration, Rational, _rational
-from .errors import (
-    NonPositiveEpsilonError,
-    SurfaceMismatchError,
-    quote_number,
-)
+from .errors import NonPositiveEpsilonError, SurfaceMismatchError, quote
 from .surfaces import SurfaceModel, is_plane, surface_json_fields, surface_name
 from .sufficiency import total_d
 
@@ -33,7 +29,7 @@ def _positive_epsilon(epsilon: Rational) -> Fraction:
     value = Fraction(_rational(epsilon))
     if value <= 0:
         raise NonPositiveEpsilonError(
-            f"epsilon must be positive, got {quote_number(value)}")
+            f"epsilon must be positive, got {quote(value)}")
     return value
 
 

@@ -24,8 +24,7 @@ from .errors import (
     NormalizationError,
     TooManyProximitiesError,
     UnknownPointError,
-    quote_ids,
-    quote_number,
+    quote,
 )
 from .surfaces import ProjectivePlane, SurfaceModel, surface_json_fields
 
@@ -67,15 +66,6 @@ class Point:
         return ("origin", "free", "satellite")[len(self.proximities)]
 
 
-class _SurfaceFree:
-    """The surface-free values of one proximities tuple, by name.  It keeps
-    the tuple itself, so its identity cannot be reused while it lives."""
-
-    def __init__(self, proximities: tuple[tuple[int, ...], ...]) -> None:
-        self.proximities = proximities
-        self.values: dict[str, object] = {}
-
-
 @dataclass(frozen=True)
 class Configuration:
     """A validated cluster over a surface, stored as its proximity tuples:
@@ -88,16 +78,16 @@ class Configuration:
 
     proximities: tuple[tuple[int, ...], ...]
     surface: SurfaceModel = ProjectivePlane()
-    # Handed on by dataclasses.replace; __post_init__ swaps in a new holder
-    # unless it was derived from this very proximities tuple.
-    _surface_free: _SurfaceFree | None = field(default=None, compare=False,
-                                               repr=False)
+    # Surface-free values by name, handed on by dataclasses.replace; key
+    # "proximities" keeps the tuple they derive from, so its identity cannot
+    # be reused, and __post_init__ swaps in a new dict for any other tuple.
+    _surface_free: dict | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         shared = self._surface_free
-        if shared is None or shared.proximities is not self.proximities:
+        if shared is None or shared["proximities"] is not self.proximities:
             object.__setattr__(self, "_surface_free",
-                               _SurfaceFree(self.proximities))
+                               {"proximities": self.proximities})
 
     def __reduce__(self):
         # The fields only: cached views and the holder are derived again.
@@ -119,7 +109,7 @@ class Configuration:
         if type(point_id) is not int:  # build_configuration's rule for ids
             raise UnknownPointError(f"point ids are int, not {type(point_id).__name__}")
         if not 1 <= point_id <= len(self.proximities):
-            raise UnknownPointError(f"no point with id {quote_number(point_id)}",
+            raise UnknownPointError(f"no point with id {quote(point_id)}",
                                    point_id=point_id)
 
     def point(self, point_id: int) -> Point:
@@ -136,7 +126,7 @@ class Configuration:
         return {pid: tuple(ids) for pid, ids in enumerate(succ, start=1)}
 
     def _shared(self, name: str, derive):
-        values = self._surface_free.values
+        values = self._surface_free
         if name not in values:
             values[name] = derive(self)
         return values[name]
@@ -193,13 +183,13 @@ def build_configuration(point_specs: Iterable[PointSpec],
     seen: set[int] = set()
     for pid, _ in specs:
         if pid in seen:
-            raise DuplicateIdError(f"duplicate point id {quote_number(pid)}",
+            raise DuplicateIdError(f"duplicate point id {quote(pid)}",
                                    point_id=pid)
         seen.add(pid)
     if specs[0][0] != 1 or specs[-1][0] != len(specs):
         missing = sorted(set(range(1, len(specs) + 1)) - seen)
         raise ConfigurationError(f"ids must be exactly 1..{len(specs)} "
-                                 f"(missing {quote_ids(missing)})")
+                                 f"(missing {quote(missing)})")
 
     proximities: list[tuple[int, ...]] = []
     satellite_at: dict[tuple[int, ...], int] = {}
@@ -211,7 +201,7 @@ def build_configuration(point_specs: Iterable[PointSpec],
         for target in prox:
             if not 1 <= target < pid:
                 raise ForwardReferenceError(
-                    f"point {pid} is proximate to {quote_number(target)}, "
+                    f"point {pid} is proximate to {quote(target)}, "
                     f"which is not a strictly smaller id", point_id=pid)
         if len(prox) == 2:
             parent, second = prox

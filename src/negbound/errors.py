@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import sys
+from fractions import Fraction
 
 
 class NegboundError(Exception):
@@ -74,18 +75,25 @@ class NonPositiveEpsilonError(NegboundError):
     """An epsilon parameter must be a positive rational."""
 
 
-def quote(text: str) -> str:
-    """``repr(text)`` for an error message, cut to a fixed prefix when the
-    text is long, so that no input floods the message."""
-    if len(text) <= 40:
-        return repr(text)
-    return f"{text[:40]!r}... ({len(text)} characters)"
+def quote(value) -> str:
+    """How an error message shows a value, so that no input floods it:
+    text by its ``repr``, cut to a 40-character prefix; a list or tuple by
+    its first five items, each quoted; an int or Fraction by ``str``, with
+    a part of more than 40 digits named by its digit count, so no number
+    meets the interpreter's int/str cap; anything else by its type name."""
+    if isinstance(value, str):
+        if len(value) <= 40:
+            return repr(value)
+        return f"{value[:40]!r}... ({len(value)} characters)"
+    if isinstance(value, (list, tuple)):
+        items = ", ".join(map(quote, value[:5]))
+        more = f" and {len(value) - 5} more" if len(value) > 5 else ""
+        if isinstance(value, list):
+            return f"[{items}]{more}"
+        return f"({items}{',' if len(value) == 1 else ''}){more}"
+    if not isinstance(value, (int, Fraction)):
+        return type(value).__name__
 
-
-def quote_number(value) -> str:
-    """``str(value)`` of an int or Fraction for an error message; a part
-    with more than 40 digits is named by its digit count instead, so no
-    number floods the message or meets the interpreter's int/str cap."""
     def part(x: int) -> str:
         magnitude = abs(x)
         if magnitude < 10 ** 40:
@@ -99,13 +107,6 @@ def quote_number(value) -> str:
     if value.denominator == 1:
         return part(value.numerator)
     return f"{part(value.numerator)}/{part(value.denominator)}"
-
-
-def quote_ids(ids) -> str:
-    """``repr`` of a list or tuple of ids for an error message, cut to the
-    first five."""
-    more = f" and {len(ids) - 5} more" if len(ids) > 5 else ""
-    return f"{ids[:5]!r}{more}"
 
 
 class ParseError(NegboundError):

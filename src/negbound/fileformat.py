@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .config import Configuration, build_configuration
-from .errors import ConfigurationError, ParseError, _number, quote, quote_number
+from .errors import ConfigurationError, ParseError, _number, quote
 from .surfaces import SurfaceModel, parse_surface, surface_name
 
 if TYPE_CHECKING:  # the lattice loads with the first divisor literal
@@ -163,8 +163,8 @@ def parse_divisor(text: str, surface: SurfaceModel, n: int) -> DivisorClass:
         if generator.startswith("E"):
             index = _number(e_index, "exceptional index")
             if not 1 <= index <= n:
-                raise ParseError(f"exceptional index E{quote_number(index)} out "
-                                 f"of range 1..{quote_number(n)} in {quote(text)}")
+                raise ParseError(f"exceptional index E{quote(index)} out "
+                                 f"of range 1..{quote(n)} in {quote(text)}")
             exceptional[index] = exceptional.get(index, 0) + value
         elif generator in names:
             base[names.index(generator)] += value

@@ -122,15 +122,8 @@ class DivisorClass:
     def multiplicities(self) -> tuple[Fraction, ...]:
         return tuple(-e for e in self.exceptional)
 
-    def _check_compatible(self, other: "DivisorClass") -> None:
-        if (self.surface is not other.surface
-                and self.surface != other.surface) or self.n != other.n:
-            raise SurfaceMismatchError(
-                f"incompatible lattices: ({surface_name(self.surface)}, "
-                f"n={self.n}) vs ({surface_name(other.surface)}, n={other.n})")
-
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
-        self._check_compatible(other)
+        _check_lattice(self.surface, self.n, other.surface, other.n)
         s, t = other.den, self.den
         exc = {i: s * x for i, x in self.exceptional_numerators.items()}
         for i, y in other.exceptional_numerators.items():
@@ -174,11 +167,22 @@ class DivisorClass:
         return out or "0"
 
 
+def _check_lattice(surface: SurfaceModel, n: int,
+                   other_surface: SurfaceModel, other_n: int) -> None:
+    """Raise SurfaceMismatchError unless the two (surface, n) pairs name the
+    same lattice."""
+    if ((surface is not other_surface and surface != other_surface)
+            or n != other_n):
+        raise SurfaceMismatchError(
+            f"incompatible lattices: ({surface_name(surface)}, n={quote(n)}) "
+            f"vs ({surface_name(other_surface)}, n={quote(other_n)})")
+
+
 def pairing(x: DivisorClass, y: DivisorClass) -> Fraction:
     """Intersection number of two classes on the same lattice, in integers
     over the two classes' denominators; only the exceptional coordinates
     nonzero in both classes are multiplied."""
-    x._check_compatible(y)
+    _check_lattice(x.surface, x.n, y.surface, y.n)
     x_base, y_base = x.base_numerators, y.base_numerators
     if len(x_base) == 1:  # the plane
         total = x_base[0] * y_base[0]
@@ -211,10 +215,7 @@ def strict_exceptional_coordinates(c: Configuration,
     E_p*, so total-transform coordinates w convert to strict ones as
     v = P^{-1} w.  The base part is unaffected by the change of basis.
     """
-    if len(c) != cls.n or c.surface != cls.surface:
-        raise SurfaceMismatchError(
-            f"class lives on ({surface_name(cls.surface)}, n={cls.n}), "
-            f"cluster has ({surface_name(c.surface)}, n={len(c)})")
+    _check_lattice(cls.surface, cls.n, c.surface, len(c))
     return tuple(Fraction(v, cls.den)
                  for v in proximity_solve(c, cls._numerator_vector()))
 
@@ -228,9 +229,7 @@ def divisor_from_strict_coordinates(c: Configuration,
     coordinates are w = P v with P the proximity matrix of the cluster.
     """
     v = DivisorClass(c.surface, base, coefficients)  # in the strict basis
-    if v.n != len(c):
-        raise SurfaceMismatchError(
-            f"expected {len(c)} strict coordinates, got {v.n}")
+    _check_lattice(v.surface, v.n, c.surface, len(c))
     w = proximity_apply(c, v._numerator_vector())
     return DivisorClass._make(c.surface, len(c), v.base_numerators,
                               dict(enumerate(w, start=1)), v.den)

@@ -23,8 +23,7 @@ from .errors import (
     InvariantError,
     MultipleOriginsError,
     NonPositiveCoefficientError,
-    quote_ids,
-    quote_number,
+    quote,
 )
 
 
@@ -42,7 +41,7 @@ def hat_configuration(c: Configuration) -> Configuration:
     if len(origins) != 1:
         raise MultipleOriginsError(
             f"expected a unique origin, found {len(origins)}: "
-            f"{quote_ids(origins)}")
+            f"{quote(origins)}")
     proximities = list(c.proximities)
     for end in c.ends:
         prox = c.proximities[end - 1]
@@ -68,7 +67,7 @@ class DValue:
         if (self.d < 2 or not all(v > 0 for v in self.certificate)
                 or all(v > 0 for v in self.previous)):
             raise InvariantError(
-                f"d = {quote_number(self.d)} is not certified minimal: need "
+                f"d = {quote(self.d)} is not certified minimal: need "
                 f"d >= 2, a positive certificate and a previous one that is not")
 
     @property
@@ -89,7 +88,7 @@ def d_value(c: Configuration) -> DValue:
     bad = [i + 1 for i, ai in enumerate(a) if ai <= 0]
     if bad:
         raise NonPositiveCoefficientError(
-            f"nonpositive unloading coefficients at points {quote_ids(bad)}; "
+            f"nonpositive unloading coefficients at points {quote(bad)}; "
             f"the cluster is not a single-origin cluster")
     d = max(bi // ai + 1 for ai, bi in zip(a, b))
     return DValue(d=d,

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from .errors import ParseError, _number, quote, quote_number
+from .errors import ParseError, _number, quote
 
 
 @dataclass(frozen=True)
@@ -45,8 +45,8 @@ def is_plane(surface: SurfaceModel) -> bool:
 
 
 def surface_name(surface: SurfaceModel) -> str:
-    """``p2`` or ``f <delta>`` for an error message, delta by quote_number."""
-    return "p2" if is_plane(surface) else f"f {quote_number(surface.delta)}"
+    """``p2`` or ``f <delta>`` for an error message, delta by quote."""
+    return "p2" if is_plane(surface) else f"f {quote(surface.delta)}"
 
 
 def parse_surface(text: str, *, line: int | None = None,

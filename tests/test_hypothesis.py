@@ -12,6 +12,7 @@ import io
 import pickle
 import sys
 import tempfile
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -32,7 +33,7 @@ from negbound import (
     subconfiguration,
 )
 from negbound.cli import main
-from negbound.errors import quote_number
+from negbound.errors import quote
 from negbound.surfaces import Hirzebruch, ProjectivePlane
 from conftest import REPO_ROOT, dense_pairing, scan_d_value
 
@@ -355,7 +356,7 @@ def test_cli_main_exits_only_0_1_or_2(call):
 @SETTINGS
 @given(st.integers(0, 300), st.integers(-1, 1), st.booleans(),
        st.integers(1, 10 ** 45))
-def test_quote_number_names_the_exact_digit_count(k, offset, negative, den):
+def test_quote_names_the_exact_digit_count(k, offset, negative, den):
     """Around each power of ten, where a digit count from the bit length
     is easiest to get wrong."""
     value = max(10 ** k + offset, 0) * (-1 if negative else 1)
@@ -365,9 +366,63 @@ def test_quote_number_names_the_exact_digit_count(k, offset, negative, den):
         return str(x) if digits <= 40 else \
             f"{'-' if x < 0 else ''}<{digits} digits>"
 
-    assert quote_number(value) == expected(value)
+    assert quote(value) == expected(value)
     ratio = Fraction(value, den)
-    assert quote_number(ratio) == (expected(ratio.numerator)
-                                   if ratio.denominator == 1 else
-                                   f"{expected(ratio.numerator)}/"
-                                   f"{expected(ratio.denominator)}")
+    assert quote(ratio) == (expected(ratio.numerator)
+                            if ratio.denominator == 1 else
+                            f"{expected(ratio.numerator)}/"
+                            f"{expected(ratio.denominator)}")
+
+
+def _quoted_before(value):
+    """The text of the three helpers ``quote`` replaced: ``repr`` of text
+    cut to 40 characters, an int or Fraction through ``str`` up to 40
+    digits a part, and the ``repr`` of an id list's first five ids."""
+    if isinstance(value, str):
+        return repr(value) if len(value) <= 40 else \
+            f"{value[:40]!r}... ({len(value)} characters)"
+    if isinstance(value, (list, tuple)):
+        more = f" and {len(value) - 5} more" if len(value) > 5 else ""
+        return f"{value[:5]!r}{more}"
+
+    def part(x):  # Decimal counts the digits past the int/str cap
+        return str(x) if abs(x) < 10 ** 40 else \
+            f"{'-' if x < 0 else ''}<{Decimal(abs(x)).adjusted() + 1} digits>"
+    if value.denominator == 1:
+        return part(value.numerator)
+    return f"{part(value.numerator)}/{part(value.denominator)}"
+
+
+# ints up to 5000 digits, past the interpreter's 4300-digit cap
+big_ints = st.one_of(st.integers(), st.builds(
+    lambda k, offset, sign: sign * (10 ** k + offset),
+    st.integers(0, 5000), st.integers(-1, 1), st.sampled_from((1, -1))))
+id_lists = st.lists(big_ints, max_size=12)
+quoted_values = st.one_of(
+    st.text(max_size=300), big_ints, st.booleans(),
+    st.builds(Fraction, big_ints, big_ints.filter(bool)),
+    id_lists, id_lists.map(tuple), st.none(), st.floats(),
+    st.builds(object), st.builds(ProjectivePlane))
+
+
+@SETTINGS
+@given(quoted_values)
+@example(10 ** 5000)
+@example(Fraction(-10 ** 4000, 10 ** 300 + 1))
+@example([3, 10 ** 40, -10 ** 5000, 7, 8, 9])
+@example((1,))
+@example(True)
+@example("x" * 100000)
+def test_quote_shows_every_value_briefly(value):
+    """Never raises, never meets the int/str cap, stays short, and keeps
+    the old helpers' text on the values they took: every value that is not
+    an id list with an id past 40 digits."""
+    text = quote(value)
+    assert isinstance(text, str) and len(text) < 300
+    if isinstance(value, (str, int, Fraction)):
+        assert text == _quoted_before(value)
+    elif isinstance(value, (list, tuple)):
+        if all(abs(x) < 10 ** 40 for x in value[:5]):
+            assert text == _quoted_before(value)
+    else:
+        assert text == type(value).__name__
