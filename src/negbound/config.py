@@ -221,7 +221,7 @@ def build_configuration(point_specs: Iterable[PointSpec],
             # so at most one satellite is proximate to both.
             if prox in satellite_at:
                 raise InvalidSatelliteError(
-                    f"points {satellite_at[prox]} and {pid} are both "
+                    f"points {quote(satellite_at[prox])} and {pid} are both "
                     f"proximate to {parent} and {second}", point_id=pid)
             satellite_at[prox] = pid
         proximities.append(prox)

@@ -131,5 +131,6 @@ def _number(token: str, what: str, kind=int, **where):
     try:
         return kind(token)
     except ValueError:
-        raise ParseError(f"{what} has more than {sys.get_int_max_str_digits()}"
-                         " digits", **where) from None
+        raise ParseError(f"{what} has more than "
+                         f"{quote(sys.get_int_max_str_digits())} digits",
+                         **where) from None

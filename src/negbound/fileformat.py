@@ -102,7 +102,8 @@ def _read_text(path: Path) -> str:
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as err:
-        raise ParseError(f"not UTF-8 text ({err.reason} at byte {err.start})",
+        raise ParseError(f"not UTF-8 text ({quote(err.reason)} at byte "
+                         f"{quote(err.start)})",
                          line=data.count(b"\n", 0, err.start) + 1,
                          source=str(path)) from None
 
@@ -113,7 +114,11 @@ def load_configuration(path: str | Path) -> Configuration:
 
 
 def serialize_configuration(c: Configuration) -> str:
-    lines = [f"surface {c.surface}"]
+    try:
+        lines = [f"surface {c.surface}"]
+    except ValueError:  # a delta past the int/str cap, as parsing rejects
+        raise ValueError(f"no cluster file can declare the surface "
+                         f"{surface_name(c.surface)}") from None
     for pid, prox in enumerate(c.proximities, start=1):
         if not prox:
             lines.append(f"{pid} origin")

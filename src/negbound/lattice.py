@@ -30,7 +30,7 @@ from .errors import (
 from .surfaces import SurfaceModel, is_plane, surface_name
 
 PLANE_CHARTS = ("UX", "UY", "UZ")
-HIRZEBRUCH_CHARTS = ("U00", "U01", "U10", "U11")
+CHARTS = PLANE_CHARTS + ("U00", "U01", "U10", "U11")  # then F_delta's
 
 
 @dataclass(frozen=True, init=False)
@@ -293,11 +293,10 @@ def bidegree_of_closure(chart: str, delta: int | None = None,
     degree; Hirzebruch charts return an exact Bidegree in the corner case and
     BidegreeBounds otherwise.
     """
-    name = chart.upper()
-    if name not in PLANE_CHARTS and name not in HIRZEBRUCH_CHARTS:
+    name = chart.upper() if isinstance(chart, str) else None
+    if name not in CHARTS:
         raise UnknownChartError(
-            f"unknown chart {quote(chart)}; expected one of "
-            f"{PLANE_CHARTS + HIRZEBRUCH_CHARTS}")
+            f"unknown chart {quote(chart)}; expected one of {CHARTS}")
     ints = [deg_x, deg_y] + [x for x in (delta, deg_total) if x is not None]
     if any(type(x) is not int for x in ints) or deg_x < 0 or deg_y < 0:
         raise ValueError("the degrees and delta must be ints, deg_x and deg_y >= 0")

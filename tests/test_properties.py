@@ -5,6 +5,7 @@ import pickle
 import random
 import sys
 import threading
+import types
 from fractions import Fraction
 
 import pytest
@@ -42,6 +43,7 @@ from negbound import (
     subconfiguration,
     total_d,
 )
+from negbound.bounds import _terms
 from negbound.cli import main
 from negbound.surfaces import Hirzebruch, ProjectivePlane
 from conftest import SAMPLE12_SPECS, identity, mat_mul, scan_d_value
@@ -546,7 +548,23 @@ class TestBoundRelations:
                            if name != "(-n-delta)/eps"]
                 assert min(without) == report.bound
 
+    def test_ruled_term_redundancy_for_every_cluster(self):
+        # The identity behind the sampled check above.  With d = 1 + a and
+        # n = 1 + b (a, b, delta >= 0), the gap between the two terms is a
+        # polynomial with nonnegative coefficients and constant term 1, so
+        # -n-delta is never the least term, for any cluster.
+        sympy = pytest.importorskip("sympy")
+        a, b, d, n, delta = sympy.symbols("a b d n delta")
+        terms = {name: value for name, _, value in
+                 _terms(types.SimpleNamespace(delta=delta), n, d)}
+        gap = sympy.expand((terms["-n-delta"] - terms["-(delta+2)dn"])
+                           .subs({d: 1 + a, n: 1 + b}))
+        assert gap == sympy.expand(1 + (delta + 2) * a + (delta + 1) * b
+                                   + (delta + 2) * a * b)
+        assert all(coeff > 0 for coeff in sympy.Poly(gap, a, b, delta).coeffs())
+
     def test_epsilon_scaling(self, suite):
+        # Sampled, not symbolic: the epsilon family divides Fractions.
         eps = Fraction(2, 3)
         for c in suite[:40]:
             one = epsilon_family_bounds(c, eps)

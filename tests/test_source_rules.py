@@ -24,6 +24,7 @@ from negbound import (
     pairing,
     parse_curves,
     parse_divisor,
+    serialize_configuration,
     strict_exceptional_coordinates,
 )
 from negbound.sufficiency import DValue
@@ -82,9 +83,9 @@ def _repr_conversions(node: ast.AST) -> list[int]:
 def test_raised_messages_quote_values_without_repr(path):
     # An !r conversion echoes a value whole, and an int past the
     # interpreter's 4300-digit cap cannot be converted at all: raised
-    # messages quote values through errors.quote, quote_number and
-    # quote_ids.  __init__.py imports nothing from the package, so that it
-    # stays lazy; it cannot use them and is exempt.
+    # messages quote values through errors.quote.  __init__.py imports
+    # nothing from the package, so that it stays lazy; it cannot use it and
+    # is exempt.
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     if path.name == "__init__.py":
         imports = [ast.unparse(node) for node in ast.walk(tree)
@@ -95,6 +96,35 @@ def test_raised_messages_quote_values_without_repr(path):
              if isinstance(node, ast.Raise) and node.exc is not None
              for line in _repr_conversions(node.exc)]
     assert lines == [], f"!r in raised messages in {path.name} at lines {lines}"
+
+
+# A raised message may format a name, a constant or ``type(x).__name__``
+# as it is; any other expression goes through one of these calls.
+QUOTING_CALLS = {"quote", "surface_name", "len"}
+
+
+def _formats_only_names(value: ast.expr) -> bool:
+    if isinstance(value, (ast.Name, ast.Constant)):
+        return True
+    if isinstance(value, ast.Attribute):
+        return value.attr == "__name__"
+    return (isinstance(value, ast.Call) and isinstance(value.func, ast.Name)
+            and value.func.id in QUOTING_CALLS)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_raised_messages_format_values_through_quote(path):
+    # An attribute, subscript, call or arithmetic expression formatted into
+    # a raised message is a value the raise site did not check: an int past
+    # the 4300-digit cap, or a long input, would escape unquoted.
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    sites = [f"{value.lineno}: {ast.unparse(value.value)}"
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Raise) and node.exc is not None
+             for value in ast.walk(node.exc)
+             if isinstance(value, ast.FormattedValue)
+             and not _formats_only_names(value.value)]
+    assert sites == [], f"unquoted values in raised messages in {path.name}: {sites}"
 
 
 BIG, LONG = 10 ** 5000, "x" * 100000
@@ -155,6 +185,18 @@ SHORT_ERRORS = {
                        lambda tmp: d_value(_flat_cluster(10 ** 4))),
     "chart": (UnknownChartError, lambda tmp: bidegree_of_closure(
         LONG, deg_x=1, deg_y=1)),
+    "chart int": (UnknownChartError, lambda tmp: bidegree_of_closure(
+        5, deg_x=1, deg_y=1)),
+    "chart None": (UnknownChartError, lambda tmp: bidegree_of_closure(
+        None, deg_x=1, deg_y=1)),
+    "pairing n": (SurfaceMismatchError, lambda tmp: pairing(
+        parse_divisor("L", P2, BIG), parse_divisor("L", P2, 0))),
+    "strict coordinates n": (SurfaceMismatchError,
+                             lambda tmp: strict_exceptional_coordinates(
+                                 build_configuration([(1, [])]),
+                                 parse_divisor("L", P2, BIG))),
+    "serialize delta": (ValueError, lambda tmp: serialize_configuration(
+        Configuration(((),), Hirzebruch(BIG)))),
 }
 
 
