@@ -116,7 +116,7 @@ def load_configuration(path: str | Path) -> Configuration:
 def serialize_configuration(c: Configuration) -> str:
     try:
         lines = [f"surface {c.surface}"]
-    except ValueError:  # a delta past the int/str cap, as parsing rejects
+    except ValueError:  # a delta past the int/str cap: no file can hold it
         raise ValueError(f"no cluster file can declare the surface "
                          f"{surface_name(c.surface)}") from None
     for pid, prox in enumerate(c.proximities, start=1):
