@@ -124,7 +124,7 @@ def test_raised_messages_format_values_through_quote(path):
              for value in ast.walk(node.exc)
              if isinstance(value, ast.FormattedValue)
              and not _formats_only_names(value.value)]
-    assert sites == [], f"unquoted values in raised messages in {path.name}: {sites}"
+    assert sites == [], f"unquoted values raised in {path.name}: {sites}"
 
 
 BIG, LONG = 10 ** 5000, "x" * 100000
