@@ -26,9 +26,9 @@ _EXPORTS = {
         foliation_negativity_bound nef_pullback_bounds polarization_bounds""",
     "cli": "",
     "config": """Configuration ExceptionalSelfIntersections Point
-        ProximityMatrix analysis_report build_configuration dot_export
+        analysis_report build_configuration dot_export
         exceptional_self_intersections multiplicity_vector proximity_apply
-        proximity_matrix proximity_solve subconfiguration""",
+        proximity_solve subconfiguration""",
     "errors": """ConfigurationError DuplicateIdError ForwardReferenceError
         InvalidSatelliteError InvariantError LatticeError
         MultipleOriginsError NegboundError NonPositiveCoefficientError

@@ -57,14 +57,6 @@ class Point:
     proximities: tuple[int, ...]
     level: int
 
-    @property
-    def parent(self) -> int | None:
-        return self.proximities[0] if self.proximities else None
-
-    @property
-    def kind(self) -> str:
-        return ("origin", "free", "satellite")[len(self.proximities)]
-
 
 @dataclass(frozen=True)
 class Configuration:
@@ -111,10 +103,6 @@ class Configuration:
         if not 1 <= point_id <= len(self.proximities):
             raise UnknownPointError(f"no point with id {quote(point_id)}",
                                    point_id=point_id)
-
-    def point(self, point_id: int) -> Point:
-        self._check_id(point_id)
-        return self.points[point_id - 1]
 
     @cached_property
     def successors(self) -> dict[int, tuple[int, ...]]:
@@ -229,22 +217,13 @@ def build_configuration(point_specs: Iterable[PointSpec],
                          surface if surface is not None else ProjectivePlane())
 
 
-@dataclass(frozen=True)
-class ProximityMatrix:
-    """Unit lower triangular proximity matrix P and its exact integer inverse.
+def proximity_matrix(c: Configuration) -> tuple[IntMatrix, IntMatrix]:
+    """The dense unit lower triangular P (entry (i, j) is -1 iff point i is
+    proximate to point j) and its exact, nonnegative integer inverse.
 
-    Entry (i, j) is -1 iff point i is proximate to point j; the inverse is
-    computed by forward substitution and has nonnegative integer entries.
-    This dense n x n view is for callers that want the matrices themselves;
-    the computation paths use :func:`proximity_solve` and
-    :func:`proximity_apply` instead, which cost O(n).
+    An n x n oracle for the tests; the package computes with the O(n)
+    :func:`proximity_solve` and :func:`proximity_apply` instead.
     """
-
-    entries: IntMatrix
-    inverse: IntMatrix
-
-
-def proximity_matrix(c: Configuration) -> ProximityMatrix:
     n = len(c)
     entries = [[0] * n for _ in range(n)]
     for i, prox in enumerate(c.proximities):
@@ -261,8 +240,7 @@ def proximity_matrix(c: Configuration) -> ProximityMatrix:
             trow = inverse[target - 1]
             for j in range(target):
                 row[j] += trow[j]
-    return ProximityMatrix(entries=tuple(tuple(r) for r in entries),
-                           inverse=tuple(tuple(r) for r in inverse))
+    return tuple(map(tuple, entries)), tuple(map(tuple, inverse))
 
 
 def proximity_solve(c: Configuration, w: Sequence[Scalar]) -> list[Scalar]:
@@ -360,7 +338,8 @@ def analysis_report(c: Configuration) -> dict:
     esi = c.self_intersections
     report = surface_json_fields(c.surface)
     report["points"] = [
-        {"id": pt.id, "level": pt.level, "kind": pt.kind,
+        {"id": pt.id, "level": pt.level,
+         "kind": ("origin", "free", "satellite")[len(pt.proximities)],
          "proximities": list(pt.proximities), "e_sq": esi.values[pt.id]}
         for pt in c.points]
     report["gamma"] = esi.gamma

@@ -24,13 +24,13 @@ from negbound import (
     nef_pullback_bounds,
     origin_d_values,
     pairing,
-    proximity_matrix,
     special_section_class,
     strict_transform_of_exceptional,
     subconfiguration,
     total_d,
 )
 from negbound.cli import main
+from negbound.config import proximity_matrix
 from negbound.surfaces import Hirzebruch, ProjectivePlane
 from conftest import identity, mat_mul, scan_d_value
 from random_configs import random_configuration
@@ -108,9 +108,9 @@ def test_criterion_4_property_suite():
     d_checked = 0
     for index, c in enumerate(configs):
         n = len(c)
-        pm = proximity_matrix(c)
-        rows = [list(r) for r in pm.entries]
-        inv = [list(r) for r in pm.inverse]
+        entries, inverse = proximity_matrix(c)
+        rows = [list(r) for r in entries]
+        inv = [list(r) for r in inverse]
         if mat_mul(rows, inv) != identity(n):
             failures.append((index, "P*Pinv != I"))
         if any(x < 0 for row in inv for x in row):

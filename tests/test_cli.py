@@ -514,9 +514,9 @@ PUBLIC_NAMES = {
         delta_membership_check empirical_nu epsilon_family_bounds
         foliation_negativity_bound nef_pullback_bounds polarization_bounds""",
     "config": """Configuration ExceptionalSelfIntersections Point
-        ProximityMatrix analysis_report build_configuration dot_export
+        analysis_report build_configuration dot_export
         exceptional_self_intersections multiplicity_vector proximity_apply
-        proximity_matrix proximity_solve subconfiguration""",
+        proximity_solve subconfiguration""",
     "errors": """ConfigurationError DuplicateIdError ForwardReferenceError
         InvalidSatelliteError InvariantError LatticeError
         MultipleOriginsError NegboundError NonPositiveCoefficientError

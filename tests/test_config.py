@@ -16,10 +16,10 @@ from negbound import (
     exceptional_self_intersections,
     multiplicity_vector,
     proximity_apply,
-    proximity_matrix,
     proximity_solve,
     subconfiguration,
 )
+from negbound.config import proximity_matrix
 from negbound.surfaces import Hirzebruch
 
 
@@ -33,14 +33,14 @@ class TestBuildConfiguration:
         assert len(c) == 1
         assert c.origins == (1,)
         assert c.ends == (1,)
-        pt = c.point(1)
-        assert pt.kind == "origin" and pt.level == 0
+        assert analysis_report(c)["points"][0]["kind"] == "origin"
+        assert c.points[0].level == 0
 
     def test_satellite_chain(self):
         c = build_configuration([(1, []), (2, [1]), (3, [2, 1])])
-        assert c.point(3).kind == "satellite"
-        assert c.point(3).parent == 2
-        assert c.point(3).level == 2
+        assert analysis_report(c)["points"][2]["kind"] == "satellite"
+        assert c.points[2].proximities[0] == 2
+        assert c.points[2].level == 2
 
     @pytest.mark.parametrize("specs", [
         [(1, []), (2, [1.0])], [(True, [])], [(1, []), (2, ["1"])],
@@ -67,7 +67,7 @@ class TestBuildConfiguration:
     def test_long_unknown_point_id_is_cut(self):
         c = build_configuration([(1, [])])
         with pytest.raises(UnknownPointError) as exc:
-            c.point(10 ** 5000)
+            subconfiguration(c, 10 ** 5000)
         assert str(exc.value) == "no point with id <5001 digits>"
 
     def test_satellite_second_target_among_parent_proximities(self):
@@ -127,20 +127,21 @@ class TestBuildConfiguration:
 
 class TestProximityMatrix:
     def test_singleton(self):
-        pm = proximity_matrix(build_configuration([(1, [])]))
-        assert pm.entries == ((1,),)
-        assert pm.inverse == ((1,),)
+        entries, inverse = proximity_matrix(build_configuration([(1, [])]))
+        assert entries == ((1,),)
+        assert inverse == ((1,),)
 
     def test_chain(self):
-        pm = proximity_matrix(build_configuration([(1, []), (2, [1])]))
-        assert pm.entries == ((1, 0), (-1, 1))
-        assert pm.inverse == ((1, 0), (1, 1))
+        entries, inverse = proximity_matrix(
+            build_configuration([(1, []), (2, [1])]))
+        assert entries == ((1, 0), (-1, 1))
+        assert inverse == ((1, 0), (1, 1))
 
     def test_satellite(self):
-        pm = proximity_matrix(
+        entries, inverse = proximity_matrix(
             build_configuration([(1, []), (2, [1]), (3, [2, 1])]))
-        assert pm.entries == ((1, 0, 0), (-1, 1, 0), (-1, -1, 1))
-        assert pm.inverse == ((1, 0, 0), (1, 1, 0), (2, 1, 1))
+        assert entries == ((1, 0, 0), (-1, 1, 0), (-1, -1, 1))
+        assert inverse == ((1, 0, 0), (1, 1, 0), (2, 1, 1))
 
     @pytest.mark.parametrize("op", [proximity_solve, proximity_apply],
                              ids=lambda op: op.__name__)

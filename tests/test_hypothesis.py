@@ -27,12 +27,12 @@ from negbound import (
     pairing,
     parse_configuration,
     proximity_apply,
-    proximity_matrix,
     proximity_solve,
     serialize_configuration,
     subconfiguration,
 )
 from negbound.cli import main
+from negbound.config import proximity_matrix
 from negbound.errors import quote
 from negbound.surfaces import Hirzebruch, ProjectivePlane
 from conftest import REPO_ROOT, dense_pairing, scan_d_value
@@ -178,7 +178,7 @@ def test_each_component_d_equals_the_scan(c):
 def test_transposed_proximity_times_m_is_the_end_indicator(c):
     for origin in c.origins:
         hat = hat_configuration(subconfiguration(c, origin))
-        entries = proximity_matrix(hat).entries
+        entries, _ = proximity_matrix(hat)
         m = multiplicity_vector(hat)
         ends = set(hat.ends)
         assert [sum(entries[i][j] * m[i] for i in range(len(hat)))
@@ -200,8 +200,7 @@ def test_proximity_apply_undoes_the_solve(data):
 @SETTINGS
 @given(clusters())
 def test_dense_view_is_a_matrix_and_its_inverse(c):
-    n, view = len(c), proximity_matrix(c)
-    p, inverse = view.entries, view.inverse
+    n, (p, inverse) = len(c), proximity_matrix(c)
     identity = [[int(i == j) for j in range(n)] for i in range(n)]
     assert [[sum(p[i][k] * inverse[k][j] for k in range(n))
              for j in range(n)] for i in range(n)] == identity

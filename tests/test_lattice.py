@@ -9,7 +9,6 @@ import pytest
 from negbound import (
     Bidegree,
     BidegreeBounds,
-    Configuration,
     DivisorClass,
     NotHirzebruchError,
     PlaneDegree,
@@ -417,10 +416,8 @@ class TestInputGates:
 
     @pytest.mark.parametrize("bad", [0.5, 1.5, 2.0, "1", True, None], ids=repr)
     @pytest.mark.parametrize("call", [subconfiguration,
-                                      strict_transform_of_exceptional,
-                                      Configuration.point],
-                             ids=["subconfiguration", "strict_transform",
-                                  "point"])
+                                      strict_transform_of_exceptional],
+                             ids=["subconfiguration", "strict_transform"])
     def test_non_int_ids_are_unknown_points(self, sample12, call, bad):
         with pytest.raises(UnknownPointError, match="point ids are int"):
             call(sample12, bad)

@@ -34,7 +34,6 @@ from negbound import (
     pairing,
     polarization_bounds,
     proximity_apply,
-    proximity_matrix,
     proximity_solve,
     serialize_configuration,
     special_section_class,
@@ -43,6 +42,7 @@ from negbound import (
     subconfiguration,
     total_d,
 )
+from negbound.config import proximity_matrix
 from negbound.bounds import _terms
 from negbound.cli import main
 from negbound.surfaces import Hirzebruch, ProjectivePlane
@@ -69,18 +69,18 @@ def suite():
 class TestMatrixProperties:
     def test_inverse_is_exact_and_nonnegative(self, suite):
         for c in suite:
-            pm = proximity_matrix(c)
-            rows = [list(r) for r in pm.entries]
-            inv = [list(r) for r in pm.inverse]
+            entries, inverse = proximity_matrix(c)
+            rows = [list(r) for r in entries]
+            inv = [list(r) for r in inverse]
             assert mat_mul(rows, inv) == identity(len(c))
             assert all(x >= 0 for row in inv for x in row)
 
     def test_transpose_times_m_is_end_indicator(self, suite):
         for c in suite:
-            pm = proximity_matrix(c)
+            entries, _ = proximity_matrix(c)
             m = multiplicity_vector(c)
             n = len(c)
-            product = [sum(pm.entries[i][j] * m[i] for i in range(n))
+            product = [sum(entries[i][j] * m[i] for i in range(n))
                        for j in range(n)]
             ends = set(c.ends)
             assert product == [1 if j + 1 in ends else 0 for j in range(n)]
@@ -91,7 +91,7 @@ class TestMatrixProperties:
             report = analysis_report(c)
             origins, ends = set(report["origins"]), set(report["ends"])
             for item in report["points"]:
-                pt = c.point(item["id"])
+                pt = c.points[item["id"] - 1]
                 origin = item["id"] in origins
                 assert origin == (item["kind"] == "origin")
                 assert origin == (not pt.proximities) == (item["level"] == 0)
@@ -109,7 +109,7 @@ class TestLinearCore:
         rng = random.Random(SEED + 4)
         for c in suite:
             n = len(c)
-            inv = proximity_matrix(c).inverse
+            _, inv = proximity_matrix(c)
             ints = [rng.randint(-9, 9) for _ in range(n)]
             fractions = [Fraction(rng.randint(-9, 9), rng.randint(1, 5))
                          for _ in range(n)]
@@ -123,7 +123,7 @@ class TestLinearCore:
         rng = random.Random(SEED + 5)
         for c in suite:
             n = len(c)
-            entries = proximity_matrix(c).entries
+            entries, _ = proximity_matrix(c)
             v = [Fraction(rng.randint(-9, 9), rng.randint(1, 5))
                  for _ in range(n)]
             pv = proximity_apply(c, v)
@@ -137,12 +137,12 @@ class TestLinearCore:
             for q in range(1, len(c) + 1):
                 below = {q}
                 for pt in c.points:  # ascending ids: parents come first
-                    if pt.parent in below:
+                    if pt.proximities and pt.proximities[0] in below:
                         below.add(pt.id)
                 kept = sorted(below)
                 new_id = {old: new for new, old in enumerate(kept, start=1)}
                 expected = build_configuration(
-                    [(new_id[pid], [new_id[t] for t in c.point(pid).proximities
+                    [(new_id[pid], [new_id[t] for t in c.proximities[pid - 1]
                                     if t in below])
                      for pid in kept], c.surface)
                 assert subconfiguration(c, q) == expected
@@ -227,8 +227,8 @@ class TestValidateOnce:
             # every proximity target of a point lies in its parent chain
             chain = {}
             for pt in c.points:
-                chain[pt.id] = set() if pt.kind == "origin" else \
-                    {pt.parent} | chain[pt.parent]
+                chain[pt.id] = set() if not pt.proximities else \
+                    {pt.proximities[0]} | chain[pt.proximities[0]]
                 assert set(pt.proximities) <= chain[pt.id], (c, pt)
 
         for c in suite:
@@ -402,7 +402,7 @@ class TestRenumberingInvariance:
         rng = random.Random(SEED + 1)
         for c in suite[:40]:
             n = len(c)
-            inv = proximity_matrix(c).inverse
+            _, inv = proximity_matrix(c)
             m = multiplicity_vector(c)
             totals = [sum(row[j] * m[j] for j in range(n)) for row in inv]
 
@@ -412,17 +412,17 @@ class TestRenumberingInvariance:
             order = []
             while remaining:
                 ready = [pid for pid in remaining
-                         if all(t in placed for t in c.point(pid).proximities)]
+                         if all(t in placed for t in c.proximities[pid - 1])]
                 pick = rng.choice(ready)
                 remaining.remove(pick)
                 placed[pick] = len(order) + 1
                 order.append(pick)
             specs = [(placed[pid],
-                      [placed[t] for t in c.point(pid).proximities])
+                      [placed[t] for t in c.proximities[pid - 1]])
                      for pid in order]
             relabeled = build_configuration(specs, c.surface)
 
-            inv2 = proximity_matrix(relabeled).inverse
+            _, inv2 = proximity_matrix(relabeled)
             m2 = multiplicity_vector(relabeled)
             totals2 = [sum(row[j] * m2[j] for j in range(len(relabeled)))
                        for row in inv2]
@@ -626,4 +626,5 @@ class TestPointView:
             assert built == []
         assert [pt.id for pt in c.points] == list(range(1, len(c) + 1))
         assert len(built) == len(c)
-        assert c.point(len(c)) is c.points[-1] and len(built) == len(c)
+        # a second read returns the same view and builds nothing
+        assert c.points is c.points and len(built) == len(c)
