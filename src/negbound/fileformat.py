@@ -43,11 +43,16 @@ def parse_rational(text: str) -> Fraction:
 
 
 def _statements(text: str, source: str):
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        statement = raw.split("#", 1)[0].strip()
-        if not statement.isascii():
-            raise ParseError(f"non-ASCII character in {quote(statement)}",
+    # A line ends only at \n, \r\n or \r (str.splitlines also splits at
+    # \f, U+2028 and more), and the ASCII check runs before strip() can
+    # drop a non-ASCII space.
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for lineno, raw in enumerate(lines, start=1):
+        code = raw.split("#", 1)[0]
+        if not code.isascii():
+            raise ParseError(f"non-ASCII character in {quote(code)}",
                              line=lineno, source=source)
+        statement = code.strip()
         if statement:
             yield lineno, statement
 

@@ -97,6 +97,17 @@ class TestAnalyze:
         assert "error:" in err
         assert "bad.cfg:3" in err
 
+    @pytest.mark.parametrize("text, line", [
+        ("surface p2\u20281 origin\u20282 -> 1\n", 1),
+        ("surface p2\n1 origin\x0c\n2 -> 5\n", 3),
+    ], ids=["u2028", "ff"])
+    def test_only_newlines_end_a_line(self, capsys, tmp_path, text, line):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, ["analyze", str(bad)])
+        assert code == 1 and out == ""
+        assert f"bad.cfg:{line}:" in err
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, ["analyze", str(tmp_path / "nope.cfg")])
         assert code == 1

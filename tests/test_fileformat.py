@@ -110,6 +110,32 @@ class TestParseConfiguration:
         assert exc.value.source == str(path)
         assert exc.value.line == 3
 
+    # str.splitlines would also end a line at \f, \x1c, U+0085 or U+2028;
+    # a cluster file ends one only at \n, \r\n or \r.
+    @pytest.mark.parametrize("text, line", [
+        ("surface p2\u20281 origin\u20282 -> 1\n", 1),
+        ("surface p2\n1 origin\u0085\n", 2),
+        ("surface p2\n1 origin # note\u20282 -> 1\n2 -> 5\n", 3),
+        ("surface p2\x0c1 origin\n2 -> 5\n", 1),
+        ("surface p2\n1 origin\x0c\n2 -> 5\n", 3),
+        ("surface p2\n1 origin\x1c\x0b\n2 -> 5\n", 3),
+    ], ids=["u2028", "u0085", "u2028-in-comment", "ff-in-statement",
+            "ff-at-end", "x1c-vt-at-end"])
+    def test_only_newlines_end_a_line(self, text, line):
+        with pytest.raises(ParseError) as exc:
+            parse_configuration(text)
+        assert exc.value.line == line
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"],
+                             ids=["lf", "crlf", "cr"])
+    def test_line_endings(self, sample12, newline):
+        text = serialize_configuration(sample12).replace("\n", newline)
+        assert parse_configuration(text) == sample12
+        with pytest.raises(ParseError) as exc:
+            parse_configuration(newline.join(
+                ["surface p2", "1 origin # c", "", "2 -> 5", ""]))
+        assert exc.value.line == 4
+
     def test_gap_in_ids(self):
         with pytest.raises(ParseError):
             parse_configuration("surface p2\n1 origin\n5 -> 1\n")
@@ -212,6 +238,22 @@ class TestParseCurves:
         with pytest.raises(ParseError) as exc:
             parse_curves("2L -1E1\nbogus\n", P2, 1)
         assert exc.value.line == 2
+
+    @pytest.mark.parametrize("text, line", [
+        ("2L - E1\u20282L - E1\n", 1),
+        ("2L - E1\x0c\nbogus\n", 2),
+        ("2L - E1\r\n2L\r\nbogus\r\n", 3),
+        ("2L - E1\r2L\rbogus\r", 3),
+    ], ids=["u2028", "ff", "crlf", "cr"])
+    def test_only_newlines_end_a_line(self, text, line):
+        with pytest.raises(ParseError) as exc:
+            parse_curves(text, P2, 1)
+        assert exc.value.line == line
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_line_endings(self, newline):
+        text = newline.join(["2L - E1", "# c", "2L", ""])
+        assert parse_curves(text, P2, 1) == parse_curves("2L - E1\n2L\n", P2, 1)
 
     def test_non_utf8_file(self, tmp_path):
         path = tmp_path / "curves.txt"
