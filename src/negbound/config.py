@@ -157,6 +157,11 @@ def build_configuration(point_specs: Iterable[PointSpec],
     as a blowup makes the new curve meet the curves through its center and
     parts two that met there; and a center lies on 0, 1 or 2 of the curves.
     """
+    if surface is None:
+        surface = ProjectivePlane()
+    elif not isinstance(surface, SurfaceModel):
+        raise TypeError(f"expected a ProjectivePlane or Hirzebruch surface, "
+                        f"got {type(surface).__name__}")
     try:
         specs = [(pid, tuple(prox)) for pid, prox in point_specs]
     except (TypeError, ValueError):
@@ -213,8 +218,7 @@ def build_configuration(point_specs: Iterable[PointSpec],
                     f"proximate to {parent} and {second}", point_id=pid)
             satellite_at[prox] = pid
         proximities.append(prox)
-    return Configuration(tuple(proximities),
-                         surface if surface is not None else ProjectivePlane())
+    return Configuration(tuple(proximities), surface)
 
 
 def proximity_matrix(c: Configuration) -> tuple[IntMatrix, IntMatrix]:
@@ -269,10 +273,13 @@ def _vector(c: Configuration, values: Sequence[Scalar]) -> list[Scalar]:
 
 def multiplicity_vector(c: Configuration) -> tuple[int, ...]:
     """Multiplicities of a generic germ through the cluster: 1 at the ends,
-    the sum over proximate successors elsewhere."""
+    the sum over proximate successors elsewhere.  Successors have larger
+    ids, so one reverse pass sums them; a point still at 0 is an end."""
     values = [0] * len(c)
-    for pid, succ in reversed(c.successors.items()):
-        values[pid - 1] = sum(values[s - 1] for s in succ) if succ else 1
+    for i in reversed(range(len(c))):
+        values[i] = values[i] or 1
+        for target in c.proximities[i]:
+            values[target - 1] += values[i]
     return tuple(values)
 
 

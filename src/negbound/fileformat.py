@@ -43,9 +43,8 @@ def parse_rational(text: str) -> Fraction:
 
 
 def _statements(text: str, source: str):
-    # A line ends only at \n, \r\n or \r (str.splitlines also splits at
-    # \f, U+2028 and more), and the ASCII check runs before strip() can
-    # drop a non-ASCII space.
+    # Lines end at \n, \r\n or \r only, not at every str.splitlines break,
+    # and the ASCII check runs before strip() can drop a non-ASCII space.
     lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     for lineno, raw in enumerate(lines, start=1):
         code = raw.split("#", 1)[0]

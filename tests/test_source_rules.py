@@ -197,6 +197,8 @@ SHORT_ERRORS = {
                                  parse_divisor("L", P2, BIG))),
     "serialize delta": (ValueError, lambda tmp: serialize_configuration(
         Configuration(((),), Hirzebruch(BIG)))),
+    "build_configuration surface": (TypeError, lambda tmp: build_configuration(
+        [(1, []), (2, [1])], "p2")),
 }
 
 
