@@ -127,6 +127,30 @@ def test_raised_messages_format_values_through_quote(path):
     assert sites == [], f"unquoted values raised in {path.name}: {sites}"
 
 
+def _named(node: ast.AST) -> object:
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, (ast.alias, ast.FunctionDef, ast.ClassDef)):
+        return node.name
+    if isinstance(node, ast.Constant):  # getattr(module, "...")
+        return node.value
+    return None
+
+
+def test_dense_matrix_is_named_only_by_its_def():
+    # proximity_matrix builds n x n matrices for the tests to check the
+    # O(n) solves against.  No module may call, import or look it up, so
+    # no production path reaches it, including paths no test runs.  A
+    # string that lists it among other names is not a lookup.
+    sites = [(path.name, node.lineno, type(node).__name__)
+             for path in SOURCES
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if _named(node) == "proximity_matrix"]
+    assert [site[::2] for site in sites] == [("config.py", "FunctionDef")], sites
+
+
 BIG, LONG = 10 ** 5000, "x" * 100000
 P2 = ProjectivePlane()
 
