@@ -16,6 +16,7 @@ import contextlib
 import io
 import json
 import os
+import shlex
 from itertools import product
 from pathlib import Path
 
@@ -102,6 +103,19 @@ def test_output_file_matches_golden_stdout(at_repo_root, tmp_path):
         code, out, err = run_cli(golden["args"] + ["--output", str(target)])
         assert (code, out, err) == (0, "", golden["stderr"])
         assert target.read_text(encoding="utf-8") == golden["stdout"]
+
+
+def test_readme_sample_run_matches_the_cli(at_repo_root):
+    # Each "$ negbound ..." line of the README's sample run, then the
+    # lines it shows (stderr before stdout) up to the next blank line.
+    readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("Sample run:\n\n```\n", 1)[1].split("\n```\n", 1)[0]
+    samples = [part.split("\n", 1) for part in block.split("\n\n")]
+    assert len(samples) == 2
+    for command, shown in samples:
+        assert command.startswith("$ negbound ")
+        code, out, err = run_cli(shlex.split(command)[2:])
+        assert (code, err + out) == (0, shown + "\n"), command
 
 
 def record() -> None:
