@@ -115,16 +115,20 @@ class TestParseConfiguration:
     @pytest.mark.parametrize("text, line", [
         ("surface p2\u20281 origin\u20282 -> 1\n", 1),
         ("surface p2\n1 origin\u0085\n", 2),
-        ("surface p2\n1 origin # note\u20282 -> 1\n2 -> 5\n", 3),
         ("surface p2\x0c1 origin\n2 -> 5\n", 1),
         ("surface p2\n1 origin\x0c\n2 -> 5\n", 3),
         ("surface p2\n1 origin\x1c\x0b\n2 -> 5\n", 3),
-    ], ids=["u2028", "u0085", "u2028-in-comment", "ff-in-statement",
-            "ff-at-end", "x1c-vt-at-end"])
+    ], ids=["u2028", "u0085", "ff-in-statement", "ff-at-end",
+            "x1c-vt-at-end"])
     def test_only_newlines_end_a_line(self, text, line):
         with pytest.raises(ParseError) as exc:
             parse_configuration(text)
         assert exc.value.line == line
+
+    def test_comment_runs_to_the_newline(self):
+        # a comment may hold any text, U+2028 included, and it ends no line
+        c = parse_configuration("surface p2\n1 origin # a\u20282 -> 1\n")
+        assert c.proximities == ((),)
 
     @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"],
                              ids=["lf", "crlf", "cr"])
