@@ -42,11 +42,14 @@ def parse_rational(text: str) -> Fraction:
         raise ParseError(f"zero denominator in rational {quote(text)}") from None
 
 
+def _lines(text: str) -> list[str]:
+    # Lines end at \n, \r\n or \r only, not at every str.splitlines break.
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
 def _statements(text: str, source: str):
-    # Lines end at \n, \r\n or \r only, not at every str.splitlines break,
-    # and the ASCII check runs before strip() can drop a non-ASCII space.
-    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(_lines(text), start=1):
+        # checked before strip() can drop a non-ASCII space
         code = raw.split("#", 1)[0]
         if not code.isascii():
             raise ParseError(f"non-ASCII character in {quote(code)}",
@@ -108,7 +111,7 @@ def _read_text(path: Path) -> str:
     except UnicodeDecodeError as err:
         raise ParseError(f"not UTF-8 text ({quote(err.reason)} at byte "
                          f"{quote(err.start)})",
-                         line=data.count(b"\n", 0, err.start) + 1,
+                         line=len(_lines(data[:err.start].decode("utf-8"))),
                          source=str(path)) from None
 
 

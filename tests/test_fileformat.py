@@ -102,9 +102,12 @@ class TestParseConfiguration:
             parse_configuration(text)
         assert exc.value.line == 3
 
-    def test_non_utf8_file(self, tmp_path):
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"],
+                             ids=["lf", "crlf", "cr"])
+    def test_non_utf8_file(self, tmp_path, newline):
         path = tmp_path / "bad.cfg"
-        path.write_bytes(b"surface p2\n1 origin\n2 -> \xff\n")
+        path.write_bytes(newline.join([b"surface p2", b"1 origin",
+                                       b"2 -> \xff", b""]))
         with pytest.raises(ParseError) as exc:
             load_configuration(path)
         assert exc.value.source == str(path)
