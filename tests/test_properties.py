@@ -42,9 +42,9 @@ from negbound import (
     subconfiguration,
     total_d,
 )
-from negbound.config import proximity_matrix
 from negbound.bounds import _terms
 from negbound.cli import main
+from negbound.config import proximity_matrix
 from negbound.surfaces import Hirzebruch, ProjectivePlane
 from conftest import SAMPLE12_SPECS, identity, mat_mul, scan_d_value
 from random_configs import random_configuration
