@@ -40,9 +40,9 @@ class DivisorClass:
     and by increasing index i those of the E_i* with a nonzero coefficient,
     all of gcd 1 with ``den``, so equal classes have equal fields.
 
-    ``base``, ``exceptional`` and ``multiplicities`` are dense views built on
-    demand; the multiplicity vector of a curve class a L* - sum(m_i E_i*) is
-    the negated exceptional part.
+    ``base`` and ``exceptional`` are dense views built on demand; the
+    multiplicity vector of a curve class a L* - sum(m_i E_i*) is the negated
+    exceptional part.
     """
 
     surface: SurfaceModel
@@ -108,20 +108,6 @@ class DivisorClass:
         return [self.exceptional_numerators.get(i, 0)
                 for i in range(1, self.n + 1)]
 
-    @property
-    def a(self) -> Fraction:
-        return Fraction(self.base_numerators[0], self.den)
-
-    @property
-    def b(self) -> Fraction:
-        if is_plane(self.surface):
-            raise NotHirzebruchError("plane classes have a single base coefficient")
-        return Fraction(self.base_numerators[1], self.den)
-
-    @property
-    def multiplicities(self) -> tuple[Fraction, ...]:
-        return tuple(-e for e in self.exceptional)
-
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
         _check_lattice(self.surface, self.n, other.surface, other.n)
         s, t = other.den, self.den
@@ -147,9 +133,6 @@ class DivisorClass:
                            self.exceptional_numerators.items()}, self.den)
 
     __rmul__ = __mul__
-
-    def self_intersection(self) -> Fraction:
-        return pairing(self, self)
 
     def __str__(self) -> str:
         terms = list(zip(self.base_numerators, self.surface.generators))
@@ -259,10 +242,10 @@ class MultiplicityBoundReport:
 def multiplicity_bound_check(cls: DivisorClass) -> MultiplicityBoundReport:
     if is_plane(cls.surface):
         raise NotHirzebruchError("multiplicity bound applies to Hirzebruch classes")
-    delta = cls.surface.delta
-    limit = cls.a + cls.b + delta * cls.b
-    violations = tuple((i, m) for i, m in
-                       enumerate(cls.multiplicities, start=1) if m > limit)
+    a, b = cls.base
+    limit = a + b + cls.surface.delta * b
+    violations = tuple((i, -e) for i, e in
+                       enumerate(cls.exceptional, start=1) if -e > limit)
     return MultiplicityBoundReport(limit=limit, violations=violations)
 
 
