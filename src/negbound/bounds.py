@@ -16,7 +16,8 @@ from typing import TYPE_CHECKING, NamedTuple, Sequence, Union
 
 from .config import Configuration, Rational, _rational
 from .errors import NonPositiveEpsilonError, SurfaceMismatchError, quote
-from .surfaces import SurfaceModel, is_plane, surface_json_fields, surface_name
+from .surfaces import (SurfaceModel, checked_surface, is_plane,
+                       surface_json_fields, surface_name)
 from .sufficiency import total_d
 
 if TYPE_CHECKING:  # the lattice loads only for the curve-list reports
@@ -208,7 +209,7 @@ def foliation_negativity_bound(degree: FoliationDegree, surface: SurfaceModel,
                                alpha_hat: Rational | None = None,
                                gamma: int | None = None) -> FoliationBoundReport:
     plane = isinstance(degree, PlaneDegree)
-    if plane != is_plane(surface):
+    if plane != is_plane(checked_surface(surface)):
         raise SurfaceMismatchError(f"{type(degree).__name__} does not match "
                                    f"surface {surface_name(surface)}")
     if gamma is not None and type(gamma) is not int:

@@ -26,7 +26,8 @@ from .errors import (
     UnknownPointError,
     quote,
 )
-from .surfaces import ProjectivePlane, SurfaceModel, surface_json_fields
+from .surfaces import (ProjectivePlane, SurfaceModel, checked_surface,
+                       surface_json_fields)
 
 PointSpec = tuple[int, Sequence[int]]
 IntMatrix = tuple[tuple[int, ...], ...]
@@ -64,7 +65,7 @@ class Configuration:
     entry ``i`` lists the targets of point ``i + 1``, parent first.
 
     Valid by construction: build it with :func:`build_configuration` or
-    ``parse_configuration``, because the bare constructor checks nothing.
+    ``parse_configuration``; the bare constructor checks only its surface.
     Subclusters and satellite completions reuse the tuples of a valid one.
     """
 
@@ -76,6 +77,7 @@ class Configuration:
     _surface_free: dict | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
+        checked_surface(self.surface)
         shared = self._surface_free
         if shared is None or shared["proximities"] is not self.proximities:
             object.__setattr__(self, "_surface_free",
@@ -138,7 +140,8 @@ class Configuration:
 
     @property
     def ends(self) -> tuple[int, ...]:
-        return tuple(pid for pid, succ in self.successors.items() if not succ)
+        targets = {t for prox in self.proximities for t in prox}
+        return tuple(pid for pid in range(1, len(self) + 1) if pid not in targets)
 
 
 def build_configuration(point_specs: Iterable[PointSpec],
@@ -159,9 +162,6 @@ def build_configuration(point_specs: Iterable[PointSpec],
     """
     if surface is None:
         surface = ProjectivePlane()
-    elif not isinstance(surface, SurfaceModel):
-        raise TypeError(f"expected a ProjectivePlane or Hirzebruch surface, "
-                        f"got {type(surface).__name__}")
     try:
         specs = [(pid, tuple(prox)) for pid, prox in point_specs]
     except (TypeError, ValueError):
@@ -265,7 +265,7 @@ def proximity_apply(c: Configuration, v: Sequence[Scalar]) -> list[Scalar]:
 
 
 def _vector(c: Configuration, values: Sequence[Scalar]) -> list[Scalar]:
-    v = list(values)
+    v = list(map(_rational, values))
     if len(v) != len(c):
         raise ValueError(f"expected a vector of length {len(c)}, got {len(v)}")
     return v
@@ -314,9 +314,12 @@ class ExceptionalSelfIntersections(NamedTuple):
 def exceptional_self_intersections(c: Configuration) -> ExceptionalSelfIntersections:
     """Self-intersection of each strict exceptional transform on the sky,
     E_q^2 = -1 - #{p : p proximate to q}, and gamma = max(-E_q^2)."""
-    values = {pid: -1 - len(succ) for pid, succ in c.successors.items()}
-    return ExceptionalSelfIntersections(values=values,
-                                        gamma=max(-v for v in values.values()))
+    counts = [0] * len(c)
+    for prox in c.proximities:
+        for target in prox:
+            counts[target - 1] += 1
+    values = {pid: -1 - k for pid, k in enumerate(counts, start=1)}
+    return ExceptionalSelfIntersections(values=values, gamma=1 + max(counts))
 
 
 def dot_export(c: Configuration) -> str:

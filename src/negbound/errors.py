@@ -99,7 +99,7 @@ def quote(value) -> str:
         if magnitude < 10 ** 40:
             return str(x)
         # a lower bound from the bit length, raised to the exact count
-        digits = int((magnitude.bit_length() - 1) * 0.30102999566398)
+        digits = (magnitude.bit_length() - 1) * 301029995 // 10 ** 9
         while 10 ** digits <= magnitude:
             digits += 1
         return f"{'-' if x < 0 else ''}<{digits} digits>"

@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING
 
 from .config import Configuration, build_configuration
 from .errors import ConfigurationError, ParseError, _number, quote
-from .surfaces import SurfaceModel, parse_surface, surface_name
+from .surfaces import SurfaceModel, checked_surface, parse_surface, surface_name
 
 if TYPE_CHECKING:  # the lattice loads with the first divisor literal
     from .lattice import DivisorClass
@@ -147,10 +147,10 @@ def parse_divisor(text: str, surface: SurfaceModel, n: int) -> DivisorClass:
         raise ValueError("n must be a nonnegative int")
     if _SPLIT_NUMBER_RE.search(text):
         raise ParseError(f"whitespace inside a number in {quote(text)}")
+    names = checked_surface(surface).generators
     compact = "".join(text.split())
     if not compact:
         raise ParseError("empty divisor literal")
-    names = surface.generators
     base: list[int | Fraction] = [0] * len(names)
     exceptional: dict[int, int | Fraction] = {}
     pos = 0
@@ -191,6 +191,7 @@ def parse_divisor(text: str, surface: SurfaceModel, n: int) -> DivisorClass:
 def parse_curves(text: str, surface: SurfaceModel, n: int, *,
                  source: str = "<curves>") -> tuple[DivisorClass, ...]:
     """Parse a file with one divisor literal per line."""
+    checked_surface(surface)
     if type(n) is not int or n < 0:
         raise ValueError("n must be a nonnegative int")
     curves = []

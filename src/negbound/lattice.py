@@ -27,7 +27,7 @@ from .errors import (
     UnknownChartError,
     quote,
 )
-from .surfaces import SurfaceModel, is_plane, surface_name
+from .surfaces import SurfaceModel, checked_surface, is_plane, surface_name
 
 PLANE_CHARTS = ("UX", "UY", "UZ")
 CHARTS = PLANE_CHARTS + ("U00", "U01", "U10", "U11")  # then F_delta's
@@ -67,7 +67,7 @@ class DivisorClass:
         return self
 
     def _store(self, surface, n, base, exceptional, den=1) -> None:
-        if len(base) != len(surface.generators):
+        if len(base) != len(checked_surface(surface).generators):
             raise ValueError(
                 f"surface {surface_name(surface)} needs "
                 f"{len(surface.generators)} base coefficient(s), got {len(base)}")
@@ -220,7 +220,7 @@ def divisor_from_strict_coordinates(c: Configuration,
 
 def special_section_class(surface: SurfaceModel, n: int = 0) -> DivisorClass:
     """The special section M0 = M* - delta F*, of self-intersection -delta."""
-    if is_plane(surface):
+    if is_plane(checked_surface(surface)):
         raise NotHirzebruchError("the special section lives on a Hirzebruch surface")
     if type(n) is not int or n < 0:
         raise ValueError("n must be a nonnegative int")

@@ -40,6 +40,14 @@ class Hirzebruch:
 SurfaceModel = Union[ProjectivePlane, Hirzebruch]
 
 
+def checked_surface(surface) -> SurfaceModel:
+    """``surface`` if it is a ProjectivePlane or Hirzebruch, else TypeError."""
+    if not isinstance(surface, (ProjectivePlane, Hirzebruch)):
+        raise TypeError(f"expected a ProjectivePlane or Hirzebruch surface, "
+                        f"got {type(surface).__name__}")
+    return surface
+
+
 def is_plane(surface: SurfaceModel) -> bool:
     return isinstance(surface, ProjectivePlane)
 

@@ -118,6 +118,23 @@ def test_readme_sample_run_matches_the_cli(at_repo_root):
         assert (code, err + out) == (0, shown + "\n"), command
 
 
+def test_readme_library_example_runs(at_repo_root):
+    # The README's Library block, line by line: a line that ends in a
+    # "# value" comment is an expression whose repr is that value.
+    readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library\n\n```python\n", 1)[1].split("\n```\n", 1)[0]
+    namespace: dict = {}
+    shown = []
+    for line in block.splitlines():
+        code, _, value = line.partition("  # ")
+        if value:
+            assert repr(eval(code, namespace)) == value.strip(), line
+            shown.append(value.strip())
+        else:
+            exec(line, namespace)
+    assert len(shown) == 6
+
+
 def record() -> None:
     os.chdir(REPO_ROOT)
     os.environ["COLUMNS"] = "80"

@@ -26,6 +26,8 @@ from negbound import (
     multiplicity_bound_check,
     pairing,
     parse_divisor,
+    proximity_apply,
+    proximity_solve,
     special_section_class,
     strict_exceptional_coordinates,
     strict_transform_of_exceptional,
@@ -418,3 +420,19 @@ class TestInputGates:
     def test_non_int_ids_are_unknown_points(self, sample12, call, bad):
         with pytest.raises(UnknownPointError, match="point ids are int"):
             call(sample12, bad)
+
+    @pytest.mark.parametrize("bad", [1.5, Decimal("0.1"), "a", None], ids=repr)
+    @pytest.mark.parametrize("solve", [proximity_solve, proximity_apply])
+    def test_vectors_take_only_rationals(self, sample12, solve, bad):
+        with pytest.raises(TypeError) as info:
+            solve(sample12, [0] * (len(sample12) - 1) + [bad])
+        assert len(str(info.value)) < 300
+
+    @pytest.mark.parametrize("solve", [proximity_solve, proximity_apply])
+    def test_vectors_keep_ints_and_fractions(self, sample12, solve):
+        unit = [1] + [0] * (len(sample12) - 1)
+        ints = solve(sample12, unit)
+        halves = solve(sample12, [Fraction(x, 2) for x in unit])
+        assert all(type(v) is int for v in ints)
+        assert all(type(v) is Fraction for v in halves)
+        assert halves == [Fraction(v, 2) for v in ints]

@@ -628,3 +628,23 @@ class TestPointView:
         assert len(built) == len(c)
         # a second read returns the same view and builds nothing
         assert c.points is c.points and len(built) == len(c)
+
+    def test_only_the_cuts_build_successors(self, monkeypatch):
+        # gamma, the ends, the multiplicities and d read the proximity
+        # tuples; subconfiguration walks the successors map of the cluster
+        # it cuts, and no subcluster or completion builds its own.
+        made = []
+        init = Configuration.__post_init__
+
+        def recording(self):
+            made.append(self)
+            init(self)
+
+        c = random_configuration(random.Random(SEED + 7), 80)
+        analysis_report(c)
+        assert "successors" not in vars(c)
+        monkeypatch.setattr(Configuration, "__post_init__", recording)
+        d_value_report(c)
+        assert len(made) == 2 * len(c.origins)
+        assert all("successors" not in vars(x) for x in made)
+        assert "successors" in vars(c)

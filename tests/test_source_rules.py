@@ -4,12 +4,14 @@ the short error messages one of them keeps."""
 from __future__ import annotations
 
 import ast
+import dataclasses
 
 import pytest
 
 from negbound import (
     Configuration,
     DivisorClass,
+    HirzebruchBidegree,
     InvariantError,
     NonPositiveCoefficientError,
     ParseError,
@@ -25,6 +27,7 @@ from negbound import (
     parse_curves,
     parse_divisor,
     serialize_configuration,
+    special_section_class,
     strict_exceptional_coordinates,
 )
 from negbound.sufficiency import DValue
@@ -151,6 +154,28 @@ def test_dense_matrix_is_named_only_by_its_def():
     assert [site[::2] for site in sites] == [("config.py", "FunctionDef")], sites
 
 
+def _float_sites(tree: ast.AST) -> set[tuple[int, int]]:
+    return {(node.lineno, node.col_offset) for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and type(node.value) is float
+            or isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "float"}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_arithmetic_makes_no_float(path):
+    # Every value the package computes is exact.  The one float is the
+    # decimal approximation cli.format_rational prints beside a rational.
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    sites = _float_sites(tree)
+    if path.name == "cli.py":
+        display = next(node for node in tree.body
+                       if isinstance(node, ast.FunctionDef)
+                       and node.name == "format_rational")
+        assert _float_sites(display)  # the exemption still has a use
+        sites -= _float_sites(display)
+    assert sites == set(), f"floats in {path.name} at {sorted(sites)}"
+
+
 BIG, LONG = 10 ** 5000, "x" * 100000
 P2 = ProjectivePlane()
 
@@ -223,6 +248,23 @@ SHORT_ERRORS = {
         Configuration(((),), Hirzebruch(BIG)))),
     "build_configuration surface": (TypeError, lambda tmp: build_configuration(
         [(1, []), (2, [1])], "p2")),
+    "Configuration surface": (TypeError, lambda tmp: Configuration(((),), "p2")),
+    "replace surface": (TypeError, lambda tmp: dataclasses.replace(
+        build_configuration([(1, [])]), surface="p2")),
+    "replace surface None": (TypeError, lambda tmp: dataclasses.replace(
+        build_configuration([(1, [])]), surface=None)),
+    "DivisorClass surface": (TypeError, lambda tmp: DivisorClass("p2", [1])),
+    "from_multiplicities surface": (TypeError, lambda tmp:
+                                    DivisorClass.from_multiplicities(
+                                        None, [1], [1])),
+    "parse_divisor surface": (TypeError, lambda tmp: parse_divisor("L", "p2", 0)),
+    "parse_curves surface": (TypeError, lambda tmp: parse_curves("", "p2", 0)),
+    "special_section_class surface": (TypeError,
+                                      lambda tmp: special_section_class("p2")),
+    "foliation surface": (TypeError, lambda tmp: foliation_negativity_bound(
+        HirzebruchBidegree(1, 1), "p2")),
+    "foliation plane surface": (TypeError, lambda tmp: foliation_negativity_bound(
+        PlaneDegree(2), "p2")),
 }
 
 
