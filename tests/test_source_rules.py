@@ -156,9 +156,9 @@ def test_dense_matrix_is_named_only_by_its_def():
 
 def _float_sites(tree: ast.AST) -> set[tuple[int, int]]:
     return {(node.lineno, node.col_offset) for node in ast.walk(tree)
-            if isinstance(node, ast.Constant) and type(node.value) is float
-            or isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-            and node.func.id == "float"}
+            if (isinstance(node, ast.Constant) and type(node.value) is float)
+            or (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "float")}
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
