@@ -14,11 +14,12 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple, Sequence, Union
 
-from .config import Configuration, Rational, _rational
+from .config import (Configuration, Rational, _rational,
+                     exceptional_self_intersections)
 from .errors import NonPositiveEpsilonError, SurfaceMismatchError, quote
 from .surfaces import (SurfaceModel, checked_surface, is_plane,
                        surface_json_fields, surface_name)
-from .sufficiency import total_d
+from .sufficiency import origin_d_values, total_d
 
 if TYPE_CHECKING:  # the lattice loads only for the curve-list reports
     from .lattice import DivisorClass
@@ -45,9 +46,9 @@ def cluster_bound_data(c: Configuration) -> ClusterData:
     """n (in both conventions), d and gamma of a cluster."""
     return ClusterData(
         n_stated=len(c),
-        n_example=sum(dv.hat_size for dv in c.d_values.values()),
+        n_example=sum(dv.hat_size for dv in origin_d_values(c).values()),
         d=total_d(c),
-        gamma=c.self_intersections.gamma)
+        gamma=exceptional_self_intersections(c).gamma)
 
 
 def rational_json(value: Fraction) -> int | str:

@@ -122,18 +122,6 @@ class Configuration:
         return values[name]
 
     @property
-    def d_values(self) -> dict:
-        """``origin_d_values`` of this cluster (a DValue per origin id), once
-        per proximities tuple: ``replace(c, surface=...)`` copies share it."""
-        from .sufficiency import origin_d_values  # sufficiency imports config
-        return self._shared("d_values", origin_d_values)
-
-    @property
-    def self_intersections(self) -> ExceptionalSelfIntersections:
-        """``exceptional_self_intersections(c)``, shared like ``d_values``."""
-        return self._shared("self_intersections", exceptional_self_intersections)
-
-    @property
     def origins(self) -> tuple[int, ...]:
         return tuple(pid for pid, prox in enumerate(self.proximities, start=1)
                      if not prox)
@@ -313,7 +301,12 @@ class ExceptionalSelfIntersections(NamedTuple):
 
 def exceptional_self_intersections(c: Configuration) -> ExceptionalSelfIntersections:
     """Self-intersection of each strict exceptional transform on the sky,
-    E_q^2 = -1 - #{p : p proximate to q}, and gamma = max(-E_q^2)."""
+    E_q^2 = -1 - #{p : p proximate to q}, and gamma = max(-E_q^2); derived
+    once per proximities tuple and shared by ``replace(c, surface=...)``."""
+    return c._shared("self_intersections", _count_self_intersections)
+
+
+def _count_self_intersections(c: Configuration) -> ExceptionalSelfIntersections:
     counts = [0] * len(c)
     for prox in c.proximities:
         for target in prox:
@@ -345,7 +338,7 @@ def dot_export(c: Configuration) -> str:
 
 def analysis_report(c: Configuration) -> dict:
     """JSON-ready report: per-point data, gamma, origins and ends."""
-    esi = c.self_intersections
+    esi = exceptional_self_intersections(c)
     report = surface_json_fields(c.surface)
     report["points"] = [
         {"id": pt.id, "level": pt.level,

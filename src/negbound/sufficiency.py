@@ -98,14 +98,15 @@ def d_value(c: Configuration) -> DValue:
 
 def origin_d_values(c: Configuration) -> dict[int, DValue]:
     """The d-value of each connected component, keyed by its origin id in
-    ``c``.  ``c.d_values`` holds this once per proximities tuple."""
-    return {origin: d_value(subconfiguration(c, origin))
-            for origin in c.origins}
+    ``c``; derived once per proximities tuple and shared by
+    ``replace(c, surface=...)``."""
+    return c._shared("d_values", lambda c: {
+        origin: d_value(subconfiguration(c, origin)) for origin in c.origins})
 
 
 def total_d(c: Configuration) -> int:
     """Sum of the per-origin d-values over the whole cluster."""
-    return sum(dv.d for dv in c.d_values.values())
+    return sum(dv.d for dv in origin_d_values(c).values())
 
 
 def d_value_report(c: Configuration) -> dict:
@@ -114,6 +115,6 @@ def d_value_report(c: Configuration) -> dict:
         "origins": [
             {"id": origin, "d": dv.d, "hat_size": dv.hat_size,
              "certificate": list(dv.certificate)}
-            for origin, dv in c.d_values.items()],
+            for origin, dv in origin_d_values(c).items()],
         "total_d": total_d(c),
     }

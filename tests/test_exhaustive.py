@@ -34,6 +34,7 @@ from negbound import (
     hat_configuration,
     multiplicity_vector,
     nef_pullback_bounds,
+    origin_d_values,
     parse_configuration,
     serialize_configuration,
     subconfiguration,
@@ -112,7 +113,7 @@ def check_against_oracles(c) -> None:
     oracle = expected(list(enumerate(c.proximities, start=1)), "p2")
     assert analysis_report(c) == oracle.analysis
     assert d_value_report(c) == oracle.dvalue
-    for origin, dv in c.d_values.items():
+    for origin, dv in origin_d_values(c).items():
         sub = subconfiguration(c, origin)
         assert dv.d == scan_d_value(sub)
         hat = hat_configuration(sub)

@@ -24,6 +24,7 @@ from negbound import (
     build_configuration,
     hat_configuration,
     multiplicity_vector,
+    origin_d_values,
     pairing,
     parse_configuration,
     proximity_apply,
@@ -123,7 +124,7 @@ def test_satellite_chain_d_against_the_oracle_and_the_definition(c):
     the definition: every entry of P^-1(d e_1 - m) over the completion is
     positive at d and not at d - 1; the scan too where d is small."""
     specs = list(enumerate(c.proximities, start=1))
-    (dv,) = c.d_values.values()
+    (dv,) = origin_d_values(c).values()
     expected = oracle.d_value(specs)
     assert (dv.d, dv.hat_size, list(dv.certificate)) == \
         (expected.d, expected.hat_size, expected.certificate)
@@ -168,8 +169,8 @@ def test_point_views_and_both_routes_agree(c):
 @SETTINGS
 @given(clusters())
 def test_each_component_d_equals_the_scan(c):
-    assert c.d_values.keys() == set(c.origins)
-    for origin, dv in c.d_values.items():
+    assert origin_d_values(c).keys() == set(c.origins)
+    for origin, dv in origin_d_values(c).items():
         assert dv.d == scan_d_value(subconfiguration(c, origin))
 
 

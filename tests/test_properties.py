@@ -259,8 +259,8 @@ def count_calls(monkeypatch, function) -> list:
 
 
 class TestDeriveOnce:
-    """Each points tuple derives its per-origin d and gamma once; every
-    report and bound reads them from the cluster, and surface copies made
+    """Each proximities tuple derives its per-origin d and gamma once,
+    whichever report, bound or reader asks first, and surface copies made
     with ``dataclasses.replace`` share them."""
 
     SWEEP = (ProjectivePlane(), Hirzebruch(0), Hirzebruch(1), Hirzebruch(3))
@@ -269,7 +269,7 @@ class TestDeriveOnce:
 
     def test_one_derivation_per_parsed_cluster(self, monkeypatch, capsys,
                                                sample12_path, tmp_path):
-        calls = count_calls(monkeypatch, origin_d_values)
+        calls = count_calls(monkeypatch, d_value)
         multi = random_configuration(random.Random(SEED + 7), 80)
         assert len(multi.origins) > 1
         multi_path = tmp_path / "multi.cfg"
@@ -283,21 +283,19 @@ class TestDeriveOnce:
             epsilon_family_bounds(c, Fraction(1, 2))
             polarization_bounds(c)
             attached_foliation_degree_bounds(c)
-            assert len(calls) == 1
+            assert len(calls) == len(c.origins)
         for argv in (["dvalue"], ["bounds", "--pullback"],
                      ["bounds", "--epsilon", "1/2", "--surface", "f 2"]):
             calls.clear()
             assert main([argv[0], str(sample12_path), *argv[1:]]) == 0
-            assert len(calls) == 1
+            assert len(calls) == 3  # one per origin of the sample
         capsys.readouterr()
 
     def test_surface_sweep_derives_once(self, monkeypatch, sample12):
-        derivations = count_calls(monkeypatch, origin_d_values)
-        gammas = count_calls(monkeypatch, exceptional_self_intersections)
+        derivations = count_calls(monkeypatch, d_value)
         multi = random_configuration(random.Random(SEED + 7), 80)
         for c in (sample12, multi):
             derivations.clear()
-            gammas.clear()
             report = analysis_report(c)
             data = []
             for surface in self.SWEEP:
@@ -307,7 +305,10 @@ class TestDeriveOnce:
                 epsilon_family_bounds(copy, Fraction(1, 2))
                 polarization_bounds(copy)
                 assert analysis_report(copy)["points"] == report["points"]
-            assert len(derivations) == 1 and len(gammas) == 1
+                assert origin_d_values(copy) is origin_d_values(c)
+                assert exceptional_self_intersections(copy) is \
+                    exceptional_self_intersections(c)
+            assert len(derivations) == len(c.origins)
             assert data == [data[0]] * len(self.SWEEP)
             assert data[0].gamma == report["gamma"]
 
@@ -318,7 +319,17 @@ class TestDeriveOnce:
             for surface in (Hirzebruch(0), Hirzebruch(3), ProjectivePlane()):
                 copy = dataclasses.replace(c, surface=surface)
                 assert d_value_report(copy) == report
-                assert copy.d_values == c.d_values
+                assert origin_d_values(copy) is origin_d_values(c)
+
+    def test_repeated_reads_reuse_the_first_derivation(self, monkeypatch):
+        calls = count_calls(monkeypatch, d_value)
+        c = build_configuration(SAMPLE12_SPECS)
+        first = origin_d_values(c)
+        assert origin_d_values(c) is first
+        assert total_d(c) == 23 and d_value_report(c)["total_d"] == 23
+        assert len(calls) == len(c.origins) == 3
+        assert exceptional_self_intersections(c) is \
+            exceptional_self_intersections(c)
 
     def test_other_points_never_read_these_values(self, sample12):
         expected = cluster_bound_data(build_configuration(self.OTHER_SPECS))
@@ -332,9 +343,10 @@ class TestDeriveOnce:
         for origin in sample12.origins:
             sub = subconfiguration(sample12, origin)
             hat = hat_configuration(sub)
-            assert sub.d_values == {1: sample12.d_values[origin]}
-            assert sub.self_intersections == exceptional_self_intersections(sub)
-            assert hat.self_intersections == exceptional_self_intersections(hat)
+            assert origin_d_values(sub) == {1: origin_d_values(sample12)[origin]}
+            for part in (sub, hat):  # a fresh holder derives them again
+                assert exceptional_self_intersections(part) == \
+                    exceptional_self_intersections(Configuration(part.proximities))
             assert total_d(hat) == d_value(hat).d
 
     def test_threads_filling_one_holder_read_the_same_values(self):
@@ -379,7 +391,8 @@ class TestDeriveOnce:
         c = random_configuration(random.Random(1), 1000)
         bare = [pickle.dumps(c, protocol)
                 for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
-        c.successors, c.points, c.d_values, c.self_intersections
+        c.successors, c.points
+        origin_d_values(c), exceptional_self_intersections(c)
         assert [pickle.dumps(c, protocol)
                 for protocol in range(pickle.HIGHEST_PROTOCOL + 1)] == bare
 
