@@ -209,6 +209,9 @@ def foliation_negativity_bound(degree: FoliationDegree, surface: SurfaceModel,
                                epsilon: Rational | None = None, *,
                                alpha_hat: Rational | None = None,
                                gamma: int | None = None) -> FoliationBoundReport:
+    if not isinstance(degree, (PlaneDegree, HirzebruchBidegree)):
+        raise TypeError("expected a PlaneDegree or HirzebruchBidegree, "
+                        f"got {type(degree).__name__}")
     plane = isinstance(degree, PlaneDegree)
     if plane != is_plane(checked_surface(surface)):
         raise SurfaceMismatchError(f"{type(degree).__name__} does not match "

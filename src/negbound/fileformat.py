@@ -92,7 +92,7 @@ def parse_configuration(text: str, *, source: str = "<config>") -> Configuration
                 f"'<id> origin' or '<id> -> <parent> [<second>]')",
                 line=lineno, source=source)
         specs.append((pid, prox))
-        line_of_id.setdefault(pid, lineno)
+        line_of_id[pid] = lineno  # a duplicate's own line
     if surface is None:
         raise ParseError("empty input: no surface declaration", source=source)
     if not specs:

@@ -91,9 +91,9 @@ def d_value(c: Configuration) -> DValue:
             f"nonpositive unloading coefficients at points {quote(bad)}; "
             f"the cluster is not a single-origin cluster")
     d = max(bi // ai + 1 for ai, bi in zip(a, b))
-    return DValue(d=d,
-                  certificate=tuple(d * ai - bi for ai, bi in zip(a, b)),
-                  previous=tuple((d - 1) * ai - bi for ai, bi in zip(a, b)))
+    certificate = tuple(d * ai - bi for ai, bi in zip(a, b))
+    return DValue(d=d, certificate=certificate,  # (d-1)a - b = c - a
+                  previous=tuple(ci - ai for ci, ai in zip(certificate, a)))
 
 
 def origin_d_values(c: Configuration) -> dict[int, DValue]:

@@ -6,6 +6,7 @@ import pytest
 
 from negbound import (
     DivisorClass,
+    DuplicateIdError,
     ForwardReferenceError,
     InvalidSatelliteError,
     ParseError,
@@ -78,6 +79,13 @@ class TestParseConfiguration:
                                 "# comment\n4 -> 2 1\n")
         assert exc.value.line == 6
         assert isinstance(exc.value.__cause__, InvalidSatelliteError)
+
+    def test_duplicate_id_carries_the_line_of_the_duplicate(self):
+        with pytest.raises(ParseError) as exc:
+            parse_configuration("surface p2\n1 origin\n2 -> 1\n2 -> 1\n")
+        assert exc.value.line == 4
+        assert str(exc.value).startswith("<config>:4: duplicate point id 2")
+        assert isinstance(exc.value.__cause__, DuplicateIdError)
 
     @pytest.mark.parametrize("text", [
         "surface p2\n\u0661 origin\n",           # Arabic-Indic digit one

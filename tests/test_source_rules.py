@@ -154,6 +154,54 @@ def test_dense_matrix_is_named_only_by_its_def():
     assert [site[::2] for site in sites] == [("config.py", "FunctionDef")], sites
 
 
+# The package's modules, lowest layer first.  A module may import only
+# modules before it, so the package has no import cycle, not even one a
+# function-level import defers.  __init__.py loads its names lazily and
+# imports no module of the package by name.
+LAYERS = ("errors", "surfaces", "config", "sufficiency", "lattice",
+          "fileformat", "bounds", "cli")
+
+
+def _package_imports(tree: ast.AST) -> list[tuple[int, str]]:
+    """(line, module) for every relative or ``negbound.`` import in
+    ``tree``: module level, in a function or under TYPE_CHECKING."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level:  # the package is flat: level 1 is negbound
+                module = f"negbound.{module}".rstrip(".")
+            names = ([f"negbound.{alias.name}" for alias in node.names]
+                     if module == "negbound" else [module])
+        else:
+            continue
+        found += [(node.lineno, name.split(".")[1]) for name in names
+                  if name.startswith("negbound.")]
+    return found
+
+
+def test_modules_import_only_earlier_layers():
+    assert {path.stem for path in SOURCES} == {"__init__", *LAYERS}
+    breaks = [f"{path.name}:{line} imports {module}"
+              for path in SOURCES if path.stem in LAYERS
+              for line, module in _package_imports(
+                  ast.parse(path.read_text(encoding="utf-8")))
+              if module not in LAYERS[:LAYERS.index(path.stem)]]
+    assert breaks == [], f"imports of a later layer: {breaks}"
+
+
+def test_layer_scan_reads_every_import_form():
+    tree = ast.parse("from .config import a\nfrom . import lattice\n"
+                     "import negbound.cli\nfrom negbound.errors import b\n"
+                     "from negbound import surfaces\nimport os, negbound\n"
+                     "def f():\n    from .bounds import c\n")
+    assert _package_imports(tree) == [
+        (1, "config"), (2, "lattice"), (3, "cli"), (4, "errors"),
+        (5, "surfaces"), (8, "bounds")]
+
+
 def _float_sites(tree: ast.AST) -> set[tuple[int, int]]:
     return {(node.lineno, node.col_offset) for node in ast.walk(tree)
             if (isinstance(node, ast.Constant) and type(node.value) is float)
@@ -265,6 +313,10 @@ SHORT_ERRORS = {
         HirzebruchBidegree(1, 1), "p2")),
     "foliation plane surface": (TypeError, lambda tmp: foliation_negativity_bound(
         PlaneDegree(2), "p2")),
+    "foliation degree type": (TypeError, lambda tmp: foliation_negativity_bound(
+        "x", Hirzebruch(1))),
+    "foliation degree None": (TypeError, lambda tmp: foliation_negativity_bound(
+        None, ProjectivePlane())),
 }
 
 
