@@ -155,57 +155,60 @@ def build_configuration(point_specs: Iterable[PointSpec],
     except (TypeError, ValueError):
         raise ConfigurationError(
             "each point spec must be an (id, proximity ids) pair") from None
-    for pid, prox in specs:
-        if not all(type(x) is int for x in (pid, *prox)):
-            raise ConfigurationError("point ids and proximity targets must be int")
-    specs.sort(key=lambda item: item[0])
     if not specs:
         raise ConfigurationError("a configuration must contain at least one point")
-    seen: set[int] = set()
-    for pid, _ in specs:
-        if pid in seen:
-            raise DuplicateIdError(f"duplicate point id {quote(pid)}",
-                                   point_id=pid)
-        seen.add(pid)
-    if specs[0][0] != 1 or specs[-1][0] != len(specs):
-        missing = sorted(set(range(1, len(specs) + 1)) - seen)
-        raise ConfigurationError(f"ids must be exactly 1..{len(specs)} "
-                                 f"(missing {quote(missing)})")
-
     proximities: list[tuple[int, ...]] = []
     satellite_at: dict[tuple[int, ...], int] = {}
-    for pid, prox in specs:
-        if len(prox) > 2:
-            raise TooManyProximitiesError(
-                f"point {pid} lists {len(prox)} proximities (at most 2 allowed)",
-                point_id=pid)
-        for target in prox:
-            if not 1 <= target < pid:
-                raise ForwardReferenceError(
-                    f"point {pid} is proximate to {quote(target)}, "
-                    f"which is not a strictly smaller id", point_id=pid)
-        if len(prox) == 2:
-            parent, second = prox
-            if parent == second:
-                raise NormalizationError(
-                    f"point {pid} lists the same proximity {parent} twice",
+    fault: Exception | None = None
+    try:
+        specs.sort(key=lambda spec: spec[0] if type(spec[0]) is int else 0)
+        for index, (pid, prox) in enumerate(specs, start=1):
+            if type(pid) is not int or pid != index:
+                break  # sorted, ids are 1..n iff each is its index (others key 0)
+            if len(prox) > 2:
+                raise TooManyProximitiesError(
+                    f"point {pid} lists {len(prox)} proximities (at most 2 allowed)",
                     point_id=pid)
-            if parent < second:
-                raise NormalizationError(
-                    f"point {pid}: parent (largest id) must be listed first, "
-                    f"got {prox}", point_id=pid)
-            if second not in proximities[parent - 1]:
-                raise InvalidSatelliteError(
-                    f"point {pid}: second target {second} is not among the "
-                    f"proximities of its parent {parent}", point_id=pid)
-            # E_parent meets the strict transform of E_second in one point,
-            # so at most one satellite is proximate to both.
-            if prox in satellite_at:
-                raise InvalidSatelliteError(
-                    f"points {quote(satellite_at[prox])} and {pid} are both "
-                    f"proximate to {parent} and {second}", point_id=pid)
-            satellite_at[prox] = pid
-        proximities.append(prox)
+            for target in prox:  # a target that is not an int is named below
+                if type(target) is not int or not 1 <= target < pid:
+                    raise ForwardReferenceError(
+                        f"point {pid} is proximate to {quote(target)}, "
+                        f"which is not a strictly smaller id", point_id=pid)
+            if len(prox) == 2:
+                parent, second = prox
+                if parent == second:
+                    raise NormalizationError(
+                        f"point {pid} lists the same proximity {parent} twice",
+                        point_id=pid)
+                if parent < second:
+                    raise NormalizationError(
+                        f"point {pid}: parent (largest id) must be listed first, "
+                        f"got {prox}", point_id=pid)
+                if second not in proximities[parent - 1]:
+                    raise InvalidSatelliteError(
+                        f"point {pid}: second target {second} is not among the "
+                        f"proximities of its parent {parent}", point_id=pid)
+                # E_parent meets the strict transform of E_second in one
+                # point, so at most one satellite is proximate to both.
+                if prox in satellite_at:
+                    raise InvalidSatelliteError(
+                        f"points {quote(satellite_at[prox])} and {pid} are both "
+                        f"proximate to {parent} and {second}", point_id=pid)
+                satellite_at[prox] = pid
+            proximities.append(prox)
+    except ConfigurationError as err:
+        fault = err
+    if len(proximities) < len(specs):  # an id fault anywhere comes first
+        if not all(type(x) is int for pid, prox in specs for x in (pid, *prox)):
+            raise ConfigurationError("point ids and proximity targets must be int")
+        for (pid, _), (after, _) in zip(specs, specs[1:]):  # sorted ints
+            if pid == after:
+                raise DuplicateIdError(f"duplicate point id {quote(pid)}", point_id=pid)
+        missing = sorted(set(range(1, len(specs) + 1)) - {pid for pid, _ in specs})
+        if missing or fault is None:  # a break leaves an id missing
+            raise ConfigurationError(f"ids must be exactly 1..{len(specs)} "
+                                     f"(missing {quote(missing)})")
+        raise fault
     return Configuration(tuple(proximities), surface)
 
 
@@ -276,9 +279,12 @@ def subconfiguration(c: Configuration, point_id: int) -> Configuration:
     point and everything infinitely near it (transitive closure of the
     parent relation).  Proximities to removed points are dropped, which can
     only turn a satellite into a free point, so the subcluster of a valid
-    cluster is valid and is assembled without re-validation.
+    cluster is valid and is assembled without re-validation.  A cluster
+    whose only origin is point 1 is its own subcluster at 1.
     """
     c._check_id(point_id)
+    if point_id == 1 and len(c.origins) == 1:
+        return c
     # The cluster is admissible, so a point proximate to q is infinitely near
     # q and the successors of q reach exactly the subtree below q.
     found, stack = {point_id}, [point_id]

@@ -62,7 +62,7 @@ def _statements(text: str, source: str):
 def parse_configuration(text: str, *, source: str = "<config>") -> Configuration:
     """Parse a cluster file; raises ParseError carrying the offending line."""
     surface: SurfaceModel | None = None
-    specs: list[tuple[int, list[int]]] = []
+    specs: list[tuple[int, tuple[int, ...]]] = []
     line_of_id: dict[int, int] = {}
     for lineno, statement in _statements(text, source):
         tokens = statement.split()
@@ -77,20 +77,25 @@ def parse_configuration(text: str, *, source: str = "<config>") -> Configuration
         if not tokens[0].isdigit():
             raise ParseError(f"expected a point id, got {quote(tokens[0])}",
                              line=lineno, source=source)
-        pid = _number(tokens[0], "point id", line=lineno, source=source)
-        if len(tokens) == 2 and tokens[1].lower() == "origin":
-            prox: list[int] = []
-        elif 3 <= len(tokens) <= 4 and tokens[1] == "->":
-            if not all(tok.isdigit() for tok in tokens[2:]):
-                raise ParseError(f"invalid proximity targets in {quote(statement)}",
-                                 line=lineno, source=source)
-            prox = [_number(tok, "proximity target", line=lineno,
-                            source=source) for tok in tokens[2:]]
-        else:
-            raise ParseError(
-                f"malformed point statement {quote(statement)} (expected "
-                f"'<id> origin' or '<id> -> <parent> [<second>]')",
-                line=lineno, source=source)
+        try:
+            pid = int(tokens[0])
+            if len(tokens) == 2 and tokens[1].lower() == "origin":
+                prox: tuple[int, ...] = ()
+            elif 3 <= len(tokens) <= 4 and tokens[1] == "->":
+                if not (tokens[2].isdigit() and tokens[-1].isdigit()):
+                    raise ParseError(f"invalid proximity targets in {quote(statement)}",
+                                     line=lineno, source=source)
+                prox = (int(tokens[2]),) if len(tokens) == 3 else \
+                    (int(tokens[2]), int(tokens[3]))
+            else:
+                raise ParseError(
+                    f"malformed point statement {quote(statement)} (expected "
+                    f"'<id> origin' or '<id> -> <parent> [<second>]')",
+                    line=lineno, source=source)
+        except ValueError:  # past the int/str cap, which _number words
+            pid = _number(tokens[0], "point id", line=lineno, source=source)
+            prox = tuple(_number(tok, "proximity target", line=lineno,
+                                 source=source) for tok in tokens[2:])
         specs.append((pid, prox))
         line_of_id[pid] = lineno  # a duplicate's own line
     if surface is None:

@@ -13,12 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .config import (
-    Configuration,
-    multiplicity_vector,
-    proximity_solve,
-    subconfiguration,
-)
+from .config import Configuration, multiplicity_vector, subconfiguration
 from .errors import (
     InvariantError,
     MultipleOriginsError,
@@ -81,10 +76,15 @@ def d_value(c: Configuration) -> DValue:
 
     With a = P^{-1} e_1 and b = P^{-1} m over the completed cluster, the
     component conditions d*a_i - b_i > 0 give d = max_i(floor(b_i/a_i) + 1).
+    a and b come from one forward pass over the completion's integer tuples.
     """
     hat = hat_configuration(c)
-    a = proximity_solve(hat, [1] + [0] * (len(hat) - 1))
-    b = proximity_solve(hat, multiplicity_vector(hat))
+    b = list(multiplicity_vector(hat))
+    a = [1] + [0] * (len(b) - 1)
+    for i, prox in enumerate(hat.proximities):
+        for t in prox:
+            a[i] += a[t - 1]
+            b[i] += b[t - 1]
     bad = [i + 1 for i, ai in enumerate(a) if ai <= 0]
     if bad:
         raise NonPositiveCoefficientError(

@@ -9,11 +9,14 @@ E_p and E_q no longer meet.  A point's depth is its parent's plus one.
 
 ``check_clusters(n)`` compares ``build_configuration`` with the model over
 every spec list of up to ``n`` points in which each point lists at most two
-distinct smaller targets.  On every accepted cluster it then checks each
-origin's ``d`` against ``scan_d_value``, ``P^t m`` on each completion, both
-reports and the pullback and epsilon bounds against the benchmark's oracle
-(``bench/oracle.py``, imported read-only).  Tier-1 runs it up to 6 points;
-for 7 (27007 clusters, about 47 s on one core of a 2-vCPU VM) run
+distinct smaller targets, and ``parse_configuration`` on each list's file
+with ``build_configuration``: the same clusters, and each rejection with the
+validator's message on the line of the point it names.  On every accepted
+cluster it then checks each origin's ``d`` against ``scan_d_value``,
+``P^t m`` on each completion, both reports and the pullback and epsilon
+bounds against the benchmark's oracle (``bench/oracle.py``, imported
+read-only).  Tier-1 runs it up to 6 points;
+for 7 (27007 clusters, about 2 minutes on one core of a 2-vCPU VM) run
 
     PYTHONPATH=src:tests python -c "from test_exhaustive import check_clusters; check_clusters(7)"
 """
@@ -27,6 +30,7 @@ from itertools import product
 
 from negbound import (
     ConfigurationError,
+    ParseError,
     analysis_report,
     build_configuration,
     d_value_report,
@@ -85,17 +89,23 @@ def spec_lists(n: int):
 
 
 def check_clusters(max_points: int) -> list[int]:
-    """Check the validator against the model for 1..``max_points`` points
-    and return the number of clusters of each size."""
+    """Check the validator against the model for 1..``max_points`` points,
+    and the parser's verdict on each spec list's file against the
+    validator's, and return the number of clusters of each size."""
     counts = []
     for n in range(1, max_points + 1):
         ids = range(1, n + 1)
         accepted = {}
         for prox in spec_lists(n):
+            text = "surface p2\n" + "".join(
+                f"{pid} -> {' '.join(map(str, targets))}\n" if targets
+                else f"{pid} origin\n" for pid, targets in zip(ids, prox))
             try:
                 c = build_configuration(zip(ids, prox))
-            except ConfigurationError:
-                continue  # any other exception fails the check
+            except ConfigurationError as err:  # any other exception fails
+                check_parser_rejects(text, err)
+                continue
+            assert parse_configuration(text) == c, text
             accepted[c.proximities] = c
         model = model_clusters(n)
         assert accepted.keys() == model.keys(), n
@@ -105,6 +115,18 @@ def check_clusters(max_points: int) -> list[int]:
             check_against_oracles(c)
         counts.append(len(model))
     return counts
+
+
+def check_parser_rejects(text: str, err: ConfigurationError) -> None:
+    """The parser rejects the file with the validator's message, on the
+    line of the point the validator names (point k is on line k + 1)."""
+    try:
+        parse_configuration(text)
+    except ParseError as parse_err:
+        assert str(parse_err).endswith(f": {err}"), (text, parse_err)
+        assert err.point_id is not None and parse_err.line == err.point_id + 1, text
+    else:
+        raise AssertionError(f"the parser accepts {text!r}, rejected by {err}")
 
 
 def check_against_oracles(c) -> None:

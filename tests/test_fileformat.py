@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import random
+import sys
 from fractions import Fraction
 
 import pytest
 
 from negbound import (
+    ConfigurationError,
     DivisorClass,
     DuplicateIdError,
     ForwardReferenceError,
@@ -27,6 +30,7 @@ P2 = ProjectivePlane()
 # More digits than Python converts by default (sys.int_info.default_max_str_digits
 # is 4300); the interpreter refuses such a literal before converting it.
 OVER_CAP = "1" * 5001
+CAP = sys.get_int_max_str_digits()
 
 
 class TestParseConfiguration:
@@ -96,19 +100,48 @@ class TestParseConfiguration:
             parse_configuration(text)
         assert exc.value.line == text.count("\n")
 
-    @pytest.mark.parametrize("text", [
-        "surface p2\n1 origin\n1_0 -> 1\n",
-        "surface p2\n1 origin\n2 -> 0_1\n",
-        "surface p2\n1 origin\n+2 -> 1\n",
+    @pytest.mark.parametrize("text, message", [
+        pytest.param("surface p2\n1 origin\n1_0 -> 1\n",
+                     "expected a point id, got '1_0'", id="separator-id"),
+        pytest.param("surface p2\n1 origin\n2 -> 0_1\n",
+                     "invalid proximity targets in '2 -> 0_1'",
+                     id="separator-target"),
+        pytest.param("surface p2\n1 origin\n+2 -> 1\n",
+                     "expected a point id, got '+2'", id="signed-id"),
+        pytest.param("surface p2\n1 origin\n2 -> 1 +1\n",
+                     "invalid proximity targets in '2 -> 1 +1'",
+                     id="signed-second-target"),
         pytest.param(f"surface p2\n1 origin\n{OVER_CAP} -> 1\n",
-                     id="over-cap-id"),
+                     f"point id has more than {CAP} digits", id="over-cap-id"),
         pytest.param(f"surface p2\n1 origin\n2 -> {OVER_CAP}\n",
+                     f"proximity target has more than {CAP} digits",
                      id="over-cap-target"),
+        pytest.param(f"surface p2\n1 origin\n2 -> 1 {OVER_CAP}\n",
+                     f"proximity target has more than {CAP} digits",
+                     id="over-cap-second-target"),
     ])
-    def test_point_ids_and_targets_are_plain_digits(self, text):
+    def test_point_ids_and_targets_are_plain_digits(self, text, message):
         with pytest.raises(ParseError) as exc:
             parse_configuration(text)
         assert exc.value.line == 3
+        assert str(exc.value) == f"<config>:3: {message}"
+
+    def test_point_lines_in_any_order(self, sample12):
+        surface, *points = serialize_configuration(sample12).splitlines()
+        random.Random(12).shuffle(points)
+        assert [int(line.split()[0]) for line in points] != list(range(1, 13))
+        assert parse_configuration("\n".join([surface, *points])) == sample12
+
+    @pytest.mark.parametrize("points, line, cause", [
+        (["3 -> 1", "1 origin", "2 -> 1", "3 -> 2"], 5, DuplicateIdError),
+        (["3 -> 2", "2 -> 4", "1 origin", "4 -> 3"], 3, ForwardReferenceError),
+        (["3 -> 1", "1 origin"], None, ConfigurationError),
+    ], ids=["duplicate", "forward-reference", "missing"])
+    def test_shuffled_file_names_the_offending_line(self, points, line, cause):
+        with pytest.raises(ParseError) as exc:
+            parse_configuration("\n".join(["surface p2", *points]))
+        assert exc.value.line == line
+        assert type(exc.value.__cause__) is cause
 
     @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"],
                              ids=["lf", "crlf", "cr"])

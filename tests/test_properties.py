@@ -661,3 +661,23 @@ class TestPointView:
         assert len(made) == 2 * len(c.origins)
         assert all("successors" not in vars(x) for x in made)
         assert "successors" in vars(c)
+
+    def test_a_single_origin_cluster_is_its_own_subcluster(self, monkeypatch):
+        # Point 1 is an origin, so with no other origin the cut at 1 is the
+        # cluster itself: d builds only the completion and no successors.
+        made = []
+        init = Configuration.__post_init__
+
+        def recording(self):
+            made.append(self)
+            init(self)
+
+        c = random_configuration(random.Random(SEED + 7), 80, multi_origin=False)
+        assert len(c.origins) == 1
+        hat = hat_configuration(c)
+        monkeypatch.setattr(Configuration, "__post_init__", recording)
+        assert subconfiguration(c, 1) is c
+        assert made == []
+        d_value_report(c)
+        assert made == [hat]
+        assert all("successors" not in vars(x) for x in (c, *made))
