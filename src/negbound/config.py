@@ -159,7 +159,7 @@ def build_configuration(point_specs: Iterable[PointSpec],
         raise ConfigurationError("a configuration must contain at least one point")
     proximities: list[tuple[int, ...]] = []
     satellite_at: dict[tuple[int, ...], int] = {}
-    fault: Exception | None = None
+    fault: ConfigurationError | None = None
     try:
         specs.sort(key=lambda spec: spec[0] if type(spec[0]) is int else 0)
         for index, (pid, prox) in enumerate(specs, start=1):
