@@ -61,30 +61,28 @@ class Point:
 
 @dataclass(frozen=True)
 class Configuration:
-    """A validated cluster over a surface, stored as its proximity tuples:
-    entry ``i`` lists the targets of point ``i + 1``, parent first.
-
-    Valid by construction: build it with :func:`build_configuration` or
-    ``parse_configuration``; the bare constructor checks only its surface.
-    Subclusters and satellite completions reuse the tuples of a valid one.
+    """A valid cluster over a surface, stored as its proximity tuples:
+    entry ``i`` lists the targets of point ``i + 1``, parent first.  The
+    constructor, and so ``replace`` and unpickling, runs
+    :func:`build_configuration` on tuples that no valid cluster handed on.
     """
 
     proximities: tuple[tuple[int, ...], ...]
     surface: SurfaceModel = ProjectivePlane()
-    # Surface-free values by name, handed on by dataclasses.replace; key
-    # "proximities" keeps the tuple they derive from, so its identity cannot
-    # be reused, and __post_init__ swaps in a new dict for any other tuple.
+    # Surface-free values by name; key "proximities" is their tuple.  A holder
+    # for this very tuple came from a valid cluster; any other tuple validates.
     _surface_free: dict | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         checked_surface(self.surface)
         shared = self._surface_free
         if shared is None or shared["proximities"] is not self.proximities:
-            object.__setattr__(self, "_surface_free",
-                               {"proximities": self.proximities})
+            valid = build_configuration(_specs(self.proximities), self.surface)
+            object.__setattr__(self, "proximities", valid.proximities)
+            object.__setattr__(self, "_surface_free", valid._surface_free)
 
     def __reduce__(self):
-        # The fields only: cached views and the holder are derived again.
+        # The fields only: unpickling validates them and derives the rest again.
         return Configuration, (self.proximities, self.surface)
 
     def __len__(self) -> int:
@@ -132,8 +130,18 @@ class Configuration:
         return tuple(pid for pid in range(1, len(self) + 1) if pid not in targets)
 
 
+def _specs(proximities) -> Iterable[PointSpec]:
+    """Lazy ``(id, targets)`` specs, so that the validator names a non-sequence."""
+    yield from enumerate(proximities, start=1)
+
+
+def _handed_on(proximities: tuple, surface: SurfaceModel) -> Configuration:
+    """Tuples a valid cluster hands on, with a holder for them: not checked again."""
+    return Configuration(proximities, surface, {"proximities": proximities})
+
+
 def build_configuration(point_specs: Iterable[PointSpec],
-                        surface: SurfaceModel | None = None) -> Configuration:
+                        surface: SurfaceModel = ProjectivePlane()) -> Configuration:
     """Validate ``(id, proximity ids)`` specs and assemble a Configuration.
 
     Ids and targets must be ints, the ids 1..n (any input order); proximity
@@ -148,8 +156,6 @@ def build_configuration(point_specs: Iterable[PointSpec],
     as a blowup makes the new curve meet the curves through its center and
     parts two that met there; and a center lies on 0, 1 or 2 of the curves.
     """
-    if surface is None:
-        surface = ProjectivePlane()
     try:
         specs = [(pid, tuple(prox)) for pid, prox in point_specs]
     except (TypeError, ValueError):
@@ -209,7 +215,7 @@ def build_configuration(point_specs: Iterable[PointSpec],
             raise ConfigurationError(f"ids must be exactly 1..{len(specs)} "
                                      f"(missing {quote(missing)})")
         raise fault
-    return Configuration(tuple(proximities), surface)
+    return _handed_on(tuple(proximities), surface)
 
 
 def proximity_matrix(c: Configuration) -> tuple[IntMatrix, IntMatrix]:
@@ -295,7 +301,7 @@ def subconfiguration(c: Configuration, point_id: int) -> Configuration:
                 stack.append(succ)
     kept = sorted(found)
     renumber = {old: new for new, old in enumerate(kept, start=1)}
-    return Configuration(
+    return _handed_on(
         tuple(tuple(renumber[t] for t in c.proximities[old - 1] if t in renumber)
               for old in kept), c.surface)
 

@@ -47,10 +47,6 @@ class UnknownPointError(ConfigurationError):
     """A point id does not belong to the cluster."""
 
 
-class NonPositiveCoefficientError(NegboundError):
-    """An unloading coefficient that must be positive is not."""
-
-
 class InvariantError(NegboundError):
     """A derived object (a d certificate) breaks its invariant."""
 

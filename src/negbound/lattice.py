@@ -109,6 +109,8 @@ class DivisorClass:
                 for i in range(1, self.n + 1)]
 
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
+        if not isinstance(other, DivisorClass):
+            return NotImplemented
         _check_lattice(self.surface, self.n, other.surface, other.n)
         s, t = other.den, self.den
         exc = {i: s * x for i, x in self.exceptional_numerators.items()}
@@ -120,7 +122,7 @@ class DivisorClass:
                           exc, s * t)
 
     def __sub__(self, other: "DivisorClass") -> "DivisorClass":
-        return self + (-other)
+        return self + -other if isinstance(other, DivisorClass) else NotImplemented
 
     def __neg__(self) -> "DivisorClass":
         return self * -1
@@ -165,6 +167,9 @@ def pairing(x: DivisorClass, y: DivisorClass) -> Fraction:
     """Intersection number of two classes on the same lattice, in integers
     over the two classes' denominators; only the exceptional coordinates
     nonzero in both classes are multiplied."""
+    if not (isinstance(x, DivisorClass) and isinstance(y, DivisorClass)):
+        raise TypeError(f"expected two DivisorClass, got {type(x).__name__} "
+                        f"and {type(y).__name__}")
     _check_lattice(x.surface, x.n, y.surface, y.n)
     x_base, y_base = x.base_numerators, y.base_numerators
     if len(x_base) == 1:  # the plane

@@ -13,13 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .config import Configuration, multiplicity_vector, subconfiguration
-from .errors import (
-    InvariantError,
-    MultipleOriginsError,
-    NonPositiveCoefficientError,
-    quote,
-)
+from .config import (Configuration, _handed_on, multiplicity_vector,
+                     subconfiguration)
+from .errors import InvariantError, MultipleOriginsError, quote
 
 
 def hat_configuration(c: Configuration) -> Configuration:
@@ -42,7 +38,7 @@ def hat_configuration(c: Configuration) -> Configuration:
         prox = c.proximities[end - 1]
         if len(prox) == 1:
             proximities.append((end, prox[0]))
-    return Configuration(tuple(proximities), c.surface)
+    return _handed_on(tuple(proximities), c.surface)
 
 
 @dataclass(frozen=True)
@@ -74,9 +70,10 @@ class DValue:
 def d_value(c: Configuration) -> DValue:
     """Compute the minimal degree of a single-origin cluster in closed form.
 
-    With a = P^{-1} e_1 and b = P^{-1} m over the completed cluster, the
-    component conditions d*a_i - b_i > 0 give d = max_i(floor(b_i/a_i) + 1).
-    a and b come from one forward pass over the completion's integer tuples.
+    With a = P^{-1} e_1 and b = P^{-1} m over the completed cluster, from one
+    forward pass, the conditions d*a_i - b_i > 0 give d = max_i(floor(b_i/a_i)
+    + 1).  Each a_i >= 1, by induction: a_1 = 1, and each later a_i is the
+    sum of a_t over its targets t, one of them its parent, as c is valid.
     """
     hat = hat_configuration(c)
     b = list(multiplicity_vector(hat))
@@ -85,11 +82,6 @@ def d_value(c: Configuration) -> DValue:
         for t in prox:
             a[i] += a[t - 1]
             b[i] += b[t - 1]
-    bad = [i + 1 for i, ai in enumerate(a) if ai <= 0]
-    if bad:
-        raise NonPositiveCoefficientError(
-            f"nonpositive unloading coefficients at points {quote(bad)}; "
-            f"the cluster is not a single-origin cluster")
     d = max(bi // ai + 1 for ai, bi in zip(a, b))
     certificate = tuple(d * ai - bi for ai, bi in zip(a, b))
     return DValue(d=d, certificate=certificate,  # (d-1)a - b = c - a

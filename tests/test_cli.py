@@ -529,11 +529,10 @@ PUBLIC_NAMES = {
         exceptional_self_intersections multiplicity_vector proximity_apply
         proximity_solve subconfiguration""",
     "errors": """ConfigurationError DuplicateIdError ForwardReferenceError
-        InvalidSatelliteError InvariantError LatticeError
-        MultipleOriginsError NegboundError NonPositiveCoefficientError
-        NonPositiveEpsilonError NormalizationError NotHirzebruchError
-        ParseError SurfaceMismatchError TooManyProximitiesError
-        UnknownChartError UnknownPointError""",
+        InvalidSatelliteError InvariantError LatticeError MultipleOriginsError
+        NegboundError NonPositiveEpsilonError NormalizationError
+        NotHirzebruchError ParseError SurfaceMismatchError
+        TooManyProximitiesError UnknownChartError UnknownPointError""",
     "fileformat": """load_configuration load_curves parse_configuration
         parse_curves parse_divisor parse_rational serialize_configuration""",
     "lattice": """Bidegree BidegreeBounds DivisorClass InvariantBoundReport

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import dataclasses
+import pickle
 from decimal import Decimal
 
 import pytest
 
 from negbound import (
+    Configuration,
     ConfigurationError,
     DuplicateIdError,
     ForwardReferenceError,
@@ -22,7 +25,7 @@ from negbound import (
     subconfiguration,
 )
 from negbound.config import proximity_matrix
-from negbound.surfaces import Hirzebruch
+from negbound.surfaces import Hirzebruch, ProjectivePlane
 
 
 def specs_of(c):
@@ -147,6 +150,51 @@ class TestBuildConfiguration:
         with pytest.raises(ConfigurationError) as exc:
             build_configuration(specs)
         assert str(exc.value) == message
+
+
+class _ForgedPickle:
+    """Pickles as a Configuration of proximities no validator has seen."""
+
+    def __init__(self, proximities):
+        self.proximities = proximities
+
+    def __reduce__(self):
+        return Configuration, (self.proximities, ProjectivePlane())
+
+
+class TestConstructorValidates:
+    """Every Configuration is a valid cluster: the constructor runs the
+    validator on proximities that no valid cluster handed on."""
+
+    @pytest.mark.parametrize("proximities,error,message", [
+        ((), ConfigurationError, "a configuration must contain at least one point"),
+        (((), (5,)), ForwardReferenceError,
+         "point 2 is proximate to 5, which is not a strictly smaller id"),
+        (((), (0,)), ForwardReferenceError,
+         "point 2 is proximate to 0, which is not a strictly smaller id"),
+        (((), (1,), (2, 2)), NormalizationError,
+         "point 3 lists the same proximity 2 twice"),
+        (None, ConfigurationError,
+         "each point spec must be an (id, proximity ids) pair"),
+    ], ids=["empty", "forward", "zero-target", "same-target-twice", "none"])
+    def test_a_non_cluster_is_a_typed_error(self, proximities, error, message):
+        for build in (lambda: Configuration(proximities),
+                      lambda: dataclasses.replace(
+                          build_configuration([(1, [])]), proximities=proximities),
+                      lambda: pickle.loads(pickle.dumps(_ForgedPickle(proximities)))):
+            with pytest.raises(ConfigurationError) as info:
+                build()
+            assert (type(info.value), str(info.value)) == (error, message)
+
+    def test_lists_become_the_validated_tuples(self):
+        c = Configuration([[], [1], (2, 1)], Hirzebruch(1))
+        built = build_configuration([(1, []), (2, [1]), (3, [2, 1])], Hirzebruch(1))
+        assert c.proximities == ((), (1,), (2, 1))
+        assert c == built and hash(c) == hash(built)
+
+    def test_the_constructor_checks_the_surface_first(self):
+        with pytest.raises(TypeError, match="got NoneType"):
+            Configuration(((), (5,)), None)
 
 
 class TestProximityMatrix:

@@ -10,8 +10,9 @@ E_p and E_q no longer meet.  A point's depth is its parent's plus one.
 ``check_clusters(n)`` compares ``build_configuration`` with the model over
 every spec list of up to ``n`` points in which each point lists at most two
 distinct smaller targets, and ``parse_configuration`` on each list's file
-with ``build_configuration``: the same clusters, and each rejection with the
-validator's message on the line of the point it names.  On every accepted
+and the ``Configuration`` constructor on its proximities with
+``build_configuration``: the same clusters, and each rejection with the
+validator's error and message, on the line of the point it names.  On every accepted
 cluster it then checks each origin's ``d`` against ``scan_d_value``,
 ``P^t m`` on each completion, both reports and the pullback and epsilon
 bounds against the benchmark's oracle (``bench/oracle.py``, imported
@@ -29,6 +30,7 @@ from fractions import Fraction
 from itertools import product
 
 from negbound import (
+    Configuration,
     ConfigurationError,
     ParseError,
     analysis_report,
@@ -90,8 +92,9 @@ def spec_lists(n: int):
 
 def check_clusters(max_points: int) -> list[int]:
     """Check the validator against the model for 1..``max_points`` points,
-    and the parser's verdict on each spec list's file against the
-    validator's, and return the number of clusters of each size."""
+    and the parser's verdict on each spec list's file and the constructor's
+    on its proximities against the validator's, and return the number of
+    clusters of each size."""
     counts = []
     for n in range(1, max_points + 1):
         ids = range(1, n + 1)
@@ -104,8 +107,10 @@ def check_clusters(max_points: int) -> list[int]:
                 c = build_configuration(zip(ids, prox))
             except ConfigurationError as err:  # any other exception fails
                 check_parser_rejects(text, err)
+                check_constructor_rejects(prox, err)
                 continue
             assert parse_configuration(text) == c, text
+            assert Configuration(prox) == c, prox
             accepted[c.proximities] = c
         model = model_clusters(n)
         assert accepted.keys() == model.keys(), n
@@ -127,6 +132,17 @@ def check_parser_rejects(text: str, err: ConfigurationError) -> None:
         assert err.point_id is not None and parse_err.line == err.point_id + 1, text
     else:
         raise AssertionError(f"the parser accepts {text!r}, rejected by {err}")
+
+
+def check_constructor_rejects(prox: tuple, err: ConfigurationError) -> None:
+    """The constructor rejects the proximities with the validator's error
+    type and message."""
+    try:
+        Configuration(prox)
+    except ConfigurationError as ctor_err:
+        assert (type(ctor_err), str(ctor_err)) == (type(err), str(err)), prox
+    else:
+        raise AssertionError(f"the constructor accepts {prox!r}, rejected by {err}")
 
 
 def check_against_oracles(c) -> None:

@@ -20,8 +20,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from negbound import (
+    Configuration,
+    ConfigurationError,
     DivisorClass,
+    analysis_report,
     build_configuration,
+    cluster_bound_data,
+    dot_export,
     hat_configuration,
     multiplicity_vector,
     origin_d_values,
@@ -31,6 +36,7 @@ from negbound import (
     proximity_solve,
     serialize_configuration,
     subconfiguration,
+    total_d,
 )
 from negbound.cli import main
 from negbound.config import proximity_matrix
@@ -164,6 +170,39 @@ def test_point_views_and_both_routes_agree(c):
         copy = pickle.loads(pickle.dumps(built, protocol))
         assert copy == parsed and hash(copy) == hash(parsed)
         assert copy.points == parsed.points
+
+
+@st.composite
+def proximity_entries(draw, max_points: int = 6):
+    """1 to ``max_points`` entries, each a tuple or list of 0 to 3 ints in
+    -1..n+1: mostly not a cluster, now and then one."""
+    n = draw(st.integers(1, max_points))
+    entry = st.lists(st.integers(-1, n + 1), max_size=3)
+    return tuple(draw(st.one_of(entry, entry.map(tuple))) for _ in range(n))
+
+
+@SETTINGS
+@given(proximity_entries())
+@example(([], [1], (2, 1)))
+@example(((), (1,), [2], (3, 2)))
+def test_the_constructor_agrees_with_the_validator(entries):
+    """``Configuration`` raises what ``build_configuration`` raises on the
+    numbered entries, or equals its cluster, and every accepted cluster
+    runs its derivations without an exception."""
+    try:
+        expected = build_configuration(enumerate(entries, start=1))
+    except ConfigurationError as err:
+        expected = err
+    try:
+        c = Configuration(entries)
+    except ConfigurationError as err:
+        assert (type(err), str(err)) == (type(expected), str(expected))
+        return
+    assert c == expected and hash(c) == hash(expected)
+    total_d(c)
+    analysis_report(c)
+    dot_export(c)
+    cluster_bound_data(c)
 
 
 @SETTINGS

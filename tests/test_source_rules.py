@@ -12,8 +12,8 @@ from negbound import (
     Configuration,
     DivisorClass,
     HirzebruchBidegree,
+    ForwardReferenceError,
     InvariantError,
-    NonPositiveCoefficientError,
     ParseError,
     PlaneDegree,
     SurfaceMismatchError,
@@ -235,8 +235,9 @@ def _curve_file(tmp_path, n):
 
 
 def _flat_cluster(n: int) -> Configuration:
-    """A bare, unvalidated single-origin cluster whose points 2..n are all
-    proximate to n, so every unloading coefficient past the origin is 0."""
+    """A hand-built single-origin cluster whose points 2..n are all
+    proximate to n, which would make every unloading coefficient past the
+    origin 0; the constructor rejects it."""
     return Configuration(((),) + ((n,),) * (n - 1))
 
 
@@ -278,7 +279,7 @@ SHORT_ERRORS = {
         d=2, certificate=(0,) * 10 ** 5, previous=(1,) * 10 ** 5)),
     "DValue digits": (InvariantError, lambda tmp: DValue(
         d=BIG, certificate=(BIG,), previous=(BIG,))),
-    "d_value points": (NonPositiveCoefficientError,
+    "d_value points": (ForwardReferenceError,
                        lambda tmp: d_value(_flat_cluster(10 ** 4))),
     "chart": (UnknownChartError, lambda tmp: bidegree_of_closure(
         LONG, deg_x=1, deg_y=1)),
@@ -286,6 +287,10 @@ SHORT_ERRORS = {
         5, deg_x=1, deg_y=1)),
     "chart None": (UnknownChartError, lambda tmp: bidegree_of_closure(
         None, deg_x=1, deg_y=1)),
+    "pairing int": (TypeError, lambda tmp: pairing(
+        parse_divisor("L", P2, 0), 1)),
+    "DivisorClass plus int": (TypeError, lambda tmp: parse_divisor("L", P2, 0) + 1),
+    "DivisorClass minus int": (TypeError, lambda tmp: parse_divisor("L", P2, 0) - 1),
     "pairing n": (SurfaceMismatchError, lambda tmp: pairing(
         parse_divisor("L", P2, BIG), parse_divisor("L", P2, 0))),
     "strict coordinates n": (SurfaceMismatchError,
@@ -296,6 +301,8 @@ SHORT_ERRORS = {
         Configuration(((),), Hirzebruch(BIG)))),
     "build_configuration surface": (TypeError, lambda tmp: build_configuration(
         [(1, []), (2, [1])], "p2")),
+    "build_configuration surface None": (TypeError, lambda tmp:
+                                         build_configuration([(1, [])], None)),
     "Configuration surface": (TypeError, lambda tmp: Configuration(((),), "p2")),
     "replace surface": (TypeError, lambda tmp: dataclasses.replace(
         build_configuration([(1, [])]), surface="p2")),

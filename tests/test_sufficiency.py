@@ -8,8 +8,8 @@ import pytest
 
 from negbound import (
     Configuration,
+    ForwardReferenceError,
     MultipleOriginsError,
-    NonPositiveCoefficientError,
     build_configuration,
     d_value,
     d_value_report,
@@ -122,9 +122,11 @@ for d, certificate, previous in [(1, (1,), (0,)), (2, (0,), (-1,)),
             d_value(sample12)
 
     def test_zero_unloading_coefficient_is_a_typed_error(self):
-        # Hand-built past the validator: point 2 lists itself, so a_2 = 0,
-        # and the closed form would divide by it.
-        with pytest.raises(NonPositiveCoefficientError, match=r"points \[2\]"):
+        # Point 2 listing itself would give a_2 = 0, and the closed form
+        # would divide by it; the constructor rejects such a cluster, so
+        # d_value needs no guard of its own.
+        with pytest.raises(ForwardReferenceError,
+                           match="point 2 is proximate to 2, which is not"):
             d_value(Configuration(((), (2,))))
 
 
