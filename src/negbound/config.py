@@ -142,7 +142,8 @@ def _handed_on(proximities: tuple, surface: SurfaceModel) -> Configuration:
 
 def build_configuration(point_specs: Iterable[PointSpec],
                         surface: SurfaceModel = ProjectivePlane()) -> Configuration:
-    """Validate ``(id, proximity ids)`` specs and assemble a Configuration.
+    """Validate ``(id, proximity ids)`` specs and assemble a Configuration:
+    the one validator, which the Configuration constructor also runs.
 
     Ids and targets must be ints, the ids 1..n (any input order); proximity
     lists must reference strictly smaller ids, parent (largest target)

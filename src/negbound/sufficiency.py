@@ -13,8 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .config import (Configuration, _handed_on, multiplicity_vector,
-                     subconfiguration)
+from .config import Configuration, _handed_on, multiplicity_vector, subconfiguration
 from .errors import InvariantError, MultipleOriginsError, quote
 
 

@@ -192,10 +192,6 @@ class TestConstructorValidates:
         assert c.proximities == ((), (1,), (2, 1))
         assert c == built and hash(c) == hash(built)
 
-    def test_the_constructor_checks_the_surface_first(self):
-        with pytest.raises(TypeError, match="got NoneType"):
-            Configuration(((), (5,)), None)
-
 
 class TestProximityMatrix:
     def test_singleton(self):

@@ -12,12 +12,13 @@ every spec list of up to ``n`` points in which each point lists at most two
 distinct smaller targets, and ``parse_configuration`` on each list's file
 and the ``Configuration`` constructor on its proximities with
 ``build_configuration``: the same clusters, and each rejection with the
-validator's error and message, on the line of the point it names.  On every accepted
-cluster it then checks each origin's ``d`` against ``scan_d_value``,
+validator's message, the constructor's with its error type too and the
+parser's on the line of the point it names.  On every accepted cluster it
+then checks each origin's ``d`` against ``scan_d_value``,
 ``P^t m`` on each completion, both reports and the pullback and epsilon
 bounds against the benchmark's oracle (``bench/oracle.py``, imported
 read-only).  Tier-1 runs it up to 6 points; for 7 (27007 clusters, about
-2 minutes on one core of a 2-vCPU VM) run
+3 minutes on one core of a 2-vCPU VM) run
 
     PYTHONPATH=src:tests python -c "from test_exhaustive import check_clusters; check_clusters(7)"
 """

@@ -1,5 +1,5 @@
-"""Property tests over shrinking strategies of valid clusters, divisor
-classes and CLI calls.
+"""Property tests over shrinking strategies of valid clusters, proximity
+entries that are mostly not clusters, divisor classes and CLI calls.
 
 Runs are derandomized and keep no example database, so every run draws the
 same examples; only the CLI property writes files, in a temporary directory.
