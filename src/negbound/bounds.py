@@ -16,9 +16,8 @@ from typing import TYPE_CHECKING, NamedTuple, Sequence, Union
 
 from .config import (Configuration, Rational, _rational,
                      exceptional_self_intersections)
-from .errors import NonPositiveEpsilonError, SurfaceMismatchError, quote
-from .surfaces import (SurfaceModel, checked_surface, is_plane,
-                       surface_json_fields, surface_name)
+from .errors import NonPositiveEpsilonError, quote
+from .surfaces import SurfaceModel, is_plane, surface_json_fields
 from .sufficiency import origin_d_values, total_d
 
 if TYPE_CHECKING:  # the lattice loads only for the curve-list reports
@@ -205,19 +204,17 @@ class FoliationBoundReport:
     combined_bound: Fraction | None = None
 
 
-def foliation_negativity_bound(degree: FoliationDegree, surface: SurfaceModel,
+def foliation_negativity_bound(degree: FoliationDegree,
                                epsilon: Rational | None = None, *,
                                alpha_hat: Rational | None = None,
                                gamma: int | None = None) -> FoliationBoundReport:
+    """Bounds set by a foliation's degree, whose type names the surface."""
     if not isinstance(degree, (PlaneDegree, HirzebruchBidegree)):
         raise TypeError("expected a PlaneDegree or HirzebruchBidegree, "
                         f"got {type(degree).__name__}")
-    plane = isinstance(degree, PlaneDegree)
-    if plane != is_plane(checked_surface(surface)):
-        raise SurfaceMismatchError(f"{type(degree).__name__} does not match "
-                                   f"surface {surface_name(surface)}")
     if gamma is not None and type(gamma) is not int:
         raise ValueError("gamma must be an int")
+    plane = isinstance(degree, PlaneDegree)
     beta = degree.r - 1 if plane else degree.r1 + degree.r2  # degree sum
     bound = Fraction(-beta)
     eps = None if epsilon is None else _positive_epsilon(epsilon)

@@ -106,8 +106,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_analyze(config, args) -> tuple[dict, str]:
+def _cmd_analyze(config, args) -> tuple[dict, str | None]:
     report = analysis_report(config)
+    if args.json:  # main prints the report itself
+        return report, None
     lines = [f"surface: {config.surface}",
              f"points: {len(report['points'])}   "
              f"origins: {' '.join(map(str, report['origins']))}   "

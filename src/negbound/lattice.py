@@ -29,8 +29,7 @@ from .errors import (
 )
 from .surfaces import SurfaceModel, checked_surface, is_plane, surface_name
 
-PLANE_CHARTS = ("UX", "UY", "UZ")
-CHARTS = PLANE_CHARTS + ("U00", "U01", "U10", "U11")  # then F_delta's
+CHARTS = ("U00", "U01", "U10", "U11")  # the affine charts of F_delta
 
 
 @dataclass(frozen=True, init=False)
@@ -163,13 +162,19 @@ def _check_lattice(surface: SurfaceModel, n: int,
             f"vs ({surface_name(other_surface)}, n={quote(other_n)})")
 
 
+def _check_classes(*values: object) -> None:
+    """Raise TypeError, naming the types, unless each is a DivisorClass."""
+    for value in values:
+        if not isinstance(value, DivisorClass):
+            names = " and ".join(type(v).__name__ for v in values)
+            raise TypeError(f"expected DivisorClass, got {names}")
+
+
 def pairing(x: DivisorClass, y: DivisorClass) -> Fraction:
     """Intersection number of two classes on the same lattice, in integers
     over the two classes' denominators; only the exceptional coordinates
     nonzero in both classes are multiplied."""
-    if not (isinstance(x, DivisorClass) and isinstance(y, DivisorClass)):
-        raise TypeError(f"expected two DivisorClass, got {type(x).__name__} "
-                        f"and {type(y).__name__}")
+    _check_classes(x, y)
     _check_lattice(x.surface, x.n, y.surface, y.n)
     x_base, y_base = x.base_numerators, y.base_numerators
     if len(x_base) == 1:  # the plane
@@ -203,6 +208,7 @@ def strict_exceptional_coordinates(c: Configuration,
     E_p*, so total-transform coordinates w convert to strict ones as
     v = P^{-1} w.  The base part is unaffected by the change of basis.
     """
+    _check_classes(cls)
     _check_lattice(cls.surface, cls.n, c.surface, len(c))
     return tuple(Fraction(v, cls.den)
                  for v in proximity_solve(c, cls._numerator_vector()))
@@ -245,6 +251,7 @@ class MultiplicityBoundReport:
 
 
 def multiplicity_bound_check(cls: DivisorClass) -> MultiplicityBoundReport:
+    _check_classes(cls)
     if is_plane(cls.surface):
         raise NotHirzebruchError("multiplicity bound applies to Hirzebruch classes")
     a, b = cls.base
@@ -270,48 +277,24 @@ class BidegreeBounds:
 
 def bidegree_of_closure(chart: str, delta: int | None = None,
                         deg_x: int = 0, deg_y: int = 0,
-                        corner_nonzero: bool = False,
-                        deg_total: int | None = None):
-    """Degree (plane) or bidegree (Hirzebruch) of the closure of an affine curve.
-
-    The curve is given in the affine chart by a polynomial with the stated
-    degrees in x and y; ``corner_nonzero`` asserts that both x^d and y^d occur
-    with nonzero coefficient, d the total degree (so deg_x = deg_y = d and
-    ``deg_total`` may be omitted).  Plane charts return the single closure
-    degree; Hirzebruch charts return an exact Bidegree in the corner case and
-    BidegreeBounds otherwise.
-    """
+                        corner_nonzero: bool = False) -> Bidegree | BidegreeBounds:
+    """Bidegree of the closure in F_delta of a curve given in an affine chart
+    by a polynomial of degree deg_x in x and deg_y in y: an exact Bidegree
+    when ``corner_nonzero`` (x^d and y^d both occur, d = deg_x = deg_y the
+    total degree), else BidegreeBounds."""
     name = chart.upper() if isinstance(chart, str) else None
     if name not in CHARTS:
         raise UnknownChartError(
             f"unknown chart {quote(chart)}; expected one of {CHARTS}")
-    ints = [deg_x, deg_y] + [x for x in (delta, deg_total) if x is not None]
-    if any(type(x) is not int for x in ints) or deg_x < 0 or deg_y < 0:
-        raise ValueError("the degrees and delta must be ints, deg_x and deg_y >= 0")
-    if corner_nonzero:
-        if deg_x != deg_y:
-            raise ValueError(
-                "corner_nonzero forces deg_x == deg_y == total degree")
-        if deg_total is not None and deg_total != deg_x:
-            raise ValueError("deg_total inconsistent with corner_nonzero")
-        deg_total = deg_x
-    if deg_total is not None and not (max(deg_x, deg_y) <= deg_total
-                                      <= deg_x + deg_y):
-        raise ValueError("deg_total inconsistent with deg_x, deg_y")
-
-    if name in PLANE_CHARTS:
-        if deg_total is None:
-            raise ValueError("plane charts need the total degree "
-                             "(corner_nonzero or deg_total)")
-        return deg_total
-
-    if delta is None or delta < 0:
-        raise ValueError("Hirzebruch charts need delta >= 0")
-    if corner_nonzero:
-        if name in ("U00", "U10") or delta == 0:
-            return Bidegree(d1=deg_total, d2=deg_total)
-        return Bidegree(d1=0, d2=deg_total)
-    return BidegreeBounds(d1_max=deg_x, d2=deg_y)
+    if any(type(x) is not int or x < 0 for x in (delta, deg_x, deg_y)):
+        raise ValueError("delta, deg_x and deg_y must be nonnegative ints")
+    if not corner_nonzero:
+        return BidegreeBounds(d1_max=deg_x, d2=deg_y)
+    if deg_x != deg_y:
+        raise ValueError("corner_nonzero forces deg_x == deg_y == total degree")
+    if name in ("U00", "U10") or delta == 0:
+        return Bidegree(d1=deg_x, d2=deg_x)
+    return Bidegree(d1=0, d2=deg_x)
 
 
 @dataclass(frozen=True)

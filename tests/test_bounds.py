@@ -142,37 +142,37 @@ class TestNefPullbackBounds:
 
 class TestFoliationNegativityBound:
     def test_plane_degree_one(self):
-        report = foliation_negativity_bound(PlaneDegree(1), P2)
+        report = foliation_negativity_bound(PlaneDegree(1))
         assert report.beta == 0 and report.bound == 0
 
     def test_plane_degree_five(self):
-        assert foliation_negativity_bound(PlaneDegree(5), P2).bound == -4
+        assert foliation_negativity_bound(PlaneDegree(5)).bound == -4
 
     def test_ruled_bidegree(self):
-        report = foliation_negativity_bound(HirzebruchBidegree(3, 2),
-                                            Hirzebruch(1))
+        report = foliation_negativity_bound(HirzebruchBidegree(3, 2))
         assert report.beta == 5 and report.bound == -5
 
     def test_epsilon_scaling_and_generic(self):
-        report = foliation_negativity_bound(PlaneDegree(5), P2,
-                                            Fraction(1, 2))
+        report = foliation_negativity_bound(PlaneDegree(5), Fraction(1, 2))
         assert report.scaled_bound == -8
         assert report.generic_bound == -2
 
     def test_combined_with_invariant_data(self):
-        report = foliation_negativity_bound(PlaneDegree(3), P2, 1,
+        report = foliation_negativity_bound(PlaneDegree(3), 1,
                                             alpha_hat=Fraction(7), gamma=2)
         assert report.combined_bound == -7
 
-    def test_surface_mismatch(self):
-        with pytest.raises(SurfaceMismatchError):
-            foliation_negativity_bound(PlaneDegree(2), Hirzebruch(0))
-        with pytest.raises(SurfaceMismatchError):
-            foliation_negativity_bound(HirzebruchBidegree(1, 1), P2)
-
     def test_nonpositive_epsilon(self):
         with pytest.raises(NonPositiveEpsilonError):
-            foliation_negativity_bound(PlaneDegree(2), P2, 0)
+            foliation_negativity_bound(PlaneDegree(2), 0)
+
+    @pytest.mark.parametrize("degree, surface", [
+        (PlaneDegree(2), P2), (HirzebruchBidegree(1, 1), Hirzebruch(0))])
+    def test_surface_in_epsilon_position_is_rejected(self, degree, surface):
+        # the degree's type names the surface; a call that still passes
+        # one hands it to the exact-number gate as epsilon
+        with pytest.raises(TypeError, match="int or Fraction"):
+            foliation_negativity_bound(degree, surface)
 
     def test_negative_plane_degree_rejected(self):
         with pytest.raises(ValueError):
@@ -183,7 +183,7 @@ class TestFoliationNegativityBound:
         lambda: PlaneDegree(Fraction(2)),
         lambda: HirzebruchBidegree(1.5, 2),
         lambda: HirzebruchBidegree(1, True),
-        lambda: foliation_negativity_bound(PlaneDegree(2), P2, gamma=1.5),
+        lambda: foliation_negativity_bound(PlaneDegree(2), gamma=1.5),
     ], ids=["plane-float", "plane-fraction", "bidegree-float", "bidegree-bool",
             "gamma-float"])
     def test_integer_parameters_take_only_ints(self, make):
@@ -200,7 +200,7 @@ class TestFoliationNegativityBound:
     def test_combined_bound_is_the_least_piece(self, epsilon, alpha_hat, gamma,
                                                combined):
         # PlaneDegree(3): the bound is -2, or -4 scaled by epsilon = 1/2
-        report = foliation_negativity_bound(PlaneDegree(3), P2, epsilon,
+        report = foliation_negativity_bound(PlaneDegree(3), epsilon,
                                             alpha_hat=alpha_hat, gamma=gamma)
         assert report.combined_bound == combined
         assert combined is None or type(report.combined_bound) is Fraction

@@ -88,6 +88,16 @@ class TestPairing:
         with pytest.raises(TypeError):
             DivisorClass(P2, (1.5,))
 
+    @pytest.mark.parametrize("call", [
+        lambda: pairing(plane(1), 3),
+        lambda: multiplicity_bound_check(3),
+        lambda: strict_exceptional_coordinates(build_configuration([(1, [])]),
+                                               3),
+    ], ids=["pairing", "multiplicity_bound_check", "strict coordinates"])
+    def test_class_arguments_take_only_classes(self, call):
+        with pytest.raises(TypeError, match=r"DivisorClass, got .*\bint$"):
+            call()
+
     def test_rational_coefficients(self):
         half = DivisorClass(P2, (Fraction(1, 2),))
         assert pairing(half, half) == Fraction(1, 4)
@@ -315,10 +325,6 @@ class TestMultiplicityBound:
 
 
 class TestBidegreeOfClosure:
-    def test_plane_total_degree(self):
-        assert bidegree_of_closure("UZ", None, 3, 3, corner_nonzero=True) == 3
-        assert bidegree_of_closure("UX", None, 2, 3, deg_total=4) == 4
-
     def test_corner_case_first_charts(self):
         assert bidegree_of_closure("U00", 2, 4, 4, corner_nonzero=True) == \
             Bidegree(4, 4)
@@ -337,24 +343,48 @@ class TestBidegreeOfClosure:
         result = bidegree_of_closure("U01", 2, 3, 2)
         assert result == BidegreeBounds(d1_max=3, d2=2)
 
+    @pytest.mark.parametrize("chart, delta, corner, expected", [
+        ("U00", 0, True, Bidegree(3, 3)),
+        ("U01", 0, True, Bidegree(3, 3)),
+        ("U10", 0, True, Bidegree(3, 3)),
+        ("U11", 0, True, Bidegree(3, 3)),
+        ("U00", 2, True, Bidegree(3, 3)),
+        ("U01", 2, True, Bidegree(0, 3)),
+        ("U10", 2, True, Bidegree(3, 3)),
+        ("U11", 2, True, Bidegree(0, 3)),
+        ("U00", 0, False, BidegreeBounds(3, 2)),
+        ("U01", 0, False, BidegreeBounds(3, 2)),
+        ("U10", 0, False, BidegreeBounds(3, 2)),
+        ("U11", 0, False, BidegreeBounds(3, 2)),
+        ("U00", 2, False, BidegreeBounds(3, 2)),
+        ("U01", 2, False, BidegreeBounds(3, 2)),
+        ("U10", 2, False, BidegreeBounds(3, 2)),
+        ("U11", 2, False, BidegreeBounds(3, 2)),
+    ])
+    def test_every_chart(self, chart, delta, corner, expected):
+        assert bidegree_of_closure(chart, delta, 3, 3 if corner else 2,
+                                   corner_nonzero=corner) == expected
+
     def test_unknown_chart(self):
         with pytest.raises(UnknownChartError):
             bidegree_of_closure("U22", 2, 1, 1, corner_nonzero=True)
+
+    @pytest.mark.parametrize("chart", ["UX", "UY", "UZ", "uz"])
+    def test_plane_chart_is_unknown(self, chart):
+        with pytest.raises(UnknownChartError):
+            bidegree_of_closure(chart, None, 3, 3, corner_nonzero=True)
+
+    def test_total_degree_is_not_a_parameter(self):
+        with pytest.raises(TypeError, match="deg_total"):
+            bidegree_of_closure("U00", 2, 2, 3, deg_total=4)
 
     def test_inconsistent_inputs(self):
         with pytest.raises(ValueError):
             bidegree_of_closure("U00", 2, 3, 4, corner_nonzero=True)
         with pytest.raises(ValueError):
-            bidegree_of_closure("UZ", None, 2, 2)  # total degree unknown
-        with pytest.raises(ValueError):
             bidegree_of_closure("U00", None, 2, 2, corner_nonzero=True)
         with pytest.raises(ValueError):
-            bidegree_of_closure("U00", 2, -1, 0, deg_total=0)
-        with pytest.raises(ValueError, match="corner_nonzero"):
-            bidegree_of_closure("U00", 2, 3, 3, corner_nonzero=True,
-                                deg_total=4)
-        with pytest.raises(ValueError, match="deg_x, deg_y"):
-            bidegree_of_closure("UX", None, 2, 3, deg_total=6)
+            bidegree_of_closure("U00", 2, -1, 0)
 
 
 class TestInvariantBound:
@@ -387,7 +417,7 @@ GATED = {
         lambda c, x: DivisorClass.from_multiplicities(P2, (1,), (x, 2)),
     "epsilon_family_bounds": epsilon_family_bounds,
     "alpha_hat":
-        lambda c, x: foliation_negativity_bound(PlaneDegree(2), P2, alpha_hat=x),
+        lambda c, x: foliation_negativity_bound(PlaneDegree(2), alpha_hat=x),
     "delta_membership_check":
         lambda c, x: delta_membership_check(plane(3, (1,)), plane(1, (0,)), x,
                                             [plane(1, (0,)), plane(0, (-1,))]),

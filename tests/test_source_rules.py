@@ -11,11 +11,9 @@ import pytest
 from negbound import (
     Configuration,
     DivisorClass,
-    HirzebruchBidegree,
     ForwardReferenceError,
     InvariantError,
     ParseError,
-    PlaneDegree,
     SurfaceMismatchError,
     UnknownChartError,
     bidegree_of_closure,
@@ -23,6 +21,7 @@ from negbound import (
     d_value,
     foliation_negativity_bound,
     load_curves,
+    multiplicity_bound_check,
     pairing,
     parse_curves,
     parse_divisor,
@@ -246,15 +245,13 @@ def _flat_cluster(n: int) -> Configuration:
 # or a value that once slipped through (a float, a bool, a negative n).
 SHORT_ERRORS = {
     "bidegree deg_x": (ValueError, lambda tmp: bidegree_of_closure(
-        "UX", deg_x=LONG, deg_y=1, deg_total=1)),
+        "U00", delta=1, deg_x=LONG, deg_y=1)),
     "bidegree deg_y": (ValueError, lambda tmp: bidegree_of_closure(
-        "UX", deg_x=1, deg_y=-BIG, deg_total=1)),
-    "bidegree deg_total": (ValueError, lambda tmp: bidegree_of_closure(
-        "UX", deg_x=1, deg_y=1, deg_total=LONG)),
+        "U00", delta=1, deg_x=1, deg_y=-BIG)),
     "bidegree delta": (ValueError, lambda tmp: bidegree_of_closure(
         "U01", delta=LONG, deg_x=1, deg_y=1)),
     "bidegree float": (ValueError, lambda tmp: bidegree_of_closure(
-        "UX", deg_x=1.5, deg_y=1.5, corner_nonzero=True)),
+        "U00", delta=1, deg_x=1.5, deg_y=1.5, corner_nonzero=True)),
     "parse_divisor n": (ValueError, lambda tmp: parse_divisor("L", P2, LONG)),
     "parse_divisor float n": (ValueError, lambda tmp: parse_divisor(
         "L - E1", P2, 1.5)),
@@ -272,9 +269,6 @@ SHORT_ERRORS = {
                                build_configuration([(1, [])]),
                                DivisorClass(Hirzebruch(BIG), (1, 0), (0,)))),
     "generator": (ParseError, lambda tmp: parse_divisor("L", Hirzebruch(BIG), 0)),
-    "foliation degree": (SurfaceMismatchError,
-                         lambda tmp: foliation_negativity_bound(
-                             PlaneDegree(BIG), Hirzebruch(0))),
     "DValue length": (InvariantError, lambda tmp: DValue(
         d=2, certificate=(0,) * 10 ** 5, previous=(1,) * 10 ** 5)),
     "DValue digits": (InvariantError, lambda tmp: DValue(
@@ -316,14 +310,15 @@ SHORT_ERRORS = {
     "parse_curves surface": (TypeError, lambda tmp: parse_curves("", "p2", 0)),
     "special_section_class surface": (TypeError,
                                       lambda tmp: special_section_class("p2")),
-    "foliation surface": (TypeError, lambda tmp: foliation_negativity_bound(
-        HirzebruchBidegree(1, 1), "p2")),
-    "foliation plane surface": (TypeError, lambda tmp: foliation_negativity_bound(
-        PlaneDegree(2), "p2")),
-    "foliation degree type": (TypeError, lambda tmp: foliation_negativity_bound(
-        "x", Hirzebruch(1))),
-    "foliation degree None": (TypeError, lambda tmp: foliation_negativity_bound(
-        None, ProjectivePlane())),
+    "foliation degree type": (TypeError,
+                              lambda tmp: foliation_negativity_bound("x")),
+    "foliation degree None": (TypeError,
+                              lambda tmp: foliation_negativity_bound(None)),
+    "multiplicity_bound_check int": (TypeError,
+                                     lambda tmp: multiplicity_bound_check(3)),
+    "strict coordinates int": (TypeError,
+                               lambda tmp: strict_exceptional_coordinates(
+                                   build_configuration([(1, [])]), 3)),
 }
 
 
