@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple, Sequence, Union
 
-from .config import (Configuration, Rational, _rational,
+from .config import (Configuration, Rational, _rational, checked_cluster,
                      exceptional_self_intersections)
 from .errors import NonPositiveEpsilonError, quote
 from .surfaces import SurfaceModel, is_plane, surface_json_fields
@@ -44,7 +44,7 @@ class ClusterData(NamedTuple):
 def cluster_bound_data(c: Configuration) -> ClusterData:
     """n (in both conventions), d and gamma of a cluster."""
     return ClusterData(
-        n_stated=len(c),
+        n_stated=len(checked_cluster(c)),
         n_example=sum(dv.hat_size for dv in origin_d_values(c).values()),
         d=total_d(c),
         gamma=exceptional_self_intersections(c).gamma)

@@ -121,13 +121,22 @@ class Configuration:
 
     @property
     def origins(self) -> tuple[int, ...]:
-        return tuple(pid for pid, prox in enumerate(self.proximities, start=1)
-                     if not prox)
+        """The ids with no proximities, ascending; derived once per
+        proximities tuple and shared by ``replace(c, surface=...)``."""
+        return self._shared("origins", lambda c: tuple(
+            pid for pid, prox in enumerate(c.proximities, start=1) if not prox))
 
     @property
     def ends(self) -> tuple[int, ...]:
         targets = {t for prox in self.proximities for t in prox}
         return tuple(pid for pid in range(1, len(self) + 1) if pid not in targets)
+
+
+def checked_cluster(c) -> Configuration:
+    """``c`` if it is a Configuration, else TypeError."""
+    if not isinstance(c, Configuration):
+        raise TypeError(f"expected Configuration, got {type(c).__name__}")
+    return c
 
 
 def _specs(proximities) -> Iterable[PointSpec]:
@@ -282,29 +291,58 @@ def multiplicity_vector(c: Configuration) -> tuple[int, ...]:
 
 
 def subconfiguration(c: Configuration, point_id: int) -> Configuration:
-    """The subcluster at or below ``point_id``, renumbered to 1..k: the
-    point and everything infinitely near it (transitive closure of the
-    parent relation).  Proximities to removed points are dropped, which can
-    only turn a satellite into a free point, so the subcluster of a valid
-    cluster is valid and is assembled without re-validation.  A cluster
-    whose only origin is point 1 is its own subcluster at 1.
+    """The subcluster at or below ``point_id``, renumbered to 1..k in id
+    order: the point and everything infinitely near it.  One forward pass
+    keeps each later point whose parent is kept; proximities to removed
+    points are dropped, which can only turn a satellite into a free point,
+    so the subcluster of a valid cluster is valid and is assembled without
+    re-validation.  The cut at an origin is its component, read from
+    :func:`_components`: a target of a point is one of its ancestors, so a
+    component keeps all its targets.  A cluster whose only origin is point 1
+    is its own subcluster at 1.
     """
-    c._check_id(point_id)
-    if point_id == 1 and len(c.origins) == 1:
-        return c
-    # The cluster is admissible, so a point proximate to q is infinitely near
-    # q and the successors of q reach exactly the subtree below q.
-    found, stack = {point_id}, [point_id]
-    while stack:
-        for succ in c.successors[stack.pop()]:
-            if succ not in found:
-                found.add(succ)
-                stack.append(succ)
-    kept = sorted(found)
-    renumber = {old: new for new, old in enumerate(kept, start=1)}
-    return _handed_on(
-        tuple(tuple(renumber[t] for t in c.proximities[old - 1] if t in renumber)
-              for old in kept), c.surface)
+    checked_cluster(c)._check_id(point_id)
+    if not c.proximities[point_id - 1]:
+        if point_id == 1 and len(c.origins) == 1:
+            return c
+        return _handed_on(_components(c)[point_id].proximities, c.surface)
+    renumber = {point_id: 1}
+    proximities: list[tuple[int, ...]] = [()]
+    for old, prox in enumerate(c.proximities[point_id:], start=point_id + 1):
+        if prox and prox[0] in renumber:
+            renumber[old] = len(proximities) + 1
+            proximities.append(tuple(renumber[t] for t in prox if t in renumber))
+    return _handed_on(tuple(proximities), c.surface)
+
+
+class Component(NamedTuple):
+    ids: tuple[int, ...]  # the points of c in the component, ascending
+    proximities: tuple[tuple[int, ...], ...]  # renumbered 1..len(ids)
+
+
+def _components(c: Configuration) -> dict[int, Component]:
+    """Each connected component of ``c``, keyed by its origin; derived once
+    per proximities tuple and shared by ``replace(c, surface=...)``."""
+    return c._shared("components", _split_components)
+
+
+def _split_components(c: Configuration) -> dict[int, Component]:
+    # One forward pass: a point's component is its parent's, and its new id
+    # is one more than that component's size so far.
+    new_id, part_of = [0], [None]  # by old id, from 1
+    parts: dict[int, tuple[list[int], list[tuple[int, ...]]]] = {}
+    for pid, prox in enumerate(c.proximities, start=1):
+        if not prox:
+            ids, part = entry = parts[pid] = ([], [()])
+        else:
+            ids, part = entry = part_of[prox[0]]
+            part.append((new_id[prox[0]],) if len(prox) == 1
+                        else (new_id[prox[0]], new_id[prox[1]]))
+        ids.append(pid)
+        part_of.append(entry)
+        new_id.append(len(part))
+    return {origin: Component(tuple(ids), tuple(part))
+            for origin, (ids, part) in parts.items()}
 
 
 class ExceptionalSelfIntersections(NamedTuple):
@@ -316,7 +354,8 @@ def exceptional_self_intersections(c: Configuration) -> ExceptionalSelfIntersect
     """Self-intersection of each strict exceptional transform on the sky,
     E_q^2 = -1 - #{p : p proximate to q}, and gamma = max(-E_q^2); derived
     once per proximities tuple and shared by ``replace(c, surface=...)``."""
-    return c._shared("self_intersections", _count_self_intersections)
+    return checked_cluster(c)._shared("self_intersections",
+                                      _count_self_intersections)
 
 
 def _count_self_intersections(c: Configuration) -> ExceptionalSelfIntersections:
@@ -336,7 +375,7 @@ def dot_export(c: Configuration) -> str:
     """
     lines = ["digraph cluster {", "  rankdir=BT;", "  node [shape=circle];"]
     by_level: dict[int, list[int]] = {}
-    for pt in c.points:
+    for pt in checked_cluster(c).points:
         by_level.setdefault(pt.level, []).append(pt.id)
     for level in sorted(by_level):
         names = " ".join(f'"p{pid}";' for pid in by_level[level])

@@ -19,7 +19,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .config import Configuration, build_configuration
+from .config import Configuration, build_configuration, checked_cluster
 from .errors import ConfigurationError, ParseError, _number, quote
 from .surfaces import SurfaceModel, checked_surface, parse_surface, surface_name
 
@@ -127,7 +127,7 @@ def load_configuration(path: str | Path) -> Configuration:
 
 def serialize_configuration(c: Configuration) -> str:
     try:
-        lines = [f"surface {c.surface}"]
+        lines = [f"surface {checked_cluster(c).surface}"]
     except ValueError:  # a delta past the int/str cap: no file can hold it
         raise ValueError(f"no cluster file can declare the surface "
                          f"{surface_name(c.surface)}") from None

@@ -18,6 +18,7 @@ from .config import (
     Configuration,
     Rational,
     _rational,
+    checked_cluster,
     proximity_apply,
     proximity_solve,
 )
@@ -194,7 +195,7 @@ def pairing(x: DivisorClass, y: DivisorClass) -> Fraction:
 
 def strict_transform_of_exceptional(c: Configuration, point_id: int) -> DivisorClass:
     """The class E_q* - sum over p proximate to q of E_p* on the sky of c."""
-    c._check_id(point_id)
+    checked_cluster(c)._check_id(point_id)
     exc = {point_id: 1, **dict.fromkeys(c.successors[point_id], -1)}
     return DivisorClass._make(c.surface, len(c),
                               (0,) * len(c.surface.generators), exc)
@@ -208,6 +209,7 @@ def strict_exceptional_coordinates(c: Configuration,
     E_p*, so total-transform coordinates w convert to strict ones as
     v = P^{-1} w.  The base part is unaffected by the change of basis.
     """
+    checked_cluster(c)
     _check_classes(cls)
     _check_lattice(cls.surface, cls.n, c.surface, len(c))
     return tuple(Fraction(v, cls.den)
@@ -222,7 +224,7 @@ def divisor_from_strict_coordinates(c: Configuration,
     Inverse of :func:`strict_exceptional_coordinates`: total-transform
     coordinates are w = P v with P the proximity matrix of the cluster.
     """
-    v = DivisorClass(c.surface, base, coefficients)  # in the strict basis
+    v = DivisorClass(checked_cluster(c).surface, base, coefficients)  # strict basis
     _check_lattice(v.surface, v.n, c.surface, len(c))
     w = proximity_apply(c, v._numerator_vector())
     return DivisorClass._make(c.surface, len(c), v.base_numerators,
@@ -288,6 +290,9 @@ def bidegree_of_closure(chart: str, delta: int | None = None,
             f"unknown chart {quote(chart)}; expected one of {CHARTS}")
     if any(type(x) is not int or x < 0 for x in (delta, deg_x, deg_y)):
         raise ValueError("delta, deg_x and deg_y must be nonnegative ints")
+    if type(corner_nonzero) is not bool:
+        raise TypeError(f"corner_nonzero must be a bool, "
+                        f"got {type(corner_nonzero).__name__}")
     if not corner_nonzero:
         return BidegreeBounds(d1_max=deg_x, d2=deg_y)
     if deg_x != deg_y:

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .config import Configuration, _handed_on, multiplicity_vector, subconfiguration
+from .config import (Configuration, _handed_on, checked_cluster,
+                     multiplicity_vector, subconfiguration)
 from .errors import InvariantError, MultipleOriginsError, quote
 
 
@@ -27,7 +28,7 @@ def hat_configuration(c: Configuration) -> Configuration:
     sits at its (end, parent) pair yet: the completion of a valid cluster is
     valid as assembled.
     """
-    origins = c.origins
+    origins = checked_cluster(c).origins
     if len(origins) != 1:
         raise MultipleOriginsError(
             f"expected a unique origin, found {len(origins)}: "
@@ -91,7 +92,7 @@ def origin_d_values(c: Configuration) -> dict[int, DValue]:
     """The d-value of each connected component, keyed by its origin id in
     ``c``; derived once per proximities tuple and shared by
     ``replace(c, surface=...)``."""
-    return c._shared("d_values", lambda c: {
+    return checked_cluster(c)._shared("d_values", lambda c: {
         origin: d_value(subconfiguration(c, origin)) for origin in c.origins})
 
 

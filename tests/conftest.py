@@ -55,6 +55,29 @@ def scan_d_value(c: Configuration, limit: int = 10 ** 6) -> int:
     raise AssertionError(f"no d found up to {limit}")
 
 
+def walk_cut(c: Configuration, point_id: int) -> tuple[tuple[int, ...],
+                                                      tuple[tuple[int, ...], ...]]:
+    """Reference subcluster at ``point_id``: walk the successors of the
+    point (the points proximate to it, from lists built here) to collect it
+    and everything infinitely near it, then return the kept ids ascending
+    and their proximities renumbered 1..k, targets outside dropped."""
+    succ: list[list[int]] = [[] for _ in range(len(c) + 1)]
+    for pid, prox in enumerate(c.proximities, start=1):
+        for target in prox:
+            succ[target].append(pid)
+    found, stack = {point_id}, [point_id]
+    while stack:
+        for later in succ[stack.pop()]:
+            if later not in found:
+                found.add(later)
+                stack.append(later)
+    kept = sorted(found)
+    renumber = {old: new for new, old in enumerate(kept, start=1)}
+    return tuple(kept), tuple(
+        tuple(renumber[t] for t in c.proximities[old - 1] if t in renumber)
+        for old in kept)
+
+
 def dense_pairing(x: DivisorClass, y: DivisorClass) -> Fraction:
     """Reference intersection number: the base form (L^2 = 1; F^2 = 0,
     F.M = 1, M^2 = delta) minus the product of every pair of exceptional

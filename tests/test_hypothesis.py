@@ -39,10 +39,10 @@ from negbound import (
     total_d,
 )
 from negbound.cli import main
-from negbound.config import proximity_matrix
+from negbound.config import _components, proximity_matrix
 from negbound.errors import quote
 from negbound.surfaces import Hirzebruch, ProjectivePlane
-from conftest import REPO_ROOT, dense_pairing, scan_d_value
+from conftest import REPO_ROOT, dense_pairing, scan_d_value, walk_cut
 
 sys.path.insert(0, str(REPO_ROOT / "bench"))
 try:
@@ -211,6 +211,23 @@ def test_each_component_d_equals_the_scan(c):
     assert origin_d_values(c).keys() == set(c.origins)
     for origin, dv in origin_d_values(c).items():
         assert dv.d == scan_d_value(subconfiguration(c, origin))
+
+
+@SETTINGS
+@given(clusters(max_points=60))
+def test_each_cut_equals_the_successor_walk(c):
+    for point_id in range(1, len(c) + 1):
+        assert subconfiguration(c, point_id).proximities == \
+            walk_cut(c, point_id)[1]
+    components = _components(c)
+    assert tuple(components) == c.origins
+    for origin, (ids, proximities) in components.items():
+        assert (ids, proximities) == walk_cut(c, origin)
+        # mapped back to the old ids, every target is kept
+        assert [tuple(ids[t - 1] for t in prox) for prox in proximities] == \
+            [c.proximities[old - 1] for old in ids]
+    assert sorted(pid for ids, _ in components.values() for pid in ids) == \
+        list(range(1, len(c) + 1))
 
 
 @SETTINGS

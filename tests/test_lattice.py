@@ -378,6 +378,12 @@ class TestBidegreeOfClosure:
         with pytest.raises(TypeError, match="deg_total"):
             bidegree_of_closure("U00", 2, 2, 3, deg_total=4)
 
+    @pytest.mark.parametrize("corner", ["False", 0, None])
+    def test_corner_nonzero_is_a_bool(self, corner):
+        # read by truthiness, "False" asserted the corner (Bidegree(0, 3))
+        with pytest.raises(TypeError, match="corner_nonzero must be a bool"):
+            bidegree_of_closure("U01", 2, 3, 3, corner)
+
     def test_inconsistent_inputs(self):
         with pytest.raises(ValueError):
             bidegree_of_closure("U00", 2, 3, 4, corner_nonzero=True)

@@ -642,10 +642,10 @@ class TestPointView:
         # a second read returns the same view and builds nothing
         assert c.points is c.points and len(built) == len(c)
 
-    def test_only_the_cuts_build_successors(self, monkeypatch):
+    def test_no_cut_builds_successors(self, monkeypatch):
         # gamma, the ends, the multiplicities and d read the proximity
-        # tuples; subconfiguration walks the successors map of the cluster
-        # it cuts, and no subcluster or completion builds its own.
+        # tuples; every cut is a forward pass over them, and no cluster,
+        # subcluster or completion builds a successors map.
         made = []
         init = Configuration.__post_init__
 
@@ -660,7 +660,9 @@ class TestPointView:
         d_value_report(c)
         assert len(made) == 2 * len(c.origins)
         assert all("successors" not in vars(x) for x in made)
-        assert "successors" in vars(c)
+        for point_id in range(1, len(c) + 1):
+            subconfiguration(c, point_id)
+        assert "successors" not in vars(c)
 
     def test_a_single_origin_cluster_is_its_own_subcluster(self, monkeypatch):
         # Point 1 is an origin, so with no other origin the cut at 1 is the

@@ -16,18 +16,27 @@ from negbound import (
     ParseError,
     SurfaceMismatchError,
     UnknownChartError,
+    analysis_report,
+    attached_foliation_degree_bounds,
     bidegree_of_closure,
     build_configuration,
     d_value,
+    divisor_from_strict_coordinates,
+    dot_export,
     foliation_negativity_bound,
+    hat_configuration,
     load_curves,
     multiplicity_bound_check,
+    nef_pullback_bounds,
     pairing,
     parse_curves,
     parse_divisor,
     serialize_configuration,
     special_section_class,
     strict_exceptional_coordinates,
+    strict_transform_of_exceptional,
+    subconfiguration,
+    total_d,
 )
 from negbound.sufficiency import DValue
 from negbound.surfaces import Hirzebruch, ProjectivePlane
@@ -320,6 +329,26 @@ SHORT_ERRORS = {
                                lambda tmp: strict_exceptional_coordinates(
                                    build_configuration([(1, [])]), 3)),
 }
+# The entries that take a cluster, each fed an int in its place.
+CLUSTER_ENTRIES = {
+    "subconfiguration": lambda c: subconfiguration(c, 1),
+    "d_value": d_value,
+    "hat_configuration": hat_configuration,
+    "total_d": total_d,
+    "analysis_report": analysis_report,
+    "dot_export": dot_export,
+    "serialize_configuration": serialize_configuration,
+    "strict_transform_of_exceptional":
+        lambda c: strict_transform_of_exceptional(c, 1),
+    "strict_exceptional_coordinates": lambda c: strict_exceptional_coordinates(
+        c, parse_divisor("L", P2, 1)),
+    "divisor_from_strict_coordinates":
+        lambda c: divisor_from_strict_coordinates(c, [1], [0]),
+    "nef_pullback_bounds": nef_pullback_bounds,
+    "attached_foliation_degree_bounds": attached_foliation_degree_bounds,
+}
+SHORT_ERRORS.update({f"{name} int": (TypeError, lambda tmp, call=call: call(3))
+                     for name, call in CLUSTER_ENTRIES.items()})
 
 
 @pytest.mark.parametrize("name", sorted(SHORT_ERRORS))
@@ -330,3 +359,10 @@ def test_bad_inputs_raise_short_typed_errors(tmp_path, name):
     # the package's own message, not the interpreter's int/str cap error
     assert len(str(info.value)) < 300
     assert "Exceeds the limit" not in str(info.value)
+
+
+@pytest.mark.parametrize("name", sorted(CLUSTER_ENTRIES))
+def test_a_non_cluster_is_named(name):
+    with pytest.raises(TypeError) as info:
+        CLUSTER_ENTRIES[name](3)
+    assert str(info.value) == "expected Configuration, got int"
