@@ -295,7 +295,8 @@ class NuReport:
 
 def empirical_nu(curves: Sequence[DivisorClass],
                  big_nef: DivisorClass) -> NuReport:
-    from .lattice import pairing
+    from .lattice import _check_classes, pairing
+    _check_classes(big_nef)
     ratios = []
     for index, curve in enumerate(curves, start=1):
         c_sq = pairing(curve, curve)

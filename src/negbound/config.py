@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass, field
-from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence, TypeVar, Union
 
@@ -88,15 +87,6 @@ class Configuration:
     def __len__(self) -> int:
         return len(self.proximities)
 
-    @cached_property
-    def points(self) -> tuple[Point, ...]:
-        """Built on first use; a point's level is its parent's plus one."""
-        points: list[Point] = []
-        for pid, prox in enumerate(self.proximities, start=1):
-            level = points[prox[0] - 1].level + 1 if prox else 0
-            points.append(Point(pid, prox, level))
-        return tuple(points)
-
     def _check_id(self, point_id: int) -> None:
         if type(point_id) is not int:  # build_configuration's rule for ids
             raise UnknownPointError(f"point ids are int, not {type(point_id).__name__}")
@@ -104,32 +94,52 @@ class Configuration:
             raise UnknownPointError(f"no point with id {quote(point_id)}",
                                    point_id=point_id)
 
-    @cached_property
-    def successors(self) -> dict[int, tuple[int, ...]]:
-        """For each id, the ids of the points proximate to it (ascending)."""
-        succ: list[list[int]] = [[] for _ in self.proximities]
-        for pid, prox in enumerate(self.proximities, start=1):
-            for target in prox:
-                succ[target - 1].append(pid)
-        return {pid: tuple(ids) for pid, ids in enumerate(succ, start=1)}
-
     def _shared(self, name: str, derive):
+        """``derive(self)`` from the one store of values derived from the
+        proximities: derived on first read and kept under ``name``, shared by
+        every ``replace(c, surface=...)`` copy; two threads may derive it at
+        once, a benign race, as both store the same value."""
         values = self._surface_free
         if name not in values:
             values[name] = derive(self)
         return values[name]
 
     @property
+    def points(self) -> tuple[Point, ...]:
+        """One Point per id; a point's level is its parent's plus one."""
+        def derive(c: Configuration) -> tuple[Point, ...]:
+            points: list[Point] = []
+            for pid, prox in enumerate(c.proximities, start=1):
+                level = points[prox[0] - 1].level + 1 if prox else 0
+                points.append(Point(pid, prox, level))
+            return tuple(points)
+        return self._shared("points", derive)
+
+    @property
+    def successors(self) -> dict[int, tuple[int, ...]]:
+        """For each id, the ids of the points proximate to it (ascending)."""
+        def derive(c: Configuration) -> dict[int, tuple[int, ...]]:
+            succ: list[list[int]] = [[] for _ in c.proximities]
+            for pid, prox in enumerate(c.proximities, start=1):
+                for target in prox:
+                    succ[target - 1].append(pid)
+            return {pid: tuple(ids) for pid, ids in enumerate(succ, start=1)}
+        return self._shared("successors", derive)
+
+    @property
     def origins(self) -> tuple[int, ...]:
-        """The ids with no proximities, ascending; derived once per
-        proximities tuple and shared by ``replace(c, surface=...)``."""
+        """The ids with no proximities, ascending."""
         return self._shared("origins", lambda c: tuple(
             pid for pid, prox in enumerate(c.proximities, start=1) if not prox))
 
     @property
     def ends(self) -> tuple[int, ...]:
-        targets = {t for prox in self.proximities for t in prox}
-        return tuple(pid for pid in range(1, len(self) + 1) if pid not in targets)
+        """The ids no point is proximate to, ascending: a scan of their own,
+        as gamma's counts would build an n-entry dict that d never reads."""
+        def derive(c: Configuration) -> tuple[int, ...]:
+            targets = {t for prox in c.proximities for t in prox}
+            return tuple(pid for pid in range(1, len(c) + 1) if pid not in targets)
+        return self._shared("ends", derive)
 
 
 def checked_cluster(c) -> Configuration:
@@ -235,7 +245,7 @@ def proximity_matrix(c: Configuration) -> tuple[IntMatrix, IntMatrix]:
     An n x n oracle for the tests; the package computes with the O(n)
     :func:`proximity_solve` and :func:`proximity_apply` instead.
     """
-    n = len(c)
+    n = len(checked_cluster(c))
     entries = [[0] * n for _ in range(n)]
     for i, prox in enumerate(c.proximities):
         entries[i][i] = 1
@@ -273,7 +283,7 @@ def proximity_apply(c: Configuration, v: Sequence[Scalar]) -> list[Scalar]:
 
 def _vector(c: Configuration, values: Sequence[Scalar]) -> list[Scalar]:
     v = list(map(_rational, values))
-    if len(v) != len(c):
+    if len(v) != len(checked_cluster(c)):
         raise ValueError(f"expected a vector of length {len(c)}, got {len(v)}")
     return v
 
@@ -282,7 +292,7 @@ def multiplicity_vector(c: Configuration) -> tuple[int, ...]:
     """Multiplicities of a generic germ through the cluster: 1 at the ends,
     the sum over proximate successors elsewhere.  Successors have larger
     ids, so one reverse pass sums them; a point still at 0 is an end."""
-    values = [0] * len(c)
+    values = [0] * len(checked_cluster(c))
     for i in reversed(range(len(c))):
         values[i] = values[i] or 1
         for target in c.proximities[i]:
@@ -296,16 +306,18 @@ def subconfiguration(c: Configuration, point_id: int) -> Configuration:
     keeps each later point whose parent is kept; proximities to removed
     points are dropped, which can only turn a satellite into a free point,
     so the subcluster of a valid cluster is valid and is assembled without
-    re-validation.  The cut at an origin is its component, read from
-    :func:`_components`: a target of a point is one of its ancestors, so a
-    component keeps all its targets.  A cluster whose only origin is point 1
-    is its own subcluster at 1.
+    re-validation.  The cut at an origin is its component, read from the
+    split that one pass makes of every origin and the cluster's store keeps:
+    a target of a point is one of its ancestors, so a component keeps all
+    its targets.  A cluster whose only origin is point 1 is its own
+    subcluster at 1.
     """
     checked_cluster(c)._check_id(point_id)
     if not c.proximities[point_id - 1]:
         if point_id == 1 and len(c.origins) == 1:
             return c
-        return _handed_on(_components(c)[point_id].proximities, c.surface)
+        return _handed_on(c._shared("components", _split_components)[point_id],
+                          c.surface)
     renumber = {point_id: 1}
     proximities: list[tuple[int, ...]] = [()]
     for old, prox in enumerate(c.proximities[point_id:], start=point_id + 1):
@@ -315,34 +327,22 @@ def subconfiguration(c: Configuration, point_id: int) -> Configuration:
     return _handed_on(tuple(proximities), c.surface)
 
 
-class Component(NamedTuple):
-    ids: tuple[int, ...]  # the points of c in the component, ascending
-    proximities: tuple[tuple[int, ...], ...]  # renumbered 1..len(ids)
-
-
-def _components(c: Configuration) -> dict[int, Component]:
-    """Each connected component of ``c``, keyed by its origin; derived once
-    per proximities tuple and shared by ``replace(c, surface=...)``."""
-    return c._shared("components", _split_components)
-
-
-def _split_components(c: Configuration) -> dict[int, Component]:
+def _split_components(c: Configuration) -> dict[int, IntMatrix]:
     # One forward pass: a point's component is its parent's, and its new id
-    # is one more than that component's size so far.
+    # is one more than that component's size so far.  Keyed by origin, the
+    # component's proximities renumbered 1..k.
     new_id, part_of = [0], [None]  # by old id, from 1
-    parts: dict[int, tuple[list[int], list[tuple[int, ...]]]] = {}
+    parts: dict[int, list[tuple[int, ...]]] = {}
     for pid, prox in enumerate(c.proximities, start=1):
         if not prox:
-            ids, part = entry = parts[pid] = ([], [()])
+            part = parts[pid] = [()]
         else:
-            ids, part = entry = part_of[prox[0]]
+            part = part_of[prox[0]]
             part.append((new_id[prox[0]],) if len(prox) == 1
                         else (new_id[prox[0]], new_id[prox[1]]))
-        ids.append(pid)
-        part_of.append(entry)
+        part_of.append(part)
         new_id.append(len(part))
-    return {origin: Component(tuple(ids), tuple(part))
-            for origin, (ids, part) in parts.items()}
+    return {origin: tuple(part) for origin, part in parts.items()}
 
 
 class ExceptionalSelfIntersections(NamedTuple):
@@ -352,8 +352,7 @@ class ExceptionalSelfIntersections(NamedTuple):
 
 def exceptional_self_intersections(c: Configuration) -> ExceptionalSelfIntersections:
     """Self-intersection of each strict exceptional transform on the sky,
-    E_q^2 = -1 - #{p : p proximate to q}, and gamma = max(-E_q^2); derived
-    once per proximities tuple and shared by ``replace(c, surface=...)``."""
+    E_q^2 = -1 - #{p : p proximate to q}, and gamma = max(-E_q^2)."""
     return checked_cluster(c)._shared("self_intersections",
                                       _count_self_intersections)
 

@@ -277,7 +277,7 @@ class BidegreeBounds:
     d2: int
 
 
-def bidegree_of_closure(chart: str, delta: int | None = None,
+def bidegree_of_closure(chart: str, delta: int,
                         deg_x: int = 0, deg_y: int = 0,
                         corner_nonzero: bool = False) -> Bidegree | BidegreeBounds:
     """Bidegree of the closure in F_delta of a curve given in an affine chart

@@ -89,9 +89,7 @@ def d_value(c: Configuration) -> DValue:
 
 
 def origin_d_values(c: Configuration) -> dict[int, DValue]:
-    """The d-value of each connected component, keyed by its origin id in
-    ``c``; derived once per proximities tuple and shared by
-    ``replace(c, surface=...)``."""
+    """The d-value of each connected component, keyed by its origin id in ``c``."""
     return checked_cluster(c)._shared("d_values", lambda c: {
         origin: d_value(subconfiguration(c, origin)) for origin in c.origins})
 

@@ -39,7 +39,7 @@ from negbound import (
     total_d,
 )
 from negbound.cli import main
-from negbound.config import _components, proximity_matrix
+from negbound.config import _split_components, proximity_matrix
 from negbound.errors import quote
 from negbound.surfaces import Hirzebruch, ProjectivePlane
 from conftest import REPO_ROOT, dense_pairing, scan_d_value, walk_cut
@@ -219,15 +219,17 @@ def test_each_cut_equals_the_successor_walk(c):
     for point_id in range(1, len(c) + 1):
         assert subconfiguration(c, point_id).proximities == \
             walk_cut(c, point_id)[1]
-    components = _components(c)
+    components = c._shared("components", _split_components)
     assert tuple(components) == c.origins
-    for origin, (ids, proximities) in components.items():
-        assert (ids, proximities) == walk_cut(c, origin)
+    covered = []
+    for origin, proximities in components.items():
+        ids, walked = walk_cut(c, origin)
+        assert proximities == walked
         # mapped back to the old ids, every target is kept
         assert [tuple(ids[t - 1] for t in prox) for prox in proximities] == \
             [c.proximities[old - 1] for old in ids]
-    assert sorted(pid for ids, _ in components.values() for pid in ids) == \
-        list(range(1, len(c) + 1))
+        covered += ids
+    assert sorted(covered) == list(range(1, len(c) + 1))
 
 
 @SETTINGS

@@ -93,7 +93,9 @@ class TestPairing:
         lambda: multiplicity_bound_check(3),
         lambda: strict_exceptional_coordinates(build_configuration([(1, [])]),
                                                3),
-    ], ids=["pairing", "multiplicity_bound_check", "strict coordinates"])
+        lambda: empirical_nu([], 3),
+    ], ids=["pairing", "multiplicity_bound_check", "strict coordinates",
+            "empirical_nu"])
     def test_class_arguments_take_only_classes(self, call):
         with pytest.raises(TypeError, match=r"DivisorClass, got .*\bint$"):
             call()

@@ -22,6 +22,7 @@ from negbound import (
     d_value,
     d_value_report,
     divisor_from_strict_coordinates,
+    dot_export,
     epsilon_family_bounds,
     empirical_nu,
     exceptional_self_intersections,
@@ -349,6 +350,37 @@ class TestDeriveOnce:
                     exceptional_self_intersections(Configuration(part.proximities))
             assert total_d(hat) == d_value(hat).d
 
+    def test_one_store_holds_every_derived_value(self, sample12):
+        # Every value derived from the proximities lives in the holder, none
+        # on the object, so a surface copy reads the very same objects.
+        fields = {"proximities", "surface", "_surface_free"}
+        multi = random_configuration(random.Random(SEED + 7), 80)
+        assert len(multi.origins) > 1
+        readers = [lambda c: c.points, lambda c: c.successors,
+                   lambda c: c.ends, lambda c: c.origins,
+                   origin_d_values, exceptional_self_intersections,
+                   total_d, d_value_report, analysis_report, dot_export,
+                   cluster_bound_data, nef_pullback_bounds]
+        for c in (sample12, multi):
+            for read in readers:
+                read(c)
+                assert set(vars(c)) == fields
+            for point_id in range(1, len(c) + 1):
+                subconfiguration(c, point_id)
+                strict_transform_of_exceptional(c, point_id)
+                assert set(vars(c)) == fields
+            copy = dataclasses.replace(c, surface=Hirzebruch(1))
+            for read in readers[:6]:
+                assert read(copy) is read(c)
+            assert set(vars(copy)) == fields
+
+    def test_d_builds_no_self_intersections(self):
+        # The ends that the completion reads are a scan of their own.
+        c = random_configuration(random.Random(SEED + 7), 80, multi_origin=False)
+        d_value_report(c)
+        assert "ends" in c._surface_free
+        assert "self_intersections" not in c._surface_free
+
     def test_threads_filling_one_holder_read_the_same_values(self):
         """Copies filling their shared values at once may each derive them,
         a benign race: every thread must still read the serial values."""
@@ -655,14 +687,14 @@ class TestPointView:
 
         c = random_configuration(random.Random(SEED + 7), 80)
         analysis_report(c)
-        assert "successors" not in vars(c)
+        assert "successors" not in c._surface_free
         monkeypatch.setattr(Configuration, "__post_init__", recording)
         d_value_report(c)
         assert len(made) == 2 * len(c.origins)
-        assert all("successors" not in vars(x) for x in made)
+        assert all("successors" not in x._surface_free for x in made)
         for point_id in range(1, len(c) + 1):
             subconfiguration(c, point_id)
-        assert "successors" not in vars(c)
+        assert "successors" not in c._surface_free
 
     def test_a_single_origin_cluster_is_its_own_subcluster(self, monkeypatch):
         # Point 1 is an origin, so with no other origin the cut at 1 is the
@@ -682,4 +714,4 @@ class TestPointView:
         assert made == []
         d_value_report(c)
         assert made == [hat]
-        assert all("successors" not in vars(x) for x in (c, *made))
+        assert all("successors" not in x._surface_free for x in (c, *made))

@@ -23,14 +23,18 @@ from negbound import (
     d_value,
     divisor_from_strict_coordinates,
     dot_export,
+    empirical_nu,
     foliation_negativity_bound,
     hat_configuration,
     load_curves,
     multiplicity_bound_check,
+    multiplicity_vector,
     nef_pullback_bounds,
     pairing,
     parse_curves,
     parse_divisor,
+    proximity_apply,
+    proximity_solve,
     serialize_configuration,
     special_section_class,
     strict_exceptional_coordinates,
@@ -38,6 +42,7 @@ from negbound import (
     subconfiguration,
     total_d,
 )
+from negbound.config import proximity_matrix
 from negbound.sufficiency import DValue
 from negbound.surfaces import Hirzebruch, ProjectivePlane
 from conftest import REPO_ROOT
@@ -285,11 +290,11 @@ SHORT_ERRORS = {
     "d_value points": (ForwardReferenceError,
                        lambda tmp: d_value(_flat_cluster(10 ** 4))),
     "chart": (UnknownChartError, lambda tmp: bidegree_of_closure(
-        LONG, deg_x=1, deg_y=1)),
+        LONG, delta=1, deg_x=1, deg_y=1)),
     "chart int": (UnknownChartError, lambda tmp: bidegree_of_closure(
-        5, deg_x=1, deg_y=1)),
+        5, delta=1, deg_x=1, deg_y=1)),
     "chart None": (UnknownChartError, lambda tmp: bidegree_of_closure(
-        None, deg_x=1, deg_y=1)),
+        None, delta=1, deg_x=1, deg_y=1)),
     "pairing int": (TypeError, lambda tmp: pairing(
         parse_divisor("L", P2, 0), 1)),
     "DivisorClass plus int": (TypeError, lambda tmp: parse_divisor("L", P2, 0) + 1),
@@ -328,6 +333,7 @@ SHORT_ERRORS = {
     "strict coordinates int": (TypeError,
                                lambda tmp: strict_exceptional_coordinates(
                                    build_configuration([(1, [])]), 3)),
+    "empirical_nu int": (TypeError, lambda tmp: empirical_nu([], 3)),
 }
 # The entries that take a cluster, each fed an int in its place.
 CLUSTER_ENTRIES = {
@@ -346,6 +352,10 @@ CLUSTER_ENTRIES = {
         lambda c: divisor_from_strict_coordinates(c, [1], [0]),
     "nef_pullback_bounds": nef_pullback_bounds,
     "attached_foliation_degree_bounds": attached_foliation_degree_bounds,
+    "proximity_solve": lambda c: proximity_solve(c, [1]),
+    "proximity_apply": lambda c: proximity_apply(c, [1]),
+    "multiplicity_vector": multiplicity_vector,
+    "proximity_matrix": proximity_matrix,
 }
 SHORT_ERRORS.update({f"{name} int": (TypeError, lambda tmp, call=call: call(3))
                      for name, call in CLUSTER_ENTRIES.items()})
