@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
@@ -216,7 +217,10 @@ def main(argv: list[str] | None = None) -> int:
         if args.output is not None:
             args.output.write_text(text + "\n", encoding="utf-8")
         else:
-            print(text)
+            print(text, flush=True)  # a reader that left raises here
+    except BrokenPipeError:  # exit 1 quietly; at exit, flush into devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (NegboundError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

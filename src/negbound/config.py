@@ -134,12 +134,10 @@ class Configuration:
 
     @property
     def ends(self) -> tuple[int, ...]:
-        """The ids no point is proximate to, ascending: a scan of their own,
-        as gamma's counts would build an n-entry dict that d never reads."""
-        def derive(c: Configuration) -> tuple[int, ...]:
-            targets = {t for prox in c.proximities for t in prox}
-            return tuple(pid for pid in range(1, len(c) + 1) if pid not in targets)
-        return self._shared("ends", derive)
+        """The ids no point is proximate to (E^2 = -1), ascending."""
+        return self._shared("ends", lambda c: tuple(
+            pid for pid, e_sq in exceptional_self_intersections(c).values.items()
+            if e_sq == -1))
 
 
 def checked_cluster(c) -> Configuration:
@@ -290,14 +288,25 @@ def _vector(c: Configuration, values: Sequence[Scalar]) -> list[Scalar]:
 
 def multiplicity_vector(c: Configuration) -> tuple[int, ...]:
     """Multiplicities of a generic germ through the cluster: 1 at the ends,
-    the sum over proximate successors elsewhere.  Successors have larger
-    ids, so one reverse pass sums them; a point still at 0 is an end."""
-    values = [0] * len(checked_cluster(c))
-    for i in reversed(range(len(c))):
-        values[i] = values[i] or 1
-        for target in c.proximities[i]:
+    the sum over proximate successors elsewhere."""
+    return tuple(_reverse_pass(checked_cluster(c).proximities, 0)[0])
+
+
+def _reverse_pass(proximities, satellite: int) -> tuple[list[int], list[int]]:
+    """Multiplicities and free ends, descending, in one reverse pass: a point
+    still at 0 is an end (successors have larger ids), free with one target,
+    and with ``satellite`` 1 its completion satellite adds 1 to that target."""
+    values, free_ends = [0] * len(proximities), []
+    for i in range(len(proximities) - 1, -1, -1):
+        prox = proximities[i]
+        if not values[i]:
+            values[i] = 1
+            if len(prox) == 1:
+                free_ends.append(i + 1)
+                values[prox[0] - 1] += satellite
+        for target in prox:
             values[target - 1] += values[i]
-    return tuple(values)
+    return values, free_ends
 
 
 def subconfiguration(c: Configuration, point_id: int) -> Configuration:

@@ -48,30 +48,32 @@ def _lines(text: str) -> list[str]:
 
 
 def _statements(text: str, source: str):
+    """``(line number, code)`` of each line with code (before any '#') that
+    is not blank: ASCII, checked before strip() could drop a non-ASCII space."""
+    checked = text.isascii()
     for lineno, raw in enumerate(_lines(text), start=1):
-        # checked before strip() can drop a non-ASCII space
-        code = raw.split("#", 1)[0]
-        if not code.isascii():
-            raise ParseError(f"non-ASCII character in {quote(code)}",
+        if "#" in raw:
+            raw = raw[:raw.index("#")]
+        if not (checked or raw.isascii()):
+            raise ParseError(f"non-ASCII character in {quote(raw)}",
                              line=lineno, source=source)
-        statement = code.strip()
-        if statement:
-            yield lineno, statement
+        if raw and not raw.isspace():
+            yield lineno, raw
 
 
 def parse_configuration(text: str, *, source: str = "<config>") -> Configuration:
     """Parse a cluster file; raises ParseError carrying the offending line."""
-    surface: SurfaceModel | None = None
+    statements = _statements(text, source)
+    lineno, code = next(statements, (None, None))
+    if code is None:
+        raise ParseError("empty input: no surface declaration", source=source)
+    if code.split()[0].lower() != "surface":
+        raise ParseError("the first statement must declare the surface",
+                         line=lineno, source=source)
+    surface = parse_surface(code.strip(), line=lineno, source=source)
     specs: list[tuple[int, tuple[int, ...]]] = []
-    line_of_id: dict[int, int] = {}
-    for lineno, statement in _statements(text, source):
-        tokens = statement.split()
-        if surface is None:
-            if tokens[0].lower() != "surface":
-                raise ParseError("the first statement must declare the surface",
-                                 line=lineno, source=source)
-            surface = parse_surface(statement, line=lineno, source=source)
-            continue
+    for lineno, code in statements:
+        tokens = code.split()
         # Statements are ASCII, so isdigit() admits exactly 0-9: no sign,
         # no '_' separator.
         if not tokens[0].isdigit():
@@ -79,17 +81,18 @@ def parse_configuration(text: str, *, source: str = "<config>") -> Configuration
                              line=lineno, source=source)
         try:
             pid = int(tokens[0])
-            if len(tokens) == 2 and tokens[1].lower() == "origin":
-                prox: tuple[int, ...] = ()
-            elif 3 <= len(tokens) <= 4 and tokens[1] == "->":
+            if 3 <= len(tokens) <= 4 and tokens[1] == "->":
                 if not (tokens[2].isdigit() and tokens[-1].isdigit()):
-                    raise ParseError(f"invalid proximity targets in {quote(statement)}",
+                    raise ParseError(f"invalid proximity targets in "
+                                     f"{quote(code.strip())}",
                                      line=lineno, source=source)
-                prox = (int(tokens[2]),) if len(tokens) == 3 else \
-                    (int(tokens[2]), int(tokens[3]))
+                prox: tuple[int, ...] = (int(tokens[2]),) if len(tokens) == 3 \
+                    else (int(tokens[2]), int(tokens[3]))
+            elif len(tokens) == 2 and tokens[1].lower() == "origin":
+                prox = ()
             else:
                 raise ParseError(
-                    f"malformed point statement {quote(statement)} (expected "
+                    f"malformed point statement {quote(code.strip())} (expected "
                     f"'<id> origin' or '<id> -> <parent> [<second>]')",
                     line=lineno, source=source)
         except ValueError:  # past the int/str cap, which _number words
@@ -97,16 +100,14 @@ def parse_configuration(text: str, *, source: str = "<config>") -> Configuration
             prox = tuple(_number(tok, "proximity target", line=lineno,
                                  source=source) for tok in tokens[2:])
         specs.append((pid, prox))
-        line_of_id[pid] = lineno  # a duplicate's own line
-    if surface is None:
-        raise ParseError("empty input: no surface declaration", source=source)
     if not specs:
         raise ParseError("no points declared", source=source)
     try:
         return build_configuration(specs, surface)
-    except ConfigurationError as err:
-        raise ParseError(str(err), line=line_of_id.get(err.point_id),
-                         source=source) from err
+    except ConfigurationError as err:  # at the last line declaring the point
+        lines = [n for n, code in list(_statements(text, source))[1:]
+                 if int(code.split()[0]) == err.point_id] or [None]
+        raise ParseError(str(err), line=lines[-1], source=source) from err
 
 
 def _read_text(path: Path) -> str:
@@ -200,9 +201,9 @@ def parse_curves(text: str, surface: SurfaceModel, n: int, *,
     if type(n) is not int or n < 0:
         raise ValueError("n must be a nonnegative int")
     curves = []
-    for lineno, statement in _statements(text, source):
+    for lineno, code in _statements(text, source):
         try:
-            curves.append(parse_divisor(statement, surface, n))
+            curves.append(parse_divisor(code.strip(), surface, n))
         except ParseError as err:
             raise ParseError(str(err), line=lineno, source=source) from err
     return tuple(curves)

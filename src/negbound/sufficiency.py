@@ -13,32 +13,31 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .config import (Configuration, _handed_on, checked_cluster,
-                     multiplicity_vector, subconfiguration)
+from .config import (Configuration, _handed_on, _reverse_pass,
+                     checked_cluster, subconfiguration)
 from .errors import InvariantError, MultipleOriginsError, quote
 
 
 def hat_configuration(c: Configuration) -> Configuration:
-    """Complete a single-origin cluster by one satellite above each free end.
-
-    The new points are appended after the base points, ids ``len(c) + 1``
-    on, in the order the free ends appear; each is proximate to its free end
-    and to that end's unique proximity target (its parent).  A cluster with
-    no free end gains nothing.  A free end has no successors, so no satellite
-    sits at its (end, parent) pair yet: the completion of a valid cluster is
-    valid as assembled.
+    """Complete a single-origin cluster by one satellite above each free end:
+    ids ``len(c) + 1`` on, by ascending end, each proximate to its end and the
+    end's parent.  A free end has no successors, so no satellite sits at its
+    (end, parent) pair yet: the completion of a valid cluster is valid as built.
     """
+    return _handed_on(_completion(c)[0], c.surface)
+
+
+def _completion(c: Configuration) -> tuple[tuple[tuple[int, ...], ...], list[int]]:
+    # The completion's proximities and multiplicities: after the base points,
+    # a satellite (free end, parent) of multiplicity 1 per free end, ascending.
     origins = checked_cluster(c).origins
     if len(origins) != 1:
         raise MultipleOriginsError(
             f"expected a unique origin, found {len(origins)}: "
             f"{quote(origins)}")
-    proximities = list(c.proximities)
-    for end in c.ends:
-        prox = c.proximities[end - 1]
-        if len(prox) == 1:
-            proximities.append((end, prox[0]))
-    return _handed_on(tuple(proximities), c.surface)
+    m, free_ends = _reverse_pass(c.proximities, 1)
+    satellites = [(end, c.proximities[end - 1][0]) for end in reversed(free_ends)]
+    return c.proximities + tuple(satellites), m + [1] * len(satellites)
 
 
 @dataclass(frozen=True)
@@ -55,8 +54,8 @@ class DValue:
     previous: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if (self.d < 2 or not all(v > 0 for v in self.certificate)
-                or all(v > 0 for v in self.previous)):
+        if (self.d < 2 or min(self.certificate, default=1) <= 0
+                or min(self.previous, default=1) > 0):
             raise InvariantError(
                 f"d = {quote(self.d)} is not certified minimal: need "
                 f"d >= 2, a positive certificate and a previous one that is not")
@@ -70,22 +69,24 @@ class DValue:
 def d_value(c: Configuration) -> DValue:
     """Compute the minimal degree of a single-origin cluster in closed form.
 
-    With a = P^{-1} e_1 and b = P^{-1} m over the completed cluster, from one
-    forward pass, the conditions d*a_i - b_i > 0 give d = max_i(floor(b_i/a_i)
-    + 1).  Each a_i >= 1, by induction: a_1 = 1, and each later a_i is the
-    sum of a_t over its targets t, one of them its parent, as c is valid.
+    The completion adds a satellite (e, p) above each free end e, an end
+    whose one target is its parent p.  With a = P^{-1} e_1 and b = P^{-1} m
+    over it, d*a_i > b_i for all i gives d = max_i(floor(b_i/a_i) + 1).  No
+    completion is built: a reverse pass gives m at the base points, a forward
+    pass a and b there, and each (e, p) appends a_e + a_p and 1 + b_e + b_p.
+    Each a_i >= 1 by induction: a_1 = 1, and each later a_i, appended or not,
+    sums a_t over its targets t, one of them its parent, as c is valid.
     """
-    hat = hat_configuration(c)
-    b = list(multiplicity_vector(hat))
+    proximities, b = _completion(c)
     a = [1] + [0] * (len(b) - 1)
-    for i, prox in enumerate(hat.proximities):
+    for i, prox in enumerate(proximities):
         for t in prox:
             a[i] += a[t - 1]
             b[i] += b[t - 1]
-    d = max(bi // ai + 1 for ai, bi in zip(a, b))
-    certificate = tuple(d * ai - bi for ai, bi in zip(a, b))
+    d = max([bi // ai for ai, bi in zip(a, b)]) + 1
+    certificate = tuple([d * ai - bi for ai, bi in zip(a, b)])
     return DValue(d=d, certificate=certificate,  # (d-1)a - b = c - a
-                  previous=tuple(ci - ai for ci, ai in zip(certificate, a)))
+                  previous=tuple([ci - ai for ci, ai in zip(certificate, a)]))
 
 
 def origin_d_values(c: Configuration) -> dict[int, DValue]:

@@ -40,11 +40,15 @@ def run(capsys, argv):
     return code, captured.out, captured.err
 
 
+def python_env() -> dict:
+    """The environment of a fresh interpreter on the checkout's src/."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")])))
+
+
 def run_python(args, cwd=None, text=False) -> subprocess.CompletedProcess:
     """Run ``python *args`` in a fresh interpreter on the checkout's src/."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=python_env(),
                           capture_output=True, text=text, timeout=60)
 
 
@@ -381,6 +385,42 @@ class TestHarness:
         assert out == ""
         assert err.startswith("error:") and str(target) in err
         assert not target.exists()
+
+    @pytest.mark.parametrize("argv", [["analyze"], ["analyze", "--json"],
+                                      ["dot"]])
+    def test_a_reader_leaving_early_gets_exit_1_and_no_message(self, argv,
+                                                               tmp_path):
+        # A 20000-point chain writes far more than a pipe holds, so the
+        # CLI is still writing when the reader closes its end.
+        path = tmp_path / "big.cfg"
+        path.write_text("surface p2\n1 origin\n" + "".join(
+            f"{k} -> {k - 1}\n" for k in range(2, 20001)))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "negbound.cli", argv[0], str(path),
+             *argv[1:]], env=python_env(), stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE)
+        try:
+            assert len(proc.stdout.read(100)) == 100
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+            proc.wait(timeout=60)
+        assert (proc.returncode, err) == (1, b"")
+
+    def test_a_reader_gone_before_the_first_write(self, sample12_path):
+        # The pipe has no reader from the start, so the flush of a short
+        # report is what fails.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "negbound.cli", "dvalue",
+                 str(sample12_path)], env=python_env(), stdout=write_end,
+                stderr=subprocess.PIPE, timeout=60)
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (1, b"")
 
     @pytest.mark.parametrize("bad_file", ["cluster", "curves"])
     def test_non_utf8_input_exits_1_without_traceback(self, bad_file,

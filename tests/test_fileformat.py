@@ -91,6 +91,14 @@ class TestParseConfiguration:
         assert str(exc.value).startswith("<config>:4: duplicate point id 2")
         assert isinstance(exc.value.__cause__, DuplicateIdError)
 
+    def test_an_id_declared_three_times_names_the_last_line(self):
+        # ids compare as ints, so 02 and 002 declare point 2 again
+        with pytest.raises(ParseError) as exc:
+            parse_configuration("surface p2\n1 origin\n2 -> 1\n# 2\n"
+                                "02 -> 1\n002 -> 1  # last\n3 -> 2\n")
+        assert str(exc.value) == "<config>:6: duplicate point id 2"
+        assert isinstance(exc.value.__cause__, DuplicateIdError)
+
     @pytest.mark.parametrize("text", [
         "surface p2\n\u0661 origin\n",           # Arabic-Indic digit one
         "surface p2\n1 origin\n2 -> \u0661\n",

@@ -26,6 +26,7 @@ from negbound import (
     analysis_report,
     build_configuration,
     cluster_bound_data,
+    d_value,
     dot_export,
     hat_configuration,
     multiplicity_vector,
@@ -211,6 +212,28 @@ def test_each_component_d_equals_the_scan(c):
     assert origin_d_values(c).keys() == set(c.origins)
     for origin, dv in origin_d_values(c).items():
         assert dv.d == scan_d_value(subconfiguration(c, origin))
+
+
+@SETTINGS
+@given(st.one_of(clusters(), satellite_chains(max_points=14)))
+def test_d_value_is_the_solve_over_the_public_completion(c):
+    """``d_value`` builds no completion, yet its d, certificates and hat
+    size are those of the completion that ``hat_configuration`` builds,
+    with its ``multiplicity_vector``; d is also the literal scan's."""
+    for origin in c.origins:
+        sub = subconfiguration(c, origin)
+        dv = d_value(sub)
+        hat = hat_configuration(sub)
+        m = multiplicity_vector(hat)
+
+        def solved_at(d):
+            return tuple(proximity_solve(
+                hat, [d * (i == 0) - mi for i, mi in enumerate(m)]))
+
+        assert dv.d == scan_d_value(sub)
+        assert dv.certificate == solved_at(dv.d)
+        assert dv.previous == solved_at(dv.d - 1)
+        assert dv.hat_size == len(hat)
 
 
 @SETTINGS

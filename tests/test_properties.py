@@ -375,10 +375,11 @@ class TestDeriveOnce:
             assert set(vars(copy)) == fields
 
     def test_d_builds_no_self_intersections(self):
-        # The ends that the completion reads are a scan of their own.
+        # d finds the free ends in its own reverse pass: it derives neither
+        # the ends nor gamma's counts.
         c = random_configuration(random.Random(SEED + 7), 80, multi_origin=False)
         d_value_report(c)
-        assert "ends" in c._surface_free
+        assert "ends" not in c._surface_free
         assert "self_intersections" not in c._surface_free
 
     def test_threads_filling_one_holder_read_the_same_values(self):
@@ -676,8 +677,9 @@ class TestPointView:
 
     def test_no_cut_builds_successors(self, monkeypatch):
         # gamma, the ends, the multiplicities and d read the proximity
-        # tuples; every cut is a forward pass over them, and no cluster,
-        # subcluster or completion builds a successors map.
+        # tuples; every cut is a forward pass over them, d builds one
+        # subcluster per origin and no completion, and none of them builds a
+        # successors map.
         made = []
         init = Configuration.__post_init__
 
@@ -690,7 +692,7 @@ class TestPointView:
         assert "successors" not in c._surface_free
         monkeypatch.setattr(Configuration, "__post_init__", recording)
         d_value_report(c)
-        assert len(made) == 2 * len(c.origins)
+        assert len(made) == len(c.origins)
         assert all("successors" not in x._surface_free for x in made)
         for point_id in range(1, len(c) + 1):
             subconfiguration(c, point_id)
@@ -698,7 +700,7 @@ class TestPointView:
 
     def test_a_single_origin_cluster_is_its_own_subcluster(self, monkeypatch):
         # Point 1 is an origin, so with no other origin the cut at 1 is the
-        # cluster itself: d builds only the completion and no successors.
+        # cluster itself, and d builds no completion: no cluster at all.
         made = []
         init = Configuration.__post_init__
 
@@ -708,10 +710,8 @@ class TestPointView:
 
         c = random_configuration(random.Random(SEED + 7), 80, multi_origin=False)
         assert len(c.origins) == 1
-        hat = hat_configuration(c)
         monkeypatch.setattr(Configuration, "__post_init__", recording)
         assert subconfiguration(c, 1) is c
-        assert made == []
         d_value_report(c)
-        assert made == [hat]
-        assert all("successors" not in x._surface_free for x in (c, *made))
+        assert made == []
+        assert "successors" not in c._surface_free

@@ -8,7 +8,9 @@ import pytest
 
 from negbound import (
     Configuration,
+    DValue,
     ForwardReferenceError,
+    InvariantError,
     MultipleOriginsError,
     build_configuration,
     d_value,
@@ -86,7 +88,7 @@ from negbound import DValue, InvariantError
 if __debug__:
     sys.exit("asserts are on; run with python -O")
 for d, certificate, previous in [(1, (1,), (0,)), (2, (0,), (-1,)),
-                                 (3, (2,), (1,))]:
+                                 (3, (2,), (1,)), (2, (1,), ())]:
     try:
         DValue(d=d, certificate=certificate, previous=previous)
     except InvariantError:
@@ -101,6 +103,17 @@ for d, certificate, previous in [(1, (1,), (0,)), (2, (0,), (-1,)),
                               env=env, capture_output=True, text=True,
                               timeout=60)
         assert proc.returncode == 0, proc.stderr
+
+    def test_empty_vectors_keep_their_verdicts(self):
+        # An empty certificate has no nonpositive entry, so it passes; an
+        # empty previous has none either, so it witnesses nothing.
+        assert DValue(d=2, certificate=(), previous=(0,)).hat_size == 0
+        for certificate in ((1,), ()):
+            with pytest.raises(InvariantError) as exc:
+                DValue(d=2, certificate=certificate, previous=())
+            assert str(exc.value) == (
+                "d = 2 is not certified minimal: need d >= 2, a positive "
+                "certificate and a previous one that is not")
 
     def test_singleton(self):
         dv = d_value(build_configuration([(1, [])]))
@@ -131,6 +144,17 @@ for d, certificate, previous in [(1, (1,), (0,)), (2, (0,), (-1,)),
 
 
 class TestTotals:
+    def test_empty_vectors_keep_their_verdicts(self):
+        # An empty certificate has no nonpositive entry, so it passes; an
+        # empty previous has none either, so it witnesses nothing.
+        assert DValue(d=2, certificate=(), previous=(0,)).hat_size == 0
+        for certificate in ((1,), ()):
+            with pytest.raises(InvariantError) as exc:
+                DValue(d=2, certificate=certificate, previous=())
+            assert str(exc.value) == (
+                "d = 2 is not certified minimal: need d >= 2, a positive "
+                "certificate and a previous one that is not")
+
     def test_singleton(self):
         assert total_d(build_configuration([(1, [])])) == 2
 
