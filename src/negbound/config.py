@@ -152,9 +152,10 @@ def _specs(proximities) -> Iterable[PointSpec]:
     yield from enumerate(proximities, start=1)
 
 
-def _handed_on(proximities: tuple, surface: SurfaceModel) -> Configuration:
-    """Tuples a valid cluster hands on, with a holder for them: not checked again."""
-    return Configuration(proximities, surface, {"proximities": proximities})
+def _handed_on(proximities: tuple, surface: SurfaceModel, **known) -> Configuration:
+    """Tuples a valid cluster hands on, in a holder with values ``known`` of
+    them: not checked again."""
+    return Configuration(proximities, surface, {"proximities": proximities, **known})
 
 
 def build_configuration(point_specs: Iterable[PointSpec],
@@ -319,21 +320,21 @@ def subconfiguration(c: Configuration, point_id: int) -> Configuration:
     split that one pass makes of every origin and the cluster's store keeps:
     a target of a point is one of its ancestors, so a component keeps all
     its targets.  A cluster whose only origin is point 1 is its own
-    subcluster at 1.
+    subcluster at 1; every other cut is handed on knowing its one origin, 1.
     """
     checked_cluster(c)._check_id(point_id)
     if not c.proximities[point_id - 1]:
         if point_id == 1 and len(c.origins) == 1:
             return c
         return _handed_on(c._shared("components", _split_components)[point_id],
-                          c.surface)
+                          c.surface, origins=(1,))
     renumber = {point_id: 1}
     proximities: list[tuple[int, ...]] = [()]
     for old, prox in enumerate(c.proximities[point_id:], start=point_id + 1):
         if prox and prox[0] in renumber:
             renumber[old] = len(proximities) + 1
             proximities.append(tuple(renumber[t] for t in prox if t in renumber))
-    return _handed_on(tuple(proximities), c.surface)
+    return _handed_on(tuple(proximities), c.surface, origins=(1,))
 
 
 def _split_components(c: Configuration) -> dict[int, IntMatrix]:

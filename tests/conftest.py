@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -26,6 +27,22 @@ def sample12() -> Configuration:
 @pytest.fixture
 def sample12_path() -> Path:
     return REPO_ROOT / "configs" / "sample12.cfg"
+
+
+def count_calls(monkeypatch, function) -> list:
+    """Rebind ``function`` in every loaded negbound module to a wrapper
+    that records the first argument of each call."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return function(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "negbound" and \
+                getattr(module, function.__name__, None) is function:
+            monkeypatch.setattr(module, function.__name__, counting)
+    return calls
 
 
 def scan_d_value(c: Configuration, limit: int = 10 ** 6) -> int:

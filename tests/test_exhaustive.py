@@ -12,13 +12,15 @@ every spec list of up to ``n`` points in which each point lists at most two
 distinct smaller targets, and ``parse_configuration`` on each list's file
 and the ``Configuration`` constructor on its proximities with
 ``build_configuration``: the same clusters, and each rejection with the
-validator's message, the constructor's with its error type too and the
-parser's on the line of the point it names.  On every accepted cluster it
-then checks each origin's ``d`` against ``scan_d_value``,
-``P^t m`` on each completion, both reports and the pullback and epsilon
-bounds against the benchmark's oracle (``bench/oracle.py``, imported
-read-only).  Tier-1 runs it up to 6 points; for 7 (27007 clusters, about
-3 minutes on one core of a 2-vCPU VM) run
+validator's message and error type, the parser's on the line of the point it
+names.  On every accepted cluster it then checks each origin's ``d`` against
+``scan_d_value``, ``P^t m`` on each completion, both reports and the
+pullback and epsilon bounds against the benchmark's oracle
+(``bench/oracle.py``, imported read-only).  Tier-1 runs it up to 6 points,
+and also parses each file with its point lines reversed: the parser checks a
+file in id order as it reads it and hands any other to the validator, so
+both paths are covered.  For 7 points (27007 clusters, about 3 minutes on
+one core of a 2-vCPU VM) run
 
     PYTHONPATH=src:tests python -c "from test_exhaustive import check_clusters; check_clusters(7)"
 """
@@ -91,26 +93,31 @@ def spec_lists(n: int):
     return product(*choices)
 
 
-def check_clusters(max_points: int) -> list[int]:
+def check_clusters(max_points: int, reversed_files: bool = False) -> list[int]:
     """Check the validator against the model for 1..``max_points`` points,
-    and the parser's verdict on each spec list's file and the constructor's
-    on its proximities against the validator's, and return the number of
-    clusters of each size."""
+    and the parser's verdict on each spec list's file (and, with
+    ``reversed_files``, on the file with its point lines in reverse order)
+    and the constructor's on its proximities against the validator's, and
+    return the number of clusters of each size."""
     counts = []
     for n in range(1, max_points + 1):
         ids = range(1, n + 1)
         accepted = {}
         for prox in spec_lists(n):
-            text = "surface p2\n" + "".join(
-                f"{pid} -> {' '.join(map(str, targets))}\n" if targets
-                else f"{pid} origin\n" for pid, targets in zip(ids, prox))
+            lines = [f"{pid} -> {' '.join(map(str, targets))}\n" if targets
+                     else f"{pid} origin\n" for pid, targets in zip(ids, prox)]
+            text = "surface p2\n" + "".join(lines)
+            reversed_text = "surface p2\n" + "".join(reversed(lines))
             try:
                 c = build_configuration(zip(ids, prox))
             except ConfigurationError as err:  # any other exception fails
-                check_parser_rejects(text, err)
+                check_parser_rejects(text, err, err.point_id + 1)
+                if reversed_files:
+                    check_parser_rejects(reversed_text, err, n - err.point_id + 2)
                 check_constructor_rejects(prox, err)
                 continue
             assert parse_configuration(text) == c, text
+            assert not reversed_files or parse_configuration(reversed_text) == c
             assert Configuration(prox) == c, prox
             accepted[c.proximities] = c
         model = model_clusters(n)
@@ -123,14 +130,14 @@ def check_clusters(max_points: int) -> list[int]:
     return counts
 
 
-def check_parser_rejects(text: str, err: ConfigurationError) -> None:
-    """The parser rejects the file with the validator's message, on the
-    line of the point the validator names (point k is on line k + 1)."""
+def check_parser_rejects(text: str, err: ConfigurationError, line: int) -> None:
+    """The parser rejects the file with the validator's message and cause
+    type, on the ``line`` of the point the validator names."""
     try:
         parse_configuration(text)
     except ParseError as parse_err:
-        assert str(parse_err).endswith(f": {err}"), (text, parse_err)
-        assert err.point_id is not None and parse_err.line == err.point_id + 1, text
+        assert str(parse_err) == f"<config>:{line}: {err}", (text, parse_err)
+        assert type(parse_err.__cause__) is type(err), text
     else:
         raise AssertionError(f"the parser accepts {text!r}, rejected by {err}")
 
@@ -175,7 +182,7 @@ def check_against_oracles(c) -> None:
 
 
 def test_validator_accepts_exactly_the_model_clusters():
-    assert check_clusters(6) == list(COUNTS[:6])
+    assert check_clusters(6, reversed_files=True) == list(COUNTS[:6])
 
 
 def test_model_counts_up_to_seven_points():

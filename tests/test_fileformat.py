@@ -24,6 +24,7 @@ from negbound import (
     serialize_configuration,
 )
 from negbound.surfaces import Hirzebruch, ProjectivePlane
+from conftest import count_calls
 
 P2 = ProjectivePlane()
 
@@ -98,6 +99,35 @@ class TestParseConfiguration:
                                 "02 -> 1\n002 -> 1  # last\n3 -> 2\n")
         assert str(exc.value) == "<config>:6: duplicate point id 2"
         assert isinstance(exc.value.__cause__, DuplicateIdError)
+
+    def test_a_parse_error_comes_before_any_rule_fault(self):
+        # 2 -> 7 breaks a rule, but the malformed line 4 is reported
+        with pytest.raises(ParseError) as exc:
+            parse_configuration("surface p2\n1 origin\n2 -> 7\n3 => 1\n")
+        assert exc.value.line == 4
+        assert str(exc.value).startswith("<config>:4: malformed point statement")
+        assert exc.value.__cause__ is None
+
+    def test_an_id_fault_comes_before_an_earlier_rule_fault(self):
+        with pytest.raises(ParseError) as exc:
+            parse_configuration("surface p2\n1 origin\n2 -> 7\n2 -> 1\n")
+        assert exc.value.line == 4
+        assert isinstance(exc.value.__cause__, DuplicateIdError)
+
+    def test_a_leading_zero_id_is_the_same_point(self):
+        c = parse_configuration("surface p2\n1 origin\n02 -> 1\n003 -> 02 001\n")
+        assert c.proximities == ((), (1,), (2, 1))
+
+    def test_a_file_in_id_order_is_checked_as_it_is_read(self, monkeypatch,
+                                                          sample12,
+                                                          sample12_path):
+        calls = count_calls(monkeypatch, build_configuration)
+        assert load_configuration(sample12_path) == sample12
+        assert calls == []
+        surface, *points = serialize_configuration(sample12).splitlines()
+        random.Random(12).shuffle(points)
+        assert parse_configuration("\n".join([surface, *points])) == sample12
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("text", [
         "surface p2\n\u0661 origin\n",           # Arabic-Indic digit one

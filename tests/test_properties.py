@@ -47,7 +47,8 @@ from negbound.bounds import _terms
 from negbound.cli import main
 from negbound.config import proximity_matrix
 from negbound.surfaces import Hirzebruch, ProjectivePlane
-from conftest import SAMPLE12_SPECS, identity, mat_mul, scan_d_value
+from conftest import (SAMPLE12_SPECS, count_calls, identity, mat_mul,
+                      scan_d_value)
 from random_configs import random_configuration
 
 SEED = 940221
@@ -183,26 +184,23 @@ class TestDenseMatrixOffProductionPath:
 
 
 class TestValidateOnce:
-    """``build_configuration`` checks outside input once; subclusters and
-    completions are assembled from the already valid points."""
+    """Outside input is checked once: a file in id order as it is read,
+    other input by ``build_configuration``; subclusters and completions are
+    assembled from the already valid points."""
 
     def test_one_validation_per_parsed_cluster(self, monkeypatch, capsys,
                                                sample12_path, tmp_path):
-        calls = []
-
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return build_configuration(*args, **kwargs)
-
-        for name, module in list(sys.modules.items()):
-            if name.split(".")[0] == "negbound" and \
-                    hasattr(module, "build_configuration"):
-                monkeypatch.setattr(module, "build_configuration", counting)
+        calls = count_calls(monkeypatch, build_configuration)
         multi = random_configuration(random.Random(SEED + 7), 80)
         assert len(multi.origins) > 1
         multi_path = tmp_path / "multi.cfg"
         multi_path.write_text(serialize_configuration(multi))
-        for path in (sample12_path, multi_path):
+        surface, *points = multi_path.read_text().splitlines()
+        shuffled_path = tmp_path / "shuffled.cfg"
+        shuffled_path.write_text("\n".join([surface, *reversed(points)]))
+        # the files in id order are checked as they are read
+        for path, validations in ((sample12_path, 0), (multi_path, 0),
+                                  (shuffled_path, 1)):
             calls.clear()
             c = parse_configuration(path.read_text())
             d_value_report(c)
@@ -211,12 +209,12 @@ class TestValidateOnce:
             epsilon_family_bounds(c, Fraction(1, 2))
             polarization_bounds(c)
             attached_foliation_degree_bounds(c)
-            assert len(calls) == 1
+            assert len(calls) == validations
         for argv in (["dvalue"], ["dvalue", "--json"], ["bounds", "--pullback"],
                      ["bounds", "--epsilon", "1/2", "--surface", "f 2"]):
             calls.clear()
             assert main([argv[0], str(sample12_path), *argv[1:]]) == 0
-            assert len(calls) == 1
+            assert calls == []
         capsys.readouterr()
 
     def test_derived_clusters_equal_their_validated_specs(self, suite):
@@ -241,22 +239,6 @@ class TestValidateOnce:
                 extended = hat_configuration(sub)
                 assert extended == validated(extended)
                 assert_admissible(extended)
-
-
-def count_calls(monkeypatch, function) -> list:
-    """Rebind ``function`` in every loaded negbound module to a wrapper
-    that records the first argument of each call."""
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(args[0])
-        return function(*args, **kwargs)
-
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "negbound" and \
-                getattr(module, function.__name__, None) is function:
-            monkeypatch.setattr(module, function.__name__, counting)
-    return calls
 
 
 class TestDeriveOnce:
@@ -373,6 +355,28 @@ class TestDeriveOnce:
             for read in readers[:6]:
                 assert read(copy) is read(c)
             assert set(vars(copy)) == fields
+
+    def test_only_the_cluster_derives_its_origins(self, monkeypatch):
+        # A cut has one origin, point 1, and is handed on knowing it, so d
+        # scans for origins once, over the whole cluster.
+        derived = []
+        shared = Configuration._shared
+
+        def recording(self, name, derive):
+            if name not in self._surface_free:
+                derived.append((name, self))
+            return shared(self, name, derive)
+
+        monkeypatch.setattr(Configuration, "_shared", recording)
+        c = random_configuration(random.Random(SEED + 7), 80)
+        d_value_report(c)
+        assert [x is c for name, x in derived if name == "origins"] == [True]
+        assert len(c.origins) > 1
+        for point_id in range(1, len(c) + 1):
+            sub = subconfiguration(c, point_id)
+            assert sub.origins == (1,) == tuple(
+                pid for pid, prox in enumerate(sub.proximities, 1) if not prox)
+        assert [x is c for name, x in derived if name == "origins"] == [True]
 
     def test_d_builds_no_self_intersections(self):
         # d finds the free ends in its own reverse pass: it derives neither
