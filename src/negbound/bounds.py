@@ -10,7 +10,7 @@ origins); reports always record both so callers can see when they diverge.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple, Sequence, Union
 
@@ -42,12 +42,13 @@ class ClusterData(NamedTuple):
 
 
 def cluster_bound_data(c: Configuration) -> ClusterData:
-    """n (in both conventions), d and gamma of a cluster."""
-    return ClusterData(
-        n_stated=len(checked_cluster(c)),
+    """n (in both conventions), d and gamma of a cluster, derived once per
+    proximities tuple and shared by its surface copies."""
+    return checked_cluster(c)._shared("bound_data", lambda c: ClusterData(
+        n_stated=len(c),
         n_example=sum(dv.hat_size for dv in origin_d_values(c).values()),
         d=total_d(c),
-        gamma=exceptional_self_intersections(c).gamma)
+        gamma=exceptional_self_intersections(c).gamma))
 
 
 def rational_json(value: Fraction) -> int | str:
@@ -109,9 +110,10 @@ def _terms(surface: SurfaceModel, n: int,
 
 
 def _bound_report(c: Configuration, n_convention: str,
-                  eps: Fraction | None) -> BoundReport:
+                  eps: Fraction | None, cases: bool = False) -> BoundReport:
     """The base terms of ``c`` and their minimum; with ``eps``, the epsilon
-    family's terms: each divided by ``eps``, and -gamma appended."""
+    family's terms: each divided by ``eps``, and -gamma appended; with
+    ``cases``, the first term and the minimum of the rest as case bounds."""
     if n_convention not in N_CONVENTIONS:
         raise ValueError(f"n_convention must be one of {N_CONVENTIONS}")
     data = cluster_bound_data(c)
@@ -120,13 +122,16 @@ def _bound_report(c: Configuration, n_convention: str,
     if eps is None:
         terms = [(name, Fraction(value)) for name, _, value in base]
     else:
-        terms = [(name, Fraction(value) / eps) for _, name, value in base]
+        terms = [(name, Fraction(value * eps.denominator, eps.numerator))
+                 for _, name, value in base]
         terms.append(("-gamma", Fraction(-data.gamma)))
     return BoundReport(surface=c.surface, n_stated=data.n_stated,
                        n_example=data.n_example, convention=n_convention, n=n,
                        d=data.d, gamma=data.gamma, epsilon=eps,
-                       terms=tuple(terms),
-                       bound=min(value for _, value in terms))
+                       terms=tuple(terms), bound=min(v for _, v in terms),
+                       case_bounds=(("non_invariant", terms[0][1]),
+                                    ("invariant", min(v for _, v in terms[1:])))
+                       if cases else None)
 
 
 def polarization_bounds(c: Configuration,
@@ -136,11 +141,7 @@ def polarization_bounds(c: Configuration,
     Case one applies to curves not invariant under the attached foliation,
     case two to invariant ones; ``bound`` is their minimum.
     """
-    report = nef_pullback_bounds(c, n_convention)
-    (_, non_invariant), *rest = report.terms
-    return replace(report, case_bounds=(
-        ("non_invariant", non_invariant),
-        ("invariant", min(value for _, value in rest))))
+    return _bound_report(c, n_convention, None, cases=True)
 
 
 def epsilon_family_bounds(c: Configuration, epsilon: Rational,
@@ -295,16 +296,20 @@ class NuReport:
 
 def empirical_nu(curves: Sequence[DivisorClass],
                  big_nef: DivisorClass) -> NuReport:
+    """C^2, D.C and, for a curve with C^2 < 0 < D.C (read off the numerators,
+    as denominators are positive), one Fraction C^2/(D.C) per curve."""
     from .lattice import _check_classes, pairing
     _check_classes(big_nef)
     ratios = []
     for index, curve in enumerate(curves, start=1):
         c_sq = pairing(curve, curve)
         dc = pairing(big_nef, curve)
-        qualifies = c_sq < 0 and dc > 0
+        qualifies = c_sq.numerator < 0 < dc.numerator
+        ratio = Fraction(c_sq.numerator * dc.denominator,
+                         c_sq.denominator * dc.numerator) if qualifies else None
         ratios.append(CurveRatio(index=index, self_intersection=c_sq,
                                  pairing_with_divisor=dc, qualifies=qualifies,
-                                 ratio=c_sq / dc if qualifies else None))
+                                 ratio=ratio))
     qualifying = [r.ratio for r in ratios if r.qualifies]
     return NuReport(value=min(qualifying) if qualifying else None,
                     ratios=tuple(ratios))

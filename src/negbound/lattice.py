@@ -67,17 +67,20 @@ class DivisorClass:
         return self
 
     def _store(self, surface, n, base, exceptional, den=1) -> None:
+        """Reduce the coordinates over ``den``; ints over 1 are kept as given."""
         if len(base) != len(checked_surface(surface).generators):
             raise ValueError(
                 f"surface {surface_name(surface)} needs "
                 f"{len(surface.generators)} base coefficient(s), got {len(base)}")
-        values = [_rational(x) for x in (*base, *exceptional.values())]
-        scale = lcm(*[x.denominator for x in values])
-        nums = [x.numerator * (scale // x.denominator) for x in values]
-        den *= scale
-        g = gcd(den, *nums)
-        if g != 1:
-            den, nums = den // g, [x // g for x in nums]
+        nums = (*base, *exceptional.values())
+        if den != 1 or not all(type(x) is int for x in nums):
+            values = [_rational(x) for x in nums]
+            scale = lcm(*[x.denominator for x in values])
+            nums = [x.numerator * (scale // x.denominator) for x in values]
+            den *= scale
+            g = gcd(den, *nums)
+            if g != 1:
+                den, nums = den // g, [x // g for x in nums]
         k = len(base)
         vars(self).update(
             surface=surface, n=n, den=den, base_numerators=tuple(nums[:k]),

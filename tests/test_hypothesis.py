@@ -28,6 +28,7 @@ from negbound import (
     cluster_bound_data,
     d_value,
     dot_export,
+    empirical_nu,
     hat_configuration,
     multiplicity_vector,
     origin_d_values,
@@ -348,6 +349,28 @@ def test_pairing_equals_the_dense_formula(pair):
         square = pairing(cls, cls)
         assert square == dense_pairing(cls, cls)
         assert type(square) is Fraction
+
+
+@SETTINGS
+@given(class_pairs())
+def test_empirical_nu_equals_the_dense_formula(pair):
+    x, y = pair
+    curves = [x, y, x - y]
+    for big_nef in pair:
+        report = empirical_nu(curves, big_nef)
+        assert [r.index for r in report.ratios] == [1, 2, 3]
+        for curve, r in zip(curves, report.ratios):
+            c_sq, dc = dense_pairing(curve, curve), dense_pairing(big_nef, curve)
+            assert (r.self_intersection, r.pairing_with_divisor) == (c_sq, dc)
+            assert r.qualifies == (c_sq < 0 and dc > 0)
+            assert r.ratio == (c_sq / dc if r.qualifies else None)
+            values = [r.self_intersection, r.pairing_with_divisor]
+            if r.qualifies:
+                values.append(r.ratio)
+            assert all(type(v) is Fraction for v in values)
+        qualifying = [r.ratio for r in report.ratios if r.qualifies]
+        assert report.value == (min(qualifying) if qualifying else None)
+        assert report.value is None or type(report.value) is Fraction
 
 
 # Snippets spliced into CLI inputs: syntax pieces, non-ASCII digits and

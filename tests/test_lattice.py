@@ -36,6 +36,8 @@ from negbound import (
 from negbound.config import _rational
 from negbound.surfaces import Hirzebruch, ProjectivePlane
 
+from conftest import SAMPLE12_SPECS
+
 P2 = ProjectivePlane()
 
 
@@ -167,6 +169,16 @@ class TestStoredForm:
             DivisorClass(P2, (3,), (-2, 0, -1))
         yield DivisorClass(P2, (Fraction(3),), (-2, Fraction(0), True - 2)), \
             plane(3, (2, 0, 1))
+        # Int coordinates over denominator 1 are stored as given; each route
+        # must match its twin built through the reduction.
+        yield DivisorClass(P2, (3,), (0, -2, 1)), \
+            DivisorClass(P2, (Fraction(3),), (False, Fraction(-2), True))
+        sample12 = build_configuration(SAMPLE12_SPECS)
+        yield strict_transform_of_exceptional(sample12, 2), \
+            DivisorClass(P2, (Fraction(0),), [Fraction(x) for x in
+                                              (0, 1, -1, -1, -1, *[0] * 7)])
+        yield DivisorClass._make(P2, 3, (8,), {1: -4, 3: 12}, den=4), \
+            DivisorClass(P2, (2,), (-1, 0, 3))
         yield plane(1, (1, 0, 0)) + plane(2, (1, 0, 1)), plane(3, (2, 0, 1))
         yield plane(4, (2, 1, 1)) - plane(1, (0, 1, 0)), plane(3, (2, 0, 1))
         yield Fraction(1, 2) * plane(6, (4, 0, 2)), plane(3, (2, 0, 1))
