@@ -163,9 +163,10 @@ def build_configuration(point_specs: Iterable[PointSpec],
     """Validate ``(id, proximity ids)`` specs and assemble a Configuration:
     the one validator, which the Configuration constructor also runs.
 
-    Ids and targets must be ints, the ids 1..n (any input order); proximity
-    lists must reference strictly smaller ids, parent (largest target)
-    first, and no two satellites may share both targets.
+    Ids and targets must be ints, the ids 1..n in any input order (a fault
+    of the ids anywhere is named first); proximity lists must reference
+    strictly smaller ids, parent (largest target) first, and no two
+    satellites may share both targets.
 
     A valid cluster is admissible: each proximity target of a point is one
     of its ancestors, by induction on the id, as a satellite's second target
@@ -182,58 +183,64 @@ def build_configuration(point_specs: Iterable[PointSpec],
             "each point spec must be an (id, proximity ids) pair") from None
     if not specs:
         raise ConfigurationError("a configuration must contain at least one point")
-    proximities: list[tuple[int, ...]] = []
+    n = len(specs)
+    proximities: list = [None] * n
+    for pid, prox in specs:  # each at its id, up to the first stray id
+        if type(pid) is not int or not 0 < pid <= n or proximities[pid - 1] is not None:
+            break
+        proximities[pid - 1] = prox
+    else:  # the ids are 1..n: a point's fault, unless a target is not an int
+        try:
+            return _admitted(proximities, surface)
+        except ConfigurationError:
+            if all(type(target) is int for prox in proximities for target in prox):
+                raise
+    # a type fault anywhere, then the smallest duplicate, then the missing ids
+    if not all(type(x) is int for pid, prox in specs for x in (pid, *prox)):
+        raise ConfigurationError("point ids and proximity targets must be int")
+    ids = sorted(pid for pid, _ in specs)
+    for pid, after in zip(ids, ids[1:]):
+        if pid == after:
+            raise DuplicateIdError(f"duplicate point id {quote(pid)}", point_id=pid)
+    missing = sorted(set(range(1, n + 1)) - set(ids))
+    raise ConfigurationError(f"ids must be exactly 1..{n} (missing {quote(missing)})")
+
+
+def _admitted(proximities: list, surface: SurfaceModel) -> Configuration:
+    """The cluster whose point ``i + 1`` has the targets ``proximities[i]``,
+    else the first point's fault in id order: the one check of the rules."""
     satellite_at: dict[tuple[int, ...], int] = {}
-    fault: ConfigurationError | None = None
-    try:
-        specs.sort(key=lambda spec: spec[0] if type(spec[0]) is int else 0)
-        for index, (pid, prox) in enumerate(specs, start=1):
-            if type(pid) is not int or pid != index:
-                break  # sorted, ids are 1..n iff each is its index (others key 0)
-            if len(prox) > 2:
-                raise TooManyProximitiesError(
-                    f"point {pid} lists {len(prox)} proximities (at most 2 allowed)",
+    for pid, prox in enumerate(proximities, start=1):
+        if len(prox) > 2:
+            raise TooManyProximitiesError(
+                f"point {pid} lists {len(prox)} proximities (at most 2 allowed)",
+                point_id=pid)
+        for target in prox:
+            if type(target) is not int or not 1 <= target < pid:
+                raise ForwardReferenceError(
+                    f"point {pid} is proximate to {quote(target)}, "
+                    f"which is not a strictly smaller id", point_id=pid)
+        if len(prox) == 2:
+            parent, second = prox
+            if parent == second:
+                raise NormalizationError(
+                    f"point {pid} lists the same proximity {parent} twice",
                     point_id=pid)
-            for target in prox:  # a target that is not an int is named below
-                if type(target) is not int or not 1 <= target < pid:
-                    raise ForwardReferenceError(
-                        f"point {pid} is proximate to {quote(target)}, "
-                        f"which is not a strictly smaller id", point_id=pid)
-            if len(prox) == 2:
-                parent, second = prox
-                if parent == second:
-                    raise NormalizationError(
-                        f"point {pid} lists the same proximity {parent} twice",
-                        point_id=pid)
-                if parent < second:
-                    raise NormalizationError(
-                        f"point {pid}: parent (largest id) must be listed first, "
-                        f"got {prox}", point_id=pid)
-                if second not in proximities[parent - 1]:
-                    raise InvalidSatelliteError(
-                        f"point {pid}: second target {second} is not among the "
-                        f"proximities of its parent {parent}", point_id=pid)
-                # E_parent meets the strict transform of E_second in one
-                # point, so at most one satellite is proximate to both.
-                if prox in satellite_at:
-                    raise InvalidSatelliteError(
-                        f"points {quote(satellite_at[prox])} and {pid} are both "
-                        f"proximate to {parent} and {second}", point_id=pid)
-                satellite_at[prox] = pid
-            proximities.append(prox)
-    except ConfigurationError as err:
-        fault = err
-    if len(proximities) < len(specs):  # an id fault anywhere comes first
-        if not all(type(x) is int for pid, prox in specs for x in (pid, *prox)):
-            raise ConfigurationError("point ids and proximity targets must be int")
-        for (pid, _), (after, _) in zip(specs, specs[1:]):  # sorted ints
-            if pid == after:
-                raise DuplicateIdError(f"duplicate point id {quote(pid)}", point_id=pid)
-        missing = sorted(set(range(1, len(specs) + 1)) - {pid for pid, _ in specs})
-        if missing or fault is None:  # a break leaves an id missing
-            raise ConfigurationError(f"ids must be exactly 1..{len(specs)} "
-                                     f"(missing {quote(missing)})")
-        raise fault
+            if parent < second:
+                raise NormalizationError(
+                    f"point {pid}: parent (largest id) must be listed first, "
+                    f"got {prox}", point_id=pid)
+            if second not in proximities[parent - 1]:
+                raise InvalidSatelliteError(
+                    f"point {pid}: second target {second} is not among the "
+                    f"proximities of its parent {parent}", point_id=pid)
+            # E_parent meets the strict transform of E_second in one
+            # point, so at most one satellite is proximate to both.
+            if prox in satellite_at:
+                raise InvalidSatelliteError(
+                    f"points {quote(satellite_at[prox])} and {pid} are both "
+                    f"proximate to {parent} and {second}", point_id=pid)
+            satellite_at[prox] = pid
     return _handed_on(tuple(proximities), surface)
 
 

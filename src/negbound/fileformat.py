@@ -1,7 +1,7 @@
 """Text formats: cluster files, divisor literals and curve lists.
 
 Cluster file, one statement per line ('#' starts a comment), point lines in
-any order (a file in id order is checked as it is read):
+any order:
 
     surface p2            # or: surface f <delta>
     1 origin
@@ -20,7 +20,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .config import Configuration, _handed_on, build_configuration, checked_cluster
+from .config import Configuration, _admitted, build_configuration, checked_cluster
 from .errors import ConfigurationError, ParseError, _number, quote
 from .surfaces import SurfaceModel, checked_surface, parse_surface, surface_name
 
@@ -64,14 +64,14 @@ def _statements(text: str, source: str):
 
 def parse_configuration(text: str, *, source: str = "<config>") -> Configuration:
     """Parse a cluster file; raises ParseError carrying the offending line.
-    While the ids run 1, 2, 3, ... each point is checked as it is read; from
-    the first point out of order or against a rule, ``build_configuration``
-    decides and words any fault, after a ParseError on any line."""
+    The read loop only tokenizes; a file in id order goes straight to the
+    one check of the rules, any other through ``build_configuration``.  A
+    cluster fault comes after any ParseError, on the last line declaring
+    the point it names."""
     checked = text.isascii()
     surface = None
-    proximities: list[tuple[int, ...]] = []  # points 1..k, each checked
-    satellites: set[tuple[int, ...]] = set()
-    specs: list[tuple[int, tuple[int, ...]]] | None = None
+    ids: list[int] = []
+    proximities: list[tuple[int, ...]] = []
     for lineno, code in enumerate(_lines(text), start=1):
         if "#" in code:
             code = code[:code.index("#")]
@@ -112,24 +112,16 @@ def parse_configuration(text: str, *, source: str = "<config>") -> Configuration
             pid = _number(tokens[0], "point id", line=lineno, source=source)
             prox = tuple(_number(tok, "proximity target", line=lineno,
                                  source=source) for tok in tokens[2:])
-        if specs is not None:
-            specs.append((pid, prox))
-        elif pid == len(proximities) + 1 and (not prox or 0 < prox[0] < pid and (
-                len(prox) == 1 or prox[1] in proximities[prox[0] - 1]
-                and prox not in satellites)):  # second among the parent's, a new pair
-            if len(prox) == 2:
-                satellites.add(prox)
-            proximities.append(prox)
-        else:  # the first point out of order or against a rule
-            specs = [*enumerate(proximities, start=1), (pid, prox)]
+        ids.append(pid)
+        proximities.append(prox)
     if surface is None:
         raise ParseError("empty input: no surface declaration", source=source)
-    if not (specs or proximities):
+    if not ids:
         raise ParseError("no points declared", source=source)
-    if specs is None:
-        return _handed_on(tuple(proximities), surface)
     try:
-        return build_configuration(specs, surface)
+        if ids == [*range(1, len(ids) + 1)]:
+            return _admitted(proximities, surface)
+        return build_configuration(zip(ids, proximities), surface)
     except ConfigurationError as err:  # at the last line declaring the point
         lines = [n for n, code in list(_statements(text, source))[1:]
                  if int(code.split()[0]) == err.point_id] or [None]

@@ -130,9 +130,10 @@ class TestBuildConfiguration:
         assert [pt.id for pt in c.points] == [1, 2, 3]
 
     # Point 2's forward reference comes first in id order, yet a fault of
-    # the ids anywhere is named before it: a type, then a duplicate, then
-    # a missing id; ids that do not even compare with an int are a type
-    # fault, and a NaN Decimal raises on any comparison.
+    # the ids anywhere is named before it: a type, then a duplicate (one out
+    # of 1..n too, not taken for a missing id), then a missing id; ids that
+    # do not even compare with an int are a type fault, and a NaN Decimal
+    # raises on any comparison.
     @pytest.mark.parametrize("specs, message", [
         ([(1, []), (2, [5]), (3, ["x"])],
          "point ids and proximity targets must be int"),
@@ -141,11 +142,12 @@ class TestBuildConfiguration:
         ([(1, []), (2, [5]), (Decimal("NaN"), [])],
          "point ids and proximity targets must be int"),
         ([(1, []), (2, [5]), (4, [1]), (4, [1])], "duplicate point id 4"),
+        ([(1, []), (5, []), (5, [])], "duplicate point id 5"),
         ([(1, []), (2, [5]), (4, [1])], "ids must be exactly 1..3 (missing [3])"),
         ([(1, []), (2, [5]), (3, [1])],
          "point 2 is proximate to 5, which is not a strictly smaller id"),
-    ], ids=["type", "uncomparable-id", "nan-id", "duplicate", "missing",
-        "structure"])
+    ], ids=["type", "uncomparable-id", "nan-id", "duplicate",
+        "out-of-range-duplicate", "missing", "structure"])
     def test_id_faults_are_named_before_a_points_structure(self, specs, message):
         with pytest.raises(ConfigurationError) as exc:
             build_configuration(specs)

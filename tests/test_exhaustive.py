@@ -16,13 +16,14 @@ validator's message and error type, the parser's on the line of the point it
 names.  On every accepted cluster it then checks each origin's ``d`` against
 ``scan_d_value``, ``P^t m`` on each completion, both reports and the
 pullback and epsilon bounds against the benchmark's oracle
-(``bench/oracle.py``, imported read-only).  Tier-1 runs it up to 6 points,
-and also parses each file with its point lines reversed: the parser checks a
-file in id order as it reads it and hands any other to the validator, so
-both paths are covered.  For 7 points (27007 clusters, about 3 minutes on
-one core of a 2-vCPU VM) run
+(``bench/oracle.py``, imported read-only).  It also parses each file with
+its point lines reversed: the parser sends a file in id order straight to
+the rule check and any other through the validator, which places the points
+by id, so both paths are covered.  Tier-1 runs it up to 6 points; for 7
+points (27007 clusters, about 2 minutes on one core of a 2-vCPU VM), as
+CI does, run
 
-    PYTHONPATH=src:tests python -c "from test_exhaustive import check_clusters; check_clusters(7)"
+    PYTHONPATH=src:tests python -c "from test_exhaustive import check_clusters; check_clusters(7, reversed_files=True)"
 """
 
 from __future__ import annotations

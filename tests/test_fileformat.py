@@ -174,7 +174,8 @@ class TestParseConfiguration:
         (["3 -> 1", "1 origin", "2 -> 1", "3 -> 2"], 5, DuplicateIdError),
         (["3 -> 2", "2 -> 4", "1 origin", "4 -> 3"], 3, ForwardReferenceError),
         (["3 -> 1", "1 origin"], None, ConfigurationError),
-    ], ids=["duplicate", "forward-reference", "missing"])
+        (["1 origin", "5 origin", "5 origin"], 4, DuplicateIdError),
+    ], ids=["duplicate", "forward-reference", "missing", "out-of-range-duplicate"])
     def test_shuffled_file_names_the_offending_line(self, points, line, cause):
         with pytest.raises(ParseError) as exc:
             parse_configuration("\n".join(["surface p2", *points]))

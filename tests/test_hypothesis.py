@@ -10,6 +10,7 @@ from __future__ import annotations
 import contextlib
 import io
 import pickle
+import random
 import sys
 import tempfile
 from decimal import Decimal
@@ -23,6 +24,8 @@ from negbound import (
     Configuration,
     ConfigurationError,
     DivisorClass,
+    DuplicateIdError,
+    ParseError,
     analysis_report,
     build_configuration,
     cluster_bound_data,
@@ -45,6 +48,7 @@ from negbound.config import _split_components, proximity_matrix
 from negbound.errors import quote
 from negbound.surfaces import Hirzebruch, ProjectivePlane
 from conftest import REPO_ROOT, dense_pairing, scan_d_value, walk_cut
+from random_configs import random_configuration
 
 sys.path.insert(0, str(REPO_ROOT / "bench"))
 try:
@@ -205,6 +209,79 @@ def test_the_constructor_agrees_with_the_validator(entries):
     analysis_report(c)
     dot_export(c)
     cluster_bound_data(c)
+
+
+@st.composite
+def edited_specs(draw):
+    """The specs of a random valid cluster of 1..30 points, with at most one
+    id edit (a duplicate, a drop, an id out of 1..n or a str) and at most
+    one point given drawn targets or another point's, in a drawn order."""
+    n = draw(st.integers(1, 30))
+    c = random_configuration(random.Random(draw(st.integers(0, 2 ** 32))), n)
+    specs = [[pid, prox] for pid, prox in enumerate(c.proximities, start=1)]
+    if draw(st.booleans()):
+        specs[draw(st.integers(0, n - 1))][1] = draw(st.one_of(
+            st.lists(st.integers(0, n + 1), max_size=2).map(tuple),
+            st.sampled_from(c.proximities)))
+    edit = draw(st.one_of(st.none(),
+                          st.sampled_from(["duplicate", "drop", "renumber", "str"])))
+    spec = specs[draw(st.integers(0, n - 1))]
+    if edit == "duplicate":
+        specs.append([spec[0], draw(st.sampled_from(specs))[1]])
+    elif edit == "drop" and n > 1:
+        specs.remove(spec)
+    elif edit == "renumber":
+        spec[0] = draw(st.sampled_from([0, n + 1, n + 7]))
+    elif edit == "str":
+        spec[0] = str(spec[0])
+    return [tuple(spec) for spec in draw(st.permutations(specs))]
+
+
+def model_verdict(specs):
+    """``(error type, message, point id)`` or the cluster that the specs
+    must give: a non-int first, then the smallest duplicate id, then the
+    missing ids, then the verdict on the same specs in id order."""
+    if not all(type(x) is int for pid, prox in specs for x in (pid, *prox)):
+        return ConfigurationError, "point ids and proximity targets must be int", None
+    ids = sorted(pid for pid, _ in specs)
+    duplicates = [pid for pid, after in zip(ids, ids[1:]) if pid == after]
+    if duplicates:
+        return DuplicateIdError, f"duplicate point id {duplicates[0]}", duplicates[0]
+    missing = sorted(set(range(1, len(specs) + 1)) - set(ids))
+    if missing:
+        return (ConfigurationError,
+                f"ids must be exactly 1..{len(specs)} (missing {quote(missing)})", None)
+    try:
+        return build_configuration(sorted(specs))
+    except ConfigurationError as err:
+        return type(err), str(err), err.point_id
+
+
+@settings(SETTINGS, max_examples=300)
+@given(edited_specs())
+def test_specs_and_files_in_any_order_match_the_fault_order_model(specs):
+    expected = model_verdict(specs)
+    try:
+        verdict = build_configuration(specs)
+    except ConfigurationError as err:
+        verdict = type(err), str(err), err.point_id
+    assert verdict == expected
+    if any(type(pid) is not int for pid, _ in specs):
+        return  # no file holds a str id
+    text = "surface p2\n" + "".join(
+        f"{pid} -> {' '.join(map(str, prox))}\n" if prox else f"{pid} origin\n"
+        for pid, prox in specs)
+    try:
+        c = parse_configuration(text)
+    except ParseError as err:
+        # at the last line declaring the point the fault names, if any
+        line = max((line for line, (pid, _) in enumerate(specs, start=2)
+                    if pid == expected[2]), default=None)
+        where = "<config>" if line is None else f"<config>:{line}"
+        assert (type(err.__cause__), str(err), err.line) == \
+            (expected[0], f"{where}: {expected[1]}", line)
+    else:
+        assert c == expected
 
 
 @SETTINGS

@@ -45,7 +45,7 @@ from negbound import (
 )
 from negbound.bounds import _terms
 from negbound.cli import main
-from negbound.config import proximity_matrix
+from negbound.config import _admitted, proximity_matrix
 from negbound.surfaces import Hirzebruch, ProjectivePlane
 from conftest import (SAMPLE12_SPECS, count_calls, identity, mat_mul,
                       scan_d_value)
@@ -184,9 +184,35 @@ class TestDenseMatrixOffProductionPath:
 
 
 class TestValidateOnce:
-    """Outside input is checked once: a file in id order as it is read,
-    other input by ``build_configuration``; subclusters and completions are
-    assembled from the already valid points."""
+    """Outside input is checked once, by the one loop over the rules: a
+    file in id order directly, other input once ``build_configuration`` has
+    placed it by id; subclusters and completions are assembled from the
+    already valid points."""
+
+    def test_the_rules_are_checked_once_per_outside_input(self, monkeypatch):
+        calls = count_calls(monkeypatch, _admitted)
+        c = random_configuration(random.Random(SEED + 7), 80)
+        surface, *points = serialize_configuration(c).splitlines()
+        shuffled = random.Random(SEED).sample(points, len(points))
+        for order in (points, points[::-1], shuffled):
+            calls.clear()
+            assert parse_configuration("\n".join([surface, *order])) == c
+            assert len(calls) == 1
+        foreign = [c.proximities, [list(prox) for prox in c.proximities]]
+        for proximities in foreign:
+            calls.clear()
+            assert Configuration(proximities) == c
+            assert len(calls) == 1
+        calls.clear()
+        assert pickle.loads(pickle.dumps(c)) == c
+        assert build_configuration(enumerate(c.proximities, start=1)) == c
+        assert len(calls) == 2
+        calls.clear()
+        for other in (Hirzebruch(2), ProjectivePlane()):
+            dataclasses.replace(c, surface=other)
+        for q in range(1, len(c) + 1):
+            hat_configuration(subconfiguration(c, q))
+        assert calls == []
 
     def test_one_validation_per_parsed_cluster(self, monkeypatch, capsys,
                                                sample12_path, tmp_path):
