@@ -1,14 +1,15 @@
 """Text formats: cluster files, divisor literals and curve lists.
 
-Cluster file, one statement per line ('#' starts a comment), point lines in
-any order:
+Cluster and curve files share one line scanner: lines end at LF, CRLF or
+CR, '#' starts a comment, and code must be ASCII, checked before split()
+could drop a non-ASCII space.  Cluster file, point lines in any order:
 
     surface p2            # or: surface f <delta>
     1 origin
     2 -> 1                # free point, proximate to its parent
     5 -> 4 2              # satellite: parent first, then the second target
 
-Divisor literals are sums of signed terms over the generators, e.g.
+Divisor literals are ASCII sums of signed terms over the generators, e.g.
 ``3L - 2E1 - E4`` or ``2F + 1M - E3``; coefficients are integers or
 rationals ``p/q``.  Whitespace is ignored, except inside a number.
 """
@@ -48,36 +49,31 @@ def _lines(text: str) -> list[str]:
     return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
 
 
-def _statements(text: str, source: str):
-    """``(line number, code)`` of each line with code (before any '#') that
-    is not blank: ASCII, checked before strip() could drop a non-ASCII space."""
-    checked = text.isascii()
-    for lineno, raw in enumerate(_lines(text), start=1):
-        if "#" in raw:
-            raw = raw[:raw.index("#")]
-        if not (checked or raw.isascii()):
-            raise ParseError(f"non-ASCII character in {quote(raw)}",
-                             line=lineno, source=source)
-        if raw and not raw.isspace():
-            yield lineno, raw
+def _scan(text: str, source: str) -> tuple[list[str], ParseError | None]:
+    """The code (before any '#') of each line up to the first that is not
+    ASCII, and the ParseError naming that line or None: the caller raises
+    it after the lines before it, so an earlier syntax error still wins."""
+    if "#" in text:
+        text = re.sub(r"#[^\r\n]*", "", text)
+    lines = _lines(text)
+    if text.isascii():
+        return lines, None
+    cut = next(i for i, code in enumerate(lines) if not code.isascii())
+    return lines[:cut], ParseError(f"non-ASCII character in {quote(lines[cut])}",
+                                   line=cut + 1, source=source)
 
 
 def parse_configuration(text: str, *, source: str = "<config>") -> Configuration:
     """Parse a cluster file; raises ParseError carrying the offending line.
-    The read loop only tokenizes; a file in id order goes straight to the
-    one check of the rules, any other through ``build_configuration``.  A
-    cluster fault comes after any ParseError, on the last line declaring
-    the point it names."""
-    checked = text.isascii()
+    The loop only tokenizes the scanner's code lines, then raises its
+    non-ASCII fault; a file in id order goes straight to the one check of
+    the rules, any other through ``build_configuration``.  A cluster fault
+    comes last, on the last line declaring the point it names."""
+    codes, fault = _scan(text, source)
     surface = None
     ids: list[int] = []
     proximities: list[tuple[int, ...]] = []
-    for lineno, code in enumerate(_lines(text), start=1):
-        if "#" in code:
-            code = code[:code.index("#")]
-        if not (checked or code.isascii()):  # before split() drops U+00A0
-            raise ParseError(f"non-ASCII character in {quote(code)}",
-                             line=lineno, source=source)
+    for lineno, code in enumerate(codes, start=1):
         tokens = code.split()
         if not tokens:
             continue
@@ -114,6 +110,8 @@ def parse_configuration(text: str, *, source: str = "<config>") -> Configuration
                                  source=source) for tok in tokens[2:])
         ids.append(pid)
         proximities.append(prox)
+    if fault:
+        raise fault
     if surface is None:
         raise ParseError("empty input: no surface declaration", source=source)
     if not ids:
@@ -123,8 +121,8 @@ def parse_configuration(text: str, *, source: str = "<config>") -> Configuration
             return _admitted(proximities, surface)
         return build_configuration(zip(ids, proximities), surface)
     except ConfigurationError as err:  # at the last line declaring the point
-        lines = [n for n, code in list(_statements(text, source))[1:]
-                 if int(code.split()[0]) == err.point_id] or [None]
+        lines = [n for n, code in enumerate(codes, start=1) if code.strip()][1:]
+        lines = [n for n, pid in zip(lines, ids) if pid == err.point_id] or [None]
         raise ParseError(str(err), line=lines[-1], source=source) from err
 
 
@@ -169,6 +167,8 @@ def parse_divisor(text: str, surface: SurfaceModel, n: int) -> DivisorClass:
     from .lattice import DivisorClass
     if type(n) is not int or n < 0:
         raise ValueError("n must be a nonnegative int")
+    if not text.isascii():  # before split() drops a non-ASCII space
+        raise ParseError(f"non-ASCII character in {quote(text)}")
     if _SPLIT_NUMBER_RE.search(text):
         raise ParseError(f"whitespace inside a number in {quote(text)}")
     names = checked_surface(surface).generators
@@ -178,14 +178,13 @@ def parse_divisor(text: str, surface: SurfaceModel, n: int) -> DivisorClass:
     base: list[int | Fraction] = [0] * len(names)
     exceptional: dict[int, int | Fraction] = {}
     pos = 0
-    first = True
     while pos < len(compact):
         match = _TERM_RE.match(compact, pos)
         if match is None:
             raise ParseError(f"cannot parse divisor literal "
                              f"{quote(text)} near {quote(compact[pos:])}")
         sign, coeff, generator, e_index = match.groups()
-        if not first and not sign:
+        if pos and not sign:
             raise ParseError(f"missing sign between terms in {quote(text)}")
         try:
             value = _number(coeff or "1", "coefficient",
@@ -208,22 +207,25 @@ def parse_divisor(text: str, surface: SurfaceModel, n: int) -> DivisorClass:
             raise ParseError(f"generator {generator} is not valid over "
                              f"{surface_name(surface)}")
         pos = match.end()
-        first = False
     return DivisorClass._make(surface, n, base, exceptional)
 
 
 def parse_curves(text: str, surface: SurfaceModel, n: int, *,
                  source: str = "<curves>") -> tuple[DivisorClass, ...]:
-    """Parse a file with one divisor literal per line."""
+    """Parse a file with one divisor literal per line, scanned like a cluster file."""
     checked_surface(surface)
     if type(n) is not int or n < 0:
         raise ValueError("n must be a nonnegative int")
     curves = []
-    for lineno, code in _statements(text, source):
+    codes, fault = _scan(text, source)
+    for lineno, code in enumerate(codes, start=1):
         try:
-            curves.append(parse_divisor(code.strip(), surface, n))
+            if literal := code.strip():
+                curves.append(parse_divisor(literal, surface, n))
         except ParseError as err:
             raise ParseError(str(err), line=lineno, source=source) from err
+    if fault:
+        raise fault
     return tuple(curves)
 
 

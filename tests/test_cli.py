@@ -335,6 +335,17 @@ class TestNu:
         self_intersection = Fraction(10 ** 800) - Fraction(1, 9)
         assert f"C^2 = {self_intersection} (1e+800)" in out
 
+    def test_non_ascii_space_in_the_divisor(self, capsys, sample12_path,
+                                            tmp_path):
+        # rejected as on a curve-file line, not dropped by split()
+        curves = tmp_path / "curves.txt"
+        curves.write_text("1E1\n")
+        code, out, err = run(capsys, ["nu", str(sample12_path), "--divisor",
+                                      "3L\u00a0- E1", "--curves", str(curves)])
+        assert code == 1
+        assert out == ""
+        assert "non-ASCII character" in err
+
     def test_surface_mismatch_between_flag_and_literal(self, capsys,
                                                        sample12_path, tmp_path):
         curves = tmp_path / "curves.txt"

@@ -108,6 +108,12 @@ class TestParseConfiguration:
         assert str(exc.value).startswith("<config>:4: malformed point statement")
         assert exc.value.__cause__ is None
 
+    def test_a_parse_error_comes_before_a_later_non_ascii_line(self):
+        with pytest.raises(ParseError) as exc:
+            parse_configuration("surface p2\nbogus\n1 \u00a0origin\n")
+        assert exc.value.line == 2
+        assert "expected a point id" in str(exc.value)
+
     def test_an_id_fault_comes_before_an_earlier_rule_fault(self):
         with pytest.raises(ParseError) as exc:
             parse_configuration("surface p2\n1 origin\n2 -> 7\n2 -> 1\n")
@@ -305,6 +311,8 @@ class TestParseDivisor:
         ("1 0L", P2, 1),            # not 10L
         ("1 /2L", P2, 1),
         ("\u0663L - E\u0661", P2, 1),  # Arabic-Indic digits
+        ("3L\u00a0- E1", P2, 2),    # split() would drop a non-ASCII space
+        ("3L -\u2003E1", P2, 2),
         pytest.param("1" + "0" * 5000 + "L", P2, 1, id="over-cap-coefficient"),
         pytest.param(f"1/{OVER_CAP}L", P2, 1, id="over-cap-denominator"),
         pytest.param(f"L - E{OVER_CAP}", P2, 1, id="over-cap-index"),
@@ -336,6 +344,20 @@ class TestParseCurves:
         with pytest.raises(ParseError) as exc:
             parse_curves(text, P2, 1)
         assert exc.value.line == line
+
+    @pytest.mark.parametrize("text, line, message", [
+        ("bogus\nL\u00a0- E1\n", 1, "cannot parse divisor literal"),
+        ("L - E1\n\u00a0\n", 2, "non-ASCII character"),  # not a blank line
+    ], ids=["syntax-first", "nbsp-line"])
+    def test_fault_order_at_a_non_ascii_line(self, text, line, message):
+        with pytest.raises(ParseError) as exc:
+            parse_curves(text, P2, 1)
+        assert exc.value.line == line
+        assert message in str(exc.value)
+
+    def test_a_comment_may_hold_any_text(self):
+        assert parse_curves("L - E1 # caf\u00e9\n", P2, 1) == \
+            (parse_divisor("L - E1", P2, 1),)
 
     @pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
     def test_line_endings(self, newline):

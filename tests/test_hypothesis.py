@@ -454,7 +454,8 @@ def test_empirical_nu_equals_the_dense_formula(pair):
 # spaces, and integers on both sides of the 4300-digit int/str cap.
 SNIPPETS = st.one_of(
     st.sampled_from(("0", "-", "+", "/", "->", "#", "\n", " ", "L", "F", "M",
-                     "E", "origin", "surface", "f", "p2", "\u0661", "\xa0")),
+                     "E", "origin", "surface", "f", "p2", "\u0661", "\xa0",
+                     "\r", "\r\n", "\u2028")),
     st.text(max_size=3),
     st.sampled_from((1, 4299, 4301)).map(lambda k: "9" * k))
 

@@ -376,3 +376,28 @@ def test_a_non_cluster_is_named(name):
     with pytest.raises(TypeError) as info:
         CLUSTER_ENTRIES[name](3)
     assert str(info.value) == "expected Configuration, got int"
+
+
+def _functions_where(path, found) -> set[str]:
+    """The top-level functions of ``path`` (``<module>`` for module-level
+    code) holding a node, other than a docstring, for which ``found`` holds."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    docstrings = {id(node.body[0].value) for node in ast.walk(tree)
+                  if isinstance(node, (ast.Module, ast.FunctionDef, ast.ClassDef))
+                  and ast.get_docstring(node) is not None}
+    return {getattr(top, "name", "<module>") for top in tree.body
+            for node in ast.walk(top)
+            if id(node) not in docstrings and found(node)}
+
+
+def test_one_scanner_reads_comments_and_checks_ascii():
+    # Cluster and curve files share one line scanner, so the comment and
+    # ASCII rules cannot drift apart between the two parsers.  A divisor
+    # literal from the command line passes no scanner and checks ASCII itself.
+    path = REPO_ROOT / "src" / "negbound" / "fileformat.py"
+    comments = _functions_where(path, lambda node: isinstance(node, ast.Constant)
+                                and isinstance(node.value, str) and "#" in node.value)
+    ascii_checks = _functions_where(path, lambda node: isinstance(
+        node, ast.Attribute) and node.attr == "isascii")
+    assert comments == {"_scan"}
+    assert ascii_checks == {"_scan", "parse_divisor"}
