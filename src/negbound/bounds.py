@@ -343,7 +343,8 @@ class DeltaMembershipReport:
 def delta_membership_check(d: DivisorClass, g: DivisorClass,
                            epsilon: Rational,
                            witnesses: Sequence[DivisorClass]) -> DeltaMembershipReport:
-    from .lattice import pairing
+    from .lattice import _check_classes, pairing
+    _check_classes(d, g)
     eps = _positive_epsilon(epsilon)
     shifted = d - eps * g
     checks = []

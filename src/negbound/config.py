@@ -160,13 +160,13 @@ def _handed_on(proximities: tuple, surface: SurfaceModel, **known) -> Configurat
 
 def build_configuration(point_specs: Iterable[PointSpec],
                         surface: SurfaceModel = ProjectivePlane()) -> Configuration:
-    """Validate ``(id, proximity ids)`` specs and assemble a Configuration:
-    the one validator, which the Configuration constructor also runs.
+    """Validate ``(id, proximity ids)`` specs from a caller and assemble a
+    Configuration; the Configuration constructor also runs this.
 
-    Ids and targets must be ints, the ids 1..n in any input order (a fault
-    of the ids anywhere is named first); proximity lists must reference
-    strictly smaller ids, parent (largest target) first, and no two
-    satellites may share both targets.
+    Ids and targets must be ints (a type fault anywhere is named first), the
+    ids 1..n in any input order (then a fault of the ids); proximity lists
+    must reference strictly smaller ids, parent (largest target) first, and
+    no two satellites may share both targets.
 
     A valid cluster is admissible: each proximity target of a point is one
     of its ancestors, by induction on the id, as a satellite's second target
@@ -183,32 +183,29 @@ def build_configuration(point_specs: Iterable[PointSpec],
             "each point spec must be an (id, proximity ids) pair") from None
     if not specs:
         raise ConfigurationError("a configuration must contain at least one point")
-    n = len(specs)
-    proximities: list = [None] * n
-    for pid, prox in specs:  # each at its id, up to the first stray id
-        if type(pid) is not int or not 0 < pid <= n or proximities[pid - 1] is not None:
-            break
-        proximities[pid - 1] = prox
-    else:  # the ids are 1..n: a point's fault, unless a target is not an int
-        try:
-            return _admitted(proximities, surface)
-        except ConfigurationError:
-            if all(type(target) is int for prox in proximities for target in prox):
-                raise
-    # a type fault anywhere, then the smallest duplicate, then the missing ids
     if not all(type(x) is int for pid, prox in specs for x in (pid, *prox)):
         raise ConfigurationError("point ids and proximity targets must be int")
-    ids = sorted(pid for pid, _ in specs)
-    for pid, after in zip(ids, ids[1:]):
-        if pid == after:
-            raise DuplicateIdError(f"duplicate point id {quote(pid)}", point_id=pid)
-    missing = sorted(set(range(1, n + 1)) - set(ids))
-    raise ConfigurationError(f"ids must be exactly 1..{n} (missing {quote(missing)})")
+    ids, proximities = zip(*specs)
+    return _admitted(list(ids), list(proximities), surface)
 
 
-def _admitted(proximities: list, surface: SurfaceModel) -> Configuration:
-    """The cluster whose point ``i + 1`` has the targets ``proximities[i]``,
-    else the first point's fault in id order: the one check of the rules."""
+def _admitted(ids: list[int], proximities: list, surface: SurfaceModel) -> Configuration:
+    """The cluster whose point ``ids[i]`` has the int targets
+    ``proximities[i]``, else the first fault: the smallest duplicate id, else
+    the missing ids, then the first point against a rule in id order."""
+    n = len(ids)
+    if ids != [*range(1, n + 1)]:  # place each point at its id
+        given, proximities = proximities, [None] * n
+        for pid, prox in zip(ids, given):
+            if not 0 < pid <= n or proximities[pid - 1] is not None:
+                ordered = sorted(ids)
+                if twice := [p for p, q in zip(ordered, ordered[1:]) if p == q]:
+                    raise DuplicateIdError(f"duplicate point id {quote(twice[0])}",
+                                           point_id=twice[0])
+                missing = sorted(set(range(1, n + 1)) - set(ids))
+                raise ConfigurationError(
+                    f"ids must be exactly 1..{n} (missing {quote(missing)})")
+            proximities[pid - 1] = prox
     satellite_at: dict[tuple[int, ...], int] = {}
     for pid, prox in enumerate(proximities, start=1):
         if len(prox) > 2:
@@ -216,7 +213,7 @@ def _admitted(proximities: list, surface: SurfaceModel) -> Configuration:
                 f"point {pid} lists {len(prox)} proximities (at most 2 allowed)",
                 point_id=pid)
         for target in prox:
-            if type(target) is not int or not 1 <= target < pid:
+            if not 1 <= target < pid:
                 raise ForwardReferenceError(
                     f"point {pid} is proximate to {quote(target)}, "
                     f"which is not a strictly smaller id", point_id=pid)

@@ -16,12 +16,13 @@ rationals ``p/q``.  Whitespace is ignored, except inside a number.
 
 from __future__ import annotations
 
+import codecs
 import re
 from fractions import Fraction
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .config import Configuration, _admitted, build_configuration, checked_cluster
+from .config import Configuration, _admitted, checked_cluster
 from .errors import ConfigurationError, ParseError, _number, quote
 from .surfaces import SurfaceModel, checked_surface, parse_surface, surface_name
 
@@ -66,9 +67,9 @@ def _scan(text: str, source: str) -> tuple[list[str], ParseError | None]:
 def parse_configuration(text: str, *, source: str = "<config>") -> Configuration:
     """Parse a cluster file; raises ParseError carrying the offending line.
     The loop only tokenizes the scanner's code lines, then raises its
-    non-ASCII fault; a file in id order goes straight to the one check of
-    the rules, any other through ``build_configuration``.  A cluster fault
-    comes last, on the last line declaring the point it names."""
+    non-ASCII fault; the ids and targets, in any order, go to the one check
+    of the rules.  A cluster fault comes last, on the last line declaring
+    the point it names: only this fault scans the text again for lines."""
     codes, fault = _scan(text, source)
     surface = None
     ids: list[int] = []
@@ -110,6 +111,7 @@ def parse_configuration(text: str, *, source: str = "<config>") -> Configuration
                                  source=source) for tok in tokens[2:])
         ids.append(pid)
         proximities.append(prox)
+    del codes  # not kept through the rule check for the rare fault lookup
     if fault:
         raise fault
     if surface is None:
@@ -117,17 +119,16 @@ def parse_configuration(text: str, *, source: str = "<config>") -> Configuration
     if not ids:
         raise ParseError("no points declared", source=source)
     try:
-        if ids == [*range(1, len(ids) + 1)]:
-            return _admitted(proximities, surface)
-        return build_configuration(zip(ids, proximities), surface)
+        return _admitted(ids, proximities, surface)
     except ConfigurationError as err:  # at the last line declaring the point
+        codes = _scan(text, source)[0]
         lines = [n for n, code in enumerate(codes, start=1) if code.strip()][1:]
         lines = [n for n, pid in zip(lines, ids) if pid == err.point_id] or [None]
         raise ParseError(str(err), line=lines[-1], source=source) from err
 
 
 def _read_text(path: Path) -> str:
-    data = path.read_bytes()
+    data = path.read_bytes().removeprefix(codecs.BOM_UTF8)
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as err:

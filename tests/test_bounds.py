@@ -287,3 +287,13 @@ class TestDeltaMembership:
         line = DivisorClass(P2, (1,))
         with pytest.raises(NonPositiveEpsilonError):
             delta_membership_check(line, line, Fraction(0), [line])
+
+    @pytest.mark.parametrize("d, g, names", [
+        (1, 2, "int and int"),
+        (DivisorClass(P2, (1,)), 2, "DivisorClass and int"),
+        ("3L", DivisorClass(P2, (1,)), "str and DivisorClass"),
+    ])
+    def test_classes_are_checked_with_no_witnesses(self, d, g, names):
+        with pytest.raises(TypeError) as exc:
+            delta_membership_check(d, g, Fraction(1, 2), [])
+        assert str(exc.value) == f"expected DivisorClass, got {names}"

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import codecs
 import importlib
 import json
 import os
@@ -432,6 +433,12 @@ class TestHarness:
         finally:
             os.close(write_end)
         assert (proc.returncode, proc.stderr) == (1, b"")
+
+    def test_a_byte_order_mark_is_skipped(self, capsys, sample12_path, tmp_path):
+        path = tmp_path / "bom.cfg"
+        path.write_bytes(codecs.BOM_UTF8 + sample12_path.read_bytes())
+        assert run(capsys, ["dvalue", str(path)]) == \
+            run(capsys, ["dvalue", str(sample12_path)])
 
     @pytest.mark.parametrize("bad_file", ["cluster", "curves"])
     def test_non_utf8_input_exits_1_without_traceback(self, bad_file,

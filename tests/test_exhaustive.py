@@ -17,9 +17,8 @@ names.  On every accepted cluster it then checks each origin's ``d`` against
 ``scan_d_value``, ``P^t m`` on each completion, both reports and the
 pullback and epsilon bounds against the benchmark's oracle
 (``bench/oracle.py``, imported read-only).  It also parses each file with
-its point lines reversed: the parser sends a file in id order straight to
-the rule check and any other through the validator, which places the points
-by id, so both paths are covered.  Tier-1 runs it up to 6 points; for 7
+its point lines reversed: the rule check takes the ids of a file in id
+order as they are and places any others by id, so both paths are covered.  Tier-1 runs it up to 6 points; for 7
 points (27007 clusters, about 2 minutes on one core of a 2-vCPU VM), as
 CI does, run
 

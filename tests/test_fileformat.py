@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import codecs
 import random
 import sys
 from fractions import Fraction
@@ -124,16 +125,18 @@ class TestParseConfiguration:
         c = parse_configuration("surface p2\n1 origin\n02 -> 1\n003 -> 02 001\n")
         assert c.proximities == ((), (1,), (2, 1))
 
-    def test_a_file_in_id_order_is_checked_as_it_is_read(self, monkeypatch,
-                                                          sample12,
-                                                          sample12_path):
+    def test_no_line_order_goes_through_build_configuration(self, monkeypatch,
+                                                            sample12,
+                                                            sample12_path):
+        # the parser hands its tokens, in any order, to the one rule check
         calls = count_calls(monkeypatch, build_configuration)
         assert load_configuration(sample12_path) == sample12
-        assert calls == []
         surface, *points = serialize_configuration(sample12).splitlines()
-        random.Random(12).shuffle(points)
-        assert parse_configuration("\n".join([surface, *points])) == sample12
-        assert len(calls) == 1
+        for order in (points[::-1], random.Random(12).sample(points, len(points))):
+            assert parse_configuration("\n".join([surface, *order])) == sample12
+            with pytest.raises(ParseError, match="duplicate point id 4"):
+                parse_configuration("\n".join([surface, *order, "4 -> 3"]))
+        assert calls == []
 
     @pytest.mark.parametrize("text", [
         "surface p2\n\u0661 origin\n",           # Arabic-Indic digit one
@@ -197,6 +200,19 @@ class TestParseConfiguration:
         with pytest.raises(ParseError) as exc:
             load_configuration(path)
         assert exc.value.source == str(path)
+        assert exc.value.line == 3
+
+    def test_a_byte_order_mark_is_skipped(self, tmp_path, sample12, sample12_path):
+        path = tmp_path / "bom.cfg"
+        path.write_bytes(codecs.BOM_UTF8 + sample12_path.read_bytes())
+        assert load_configuration(path) == sample12
+
+    def test_a_non_utf8_byte_after_a_byte_order_mark(self, tmp_path):
+        # the line count starts after the mark, as the decode offset does
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(codecs.BOM_UTF8 + b"surface p2\n1 origin\n\xff2 -> 1\n")
+        with pytest.raises(ParseError) as exc:
+            load_configuration(path)
         assert exc.value.line == 3
 
     # str.splitlines would also end a line at \f, \x1c, U+0085 or U+2028;
@@ -371,6 +387,11 @@ class TestParseCurves:
             load_curves(path, P2, 1)
         assert exc.value.source == str(path)
         assert exc.value.line == 2
+
+    def test_a_byte_order_mark_is_skipped(self, tmp_path):
+        path = tmp_path / "curves.txt"
+        path.write_bytes(codecs.BOM_UTF8 + b"2L - E1\n2L\n")
+        assert load_curves(path, P2, 1) == parse_curves("2L - E1\n2L\n", P2, 1)
 
 
 class TestParseRational:

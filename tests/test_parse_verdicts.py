@@ -3,8 +3,11 @@
 Each case replaces one to three short slices of ``configs/sample12.cfg``
 (through ``parse_configuration``) or of ``goldens/curves_p2.txt`` (through
 ``parse_curves`` over p2 with 12 points) with snippets of ``ALPHABET``: line
-ends, comment marks, non-ASCII spaces and digits, and statement tokens.  The
-verdict is the parsed result, or the error type, line, message and cause.
+ends, comment marks, non-ASCII spaces and digits, and statement tokens.  A
+third kind takes sample12 with its point lines in a fixed seeded shuffle and
+replaces one to three numbers on them with ids 0..13, which pins duplicate
+and missing ids, rule faults and their lines for a file out of id order.
+The verdict is the parsed result, or the error type, line, message and cause.
 ``goldens/parse_verdicts.json`` holds the edits and their verdicts, so any
 change in how the parsers read lines, comments or non-ASCII text shows as a
 changed verdict.  Regenerate the record only when such a change is intended:
@@ -16,6 +19,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -33,24 +37,43 @@ RECORD = Path(__file__).resolve().parent / "goldens" / "parse_verdicts.json"
 INPUTS = {
     "cluster": (REPO_ROOT / "configs" / "sample12.cfg", 2028),
     "curves": (REPO_ROOT / "tests" / "goldens" / "curves_p2.txt", 3028),
+    "shuffled": (REPO_ROOT / "configs" / "sample12.cfg", 4028),
 }
 CASES = 250
 ALPHABET = ("#", "\n", "\r", "\r\n", " ", "\t", "\xa0", "\u2003", "\u0661",
             "\u2028", "\x0c", "caf\u00e9", "0", "1", "5", "12", "-", "+", "/",
             "->", "origin", "surface", "p2", "f", "L", "F", "E", "E1")
+NUMBER_RE = re.compile(r"\b\d+\b")
 
 
 def source(kind: str) -> str:
-    return INPUTS[kind][0].read_text(encoding="utf-8")
+    text = INPUTS[kind][0].read_text(encoding="utf-8")
+    if kind != "shuffled":
+        return text
+    lines = text.splitlines(keepends=True)
+    cut = lines.index("surface p2\n") + 1
+    points = lines[cut:]
+    random.Random(12).shuffle(points)
+    return "".join(lines[:cut] + points)
 
 
 def draw_edits(kind: str) -> list[list[list]]:
-    """``CASES`` lists of one to three ``[start, end, snippet]`` edits."""
-    rng, length = random.Random(INPUTS[kind][1]), len(source(kind))
-    cases = []
+    """``CASES`` lists of one to three ``[start, end, snippet]`` edits.  An
+    edit of the shuffled file replaces one number on its point lines, in
+    the text the edits before it left, with one of 0..13, so that most of
+    its verdicts are faults of the ids or of the rules."""
+    rng, text = random.Random(INPUTS[kind][1]), source(kind)
+    length, cases = len(text), []
     for _ in range(CASES):
-        edits = []
+        edits, now = [], text
         for _ in range(rng.randint(1, 3)):
+            if kind == "shuffled":
+                # past the comments, whose numbers are no ids
+                numbers = NUMBER_RE.finditer(now, now.index("surface"))
+                number = rng.choice(list(numbers))
+                edits.append([*number.span(), str(rng.randint(0, 13))])
+                now = edited(now, edits[-1:])
+                continue
             start = rng.randrange(length + 1)
             edits.append([start, min(length, start + rng.randrange(5)),
                           rng.choice(ALPHABET)])
@@ -66,7 +89,7 @@ def edited(text: str, edits: list[list]) -> str:
 
 def verdict(kind: str, text: str) -> list:
     try:
-        if kind == "cluster":
+        if kind != "curves":
             return ["ok", serialize_configuration(parse_configuration(text))]
         return ["ok", [str(c) for c in parse_curves(text, ProjectivePlane(), 12)]]
     except ParseError as err:

@@ -401,3 +401,27 @@ def test_one_scanner_reads_comments_and_checks_ascii():
         node, ast.Attribute) and node.attr == "isascii")
     assert comments == {"_scan"}
     assert ascii_checks == {"_scan", "parse_divisor"}
+
+
+def test_one_entry_from_tokens_to_a_cluster():
+    # The parser hands its tokens to the one rule check and reaches no
+    # other validation entry.  The id faults are worded there alone, and it
+    # tests no type, as both of its callers hand it ints.
+    fileformat = REPO_ROOT / "src" / "negbound" / "fileformat.py"
+    tree = ast.parse(fileformat.read_text(encoding="utf-8"))
+    named = {_named(node) for node in ast.walk(tree)}
+    assert not named & {"build_configuration", "_handed_on"}
+    calls = [_named(node.func) for node in ast.walk(tree)
+             if isinstance(node, ast.Call)]
+    assert "Configuration" not in calls and calls.count("_admitted") == 1
+    worded = {(path.name, function) for path in SOURCES
+              for function in _functions_where(path, lambda node: isinstance(
+                  node, ast.Constant) and isinstance(node.value, str) and any(
+                  text in node.value
+                  for text in ("duplicate point id", "ids must be exactly")))}
+    assert worded == {("config.py", "_admitted")}
+    type_tests = _functions_where(
+        REPO_ROOT / "src" / "negbound" / "config.py",
+        lambda node: isinstance(node, ast.Call)
+        and _named(node.func) in ("type", "isinstance"))
+    assert "_admitted" not in type_tests and "build_configuration" in type_tests
