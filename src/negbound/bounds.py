@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, NamedTuple, Sequence, Union
 
 from .config import (Configuration, Rational, _rational, checked_cluster,
                      exceptional_self_intersections)
-from .errors import NonPositiveEpsilonError, quote
+from .errors import NonPositiveEpsilonError, checked_iterable, quote
 from .surfaces import SurfaceModel, is_plane, surface_json_fields
 from .sufficiency import origin_d_values, total_d
 
@@ -301,7 +301,7 @@ def empirical_nu(curves: Sequence[DivisorClass],
     from .lattice import _check_classes, pairing
     _check_classes(big_nef)
     ratios = []
-    for index, curve in enumerate(curves, start=1):
+    for index, curve in enumerate(checked_iterable(curves, "curves"), start=1):
         c_sq = pairing(curve, curve)
         dc = pairing(big_nef, curve)
         qualifies = c_sq.numerator < 0 < dc.numerator
@@ -348,7 +348,7 @@ def delta_membership_check(d: DivisorClass, g: DivisorClass,
     eps = _positive_epsilon(epsilon)
     shifted = d - eps * g
     checks = []
-    for index, witness in enumerate(witnesses, start=1):
+    for index, witness in enumerate(checked_iterable(witnesses, "witnesses"), start=1):
         dc = pairing(d, witness)
         slack = pairing(shifted, witness)
         applicable = dc > 0

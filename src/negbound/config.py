@@ -13,6 +13,7 @@ from __future__ import annotations
 import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, NamedTuple, Sequence, TypeVar, Union
 
 from .errors import (
@@ -23,6 +24,7 @@ from .errors import (
     NormalizationError,
     TooManyProximitiesError,
     UnknownPointError,
+    checked_iterable,
     quote,
 )
 from .surfaces import (ProjectivePlane, SurfaceModel, checked_surface,
@@ -62,8 +64,9 @@ class Point:
 class Configuration:
     """A valid cluster over a surface, stored as its proximity tuples:
     entry ``i`` lists the targets of point ``i + 1``, parent first.  The
-    constructor, and so ``replace`` and unpickling, runs
-    :func:`build_configuration` on tuples that no valid cluster handed on.
+    constructor, and so ``replace`` and unpickling, hands tuples that no
+    valid cluster handed on to :func:`build_configuration` as the specs
+    ``(i + 1, entry i)``, the one path from a caller's data to the rules.
     """
 
     proximities: tuple[tuple[int, ...], ...]
@@ -160,33 +163,33 @@ def _handed_on(proximities: tuple, surface: SurfaceModel, **known) -> Configurat
 
 def build_configuration(point_specs: Iterable[PointSpec],
                         surface: SurfaceModel = ProjectivePlane()) -> Configuration:
-    """Validate ``(id, proximity ids)`` specs from a caller and assemble a
-    Configuration; the Configuration constructor also runs this.
+    """Validate specs ``(id, proximity ids)`` from a caller into a cluster.
 
-    Ids and targets must be ints (a type fault anywhere is named first), the
-    ids 1..n in any input order (then a fault of the ids); proximity lists
-    must reference strictly smaller ids, parent (largest target) first, and
-    no two satellites may share both targets.
-
-    A valid cluster is admissible: each proximity target of a point is one
-    of its ancestors, by induction on the id, as a satellite's second target
-    is among its parent's proximities.  Subclusters and completions keep it.
-    The rules are also complete (proof sketch): E_p and E_q (p < q) meet
-    exactly when p is a target of q and no satellite is proximate to both,
-    as a blowup makes the new curve meet the curves through its center and
-    parts two that met there; and a center lies on 0, 1 or 2 of the curves.
+    The constructor, ``replace`` and unpickling run this too.  A malformed
+    spec is named first, then a non-int id or target, then the first fault
+    :func:`_admitted` finds in the ids 1..n (in any order) or the rules:
+    targets are smaller ids, parent (largest) first, and no two satellites
+    share both.  A valid cluster is admissible: each target of a point is
+    one of its ancestors, by induction on the id, as a satellite's second
+    target is among its parent's proximities.  Subclusters and completions
+    keep it.  The rules are also complete (proof sketch): E_p and E_q (p < q)
+    meet exactly when p is a target of q and no satellite is proximate to
+    both, as a blowup makes the new curve meet the curves through its center
+    and parts two that met there; and a center lies on 0, 1 or 2 of them.
     """
+    ids, proximities = [], []
     try:
-        specs = [(pid, tuple(prox)) for pid, prox in point_specs]
+        for pid, prox in point_specs:
+            ids.append(pid)
+            proximities.append(tuple(prox))
     except (TypeError, ValueError):
         raise ConfigurationError(
             "each point spec must be an (id, proximity ids) pair") from None
-    if not specs:
+    if not ids:
         raise ConfigurationError("a configuration must contain at least one point")
-    if not all(type(x) is int for pid, prox in specs for x in (pid, *prox)):
+    if {*map(type, ids), *map(type, chain.from_iterable(proximities))} != {int}:
         raise ConfigurationError("point ids and proximity targets must be int")
-    ids, proximities = zip(*specs)
-    return _admitted(list(ids), list(proximities), surface)
+    return _admitted(ids, proximities, surface)
 
 
 def _admitted(ids: list[int], proximities: list, surface: SurfaceModel) -> Configuration:
@@ -270,7 +273,7 @@ def proximity_matrix(c: Configuration) -> tuple[IntMatrix, IntMatrix]:
 def proximity_solve(c: Configuration, w: Sequence[Scalar]) -> list[Scalar]:
     """P^{-1} w by forward substitution: v_i = w_i + sum of v_t over the
     proximity targets t of point i.  O(n), exact, same scalar type as w."""
-    v = _vector(c, w)
+    v = _vector(c, w, "w")
     for i, prox in enumerate(c.proximities):
         for target in prox:
             v[i] += v[target - 1]
@@ -279,13 +282,13 @@ def proximity_solve(c: Configuration, w: Sequence[Scalar]) -> list[Scalar]:
 
 def proximity_apply(c: Configuration, v: Sequence[Scalar]) -> list[Scalar]:
     """P v: (P v)_i = v_i - sum of v_t over the proximity targets t of i."""
-    v = _vector(c, v)
+    v = _vector(c, v, "v")
     return [v[i] - sum(v[t - 1] for t in prox)
             for i, prox in enumerate(c.proximities)]
 
 
-def _vector(c: Configuration, values: Sequence[Scalar]) -> list[Scalar]:
-    v = list(map(_rational, values))
+def _vector(c: Configuration, values: Sequence[Scalar], name: str) -> list[Scalar]:
+    v = list(map(_rational, checked_iterable(values, name)))
     if len(v) != len(checked_cluster(c)):
         raise ValueError(f"expected a vector of length {len(c)}, got {len(v)}")
     return v

@@ -1,4 +1,4 @@
-"""Exception hierarchy shared by all modules."""
+"""Exception hierarchy and argument checks shared by all modules."""
 
 from __future__ import annotations
 
@@ -118,6 +118,24 @@ class ParseError(NegboundError):
         super().__init__(f"{prefix}: {message}" if prefix else message)
         self.line = line
         self.source = source
+
+
+def checked_text(text) -> str:
+    """``text`` if it is a str, else TypeError."""
+    if not isinstance(text, str):
+        raise TypeError(f"expected str, got {type(text).__name__}")
+    return text
+
+
+def checked_iterable(values, name: str):
+    """``values`` if it is iterable, else TypeError naming the parameter
+    ``name`` and the type; ``iter`` starts no pass over the values."""
+    try:
+        iter(values)
+    except TypeError:
+        raise TypeError(f"{name} must be iterable, "
+                        f"got {type(values).__name__}") from None
+    return values
 
 
 def _number(token: str, what: str, kind=int, **where):

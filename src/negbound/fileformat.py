@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .config import Configuration, _admitted, checked_cluster
-from .errors import ConfigurationError, ParseError, _number, quote
+from .errors import ConfigurationError, ParseError, _number, checked_text, quote
 from .surfaces import SurfaceModel, checked_surface, parse_surface, surface_name
 
 if TYPE_CHECKING:  # the lattice loads with the first divisor literal
@@ -54,7 +54,7 @@ def _scan(text: str, source: str) -> tuple[list[str], ParseError | None]:
     """The code (before any '#') of each line up to the first that is not
     ASCII, and the ParseError naming that line or None: the caller raises
     it after the lines before it, so an earlier syntax error still wins."""
-    if "#" in text:
+    if "#" in checked_text(text):
         text = re.sub(r"#[^\r\n]*", "", text)
     lines = _lines(text)
     if text.isascii():
@@ -168,7 +168,7 @@ def parse_divisor(text: str, surface: SurfaceModel, n: int) -> DivisorClass:
     from .lattice import DivisorClass
     if type(n) is not int or n < 0:
         raise ValueError("n must be a nonnegative int")
-    if not text.isascii():  # before split() drops a non-ASCII space
+    if not checked_text(text).isascii():  # before split() drops a non-ASCII space
         raise ParseError(f"non-ASCII character in {quote(text)}")
     if _SPLIT_NUMBER_RE.search(text):
         raise ParseError(f"whitespace inside a number in {quote(text)}")

@@ -26,6 +26,7 @@ from .errors import (
     NotHirzebruchError,
     SurfaceMismatchError,
     UnknownChartError,
+    checked_iterable,
     quote,
 )
 from .surfaces import SurfaceModel, checked_surface, is_plane, surface_name
@@ -53,8 +54,8 @@ class DivisorClass:
 
     def __init__(self, surface: SurfaceModel, base: Sequence[Rational],
                  exceptional: Sequence[Rational] = ()) -> None:
-        exceptional = tuple(exceptional)
-        self._store(surface, len(exceptional), tuple(base),
+        exceptional = tuple(checked_iterable(exceptional, "exceptional"))
+        self._store(surface, len(exceptional), tuple(checked_iterable(base, "base")),
                     dict(enumerate(exceptional, start=1)))
 
     @classmethod
@@ -227,7 +228,8 @@ def divisor_from_strict_coordinates(c: Configuration,
     Inverse of :func:`strict_exceptional_coordinates`: total-transform
     coordinates are w = P v with P the proximity matrix of the cluster.
     """
-    v = DivisorClass(checked_cluster(c).surface, base, coefficients)  # strict basis
+    v = DivisorClass(checked_cluster(c).surface, base,  # strict basis
+                     checked_iterable(coefficients, "coefficients"))
     _check_lattice(v.surface, v.n, c.surface, len(c))
     w = proximity_apply(c, v._numerator_vector())
     return DivisorClass._make(c.surface, len(c), v.base_numerators,

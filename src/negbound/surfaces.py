@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from .errors import ParseError, _number, quote
+from .errors import ParseError, _number, checked_text, quote
 
 
 @dataclass(frozen=True)
@@ -60,7 +60,7 @@ def surface_name(surface: SurfaceModel) -> str:
 def parse_surface(text: str, *, line: int | None = None,
                   source: str | None = None) -> SurfaceModel:
     """Parse a surface spec: ``p2`` or ``f <delta>``, in ASCII."""
-    tokens = text.split() if text.isascii() else []
+    tokens = text.split() if checked_text(text).isascii() else []
     if tokens and tokens[0].lower() == "surface":
         tokens = tokens[1:]
     if len(tokens) == 1 and tokens[0].lower() == "p2":

@@ -13,20 +13,23 @@ distinct smaller targets, and ``parse_configuration`` on each list's file
 and the ``Configuration`` constructor on its proximities with
 ``build_configuration``: the same clusters, and each rejection with the
 validator's message and error type, the parser's on the line of the point it
-names.  On every accepted cluster it then checks each origin's ``d`` against
-``scan_d_value``, ``P^t m`` on each completion, both reports and the
-pullback and epsilon bounds against the benchmark's oracle
-(``bench/oracle.py``, imported read-only).  It also parses each file with
-its point lines reversed: the rule check takes the ids of a file in id
-order as they are and places any others by id, so both paths are covered.  Tier-1 runs it up to 6 points; for 7
-points (27007 clusters, about 2 minutes on one core of a 2-vCPU VM), as
-CI does, run
+names.  It also builds each spec list in reverse order, which must give the
+same cluster or the same error type, message and ``point_id``, and with
+``reversed_files`` parses each file with its point lines reversed: the rule
+check takes the ids 1..n as they are and places any others by id, so both
+paths are covered.  Every accepted cluster must come back from ``pickle``
+equal; then each origin's ``d`` is checked against ``scan_d_value``,
+``P^t m`` on each completion, both reports and the pullback and epsilon
+bounds against the benchmark's oracle (``bench/oracle.py``, imported
+read-only).  Tier-1 runs it up to 6 points; for 7 points (27007 clusters,
+about 2 minutes on one core of a 2-vCPU VM), as CI does, run
 
     PYTHONPATH=src:tests python -c "from test_exhaustive import check_clusters; check_clusters(7, reversed_files=True)"
 """
 
 from __future__ import annotations
 
+import pickle
 import sys
 from dataclasses import replace
 from fractions import Fraction
@@ -108,22 +111,26 @@ def check_clusters(max_points: int, reversed_files: bool = False) -> list[int]:
                      else f"{pid} origin\n" for pid, targets in zip(ids, prox)]
             text = "surface p2\n" + "".join(lines)
             reversed_text = "surface p2\n" + "".join(reversed(lines))
+            specs = [*zip(ids, prox)]
             try:
-                c = build_configuration(zip(ids, prox))
+                c = build_configuration(specs)
             except ConfigurationError as err:  # any other exception fails
                 check_parser_rejects(text, err, err.point_id + 1)
                 if reversed_files:
                     check_parser_rejects(reversed_text, err, n - err.point_id + 2)
-                check_constructor_rejects(prox, err)
+                check_rejects(Configuration, prox, err)
+                check_rejects(build_configuration, specs[::-1], err)
                 continue
             assert parse_configuration(text) == c, text
             assert not reversed_files or parse_configuration(reversed_text) == c
             assert Configuration(prox) == c, prox
+            assert build_configuration(specs[::-1]) == c, prox
             accepted[c.proximities] = c
         model = model_clusters(n)
         assert accepted.keys() == model.keys(), n
         for prox, c in accepted.items():
             assert parse_configuration(serialize_configuration(c)) == c
+            assert pickle.loads(pickle.dumps(c)) == c
             assert tuple(pt.level for pt in c.points) == model[prox]
             check_against_oracles(c)
         counts.append(len(model))
@@ -142,15 +149,16 @@ def check_parser_rejects(text: str, err: ConfigurationError, line: int) -> None:
         raise AssertionError(f"the parser accepts {text!r}, rejected by {err}")
 
 
-def check_constructor_rejects(prox: tuple, err: ConfigurationError) -> None:
-    """The constructor rejects the proximities with the validator's error
-    type and message."""
+def check_rejects(build, data, err: ConfigurationError) -> None:
+    """``build(data)`` raises the validator's error type, message and
+    ``point_id``."""
     try:
-        Configuration(prox)
-    except ConfigurationError as ctor_err:
-        assert (type(ctor_err), str(ctor_err)) == (type(err), str(err)), prox
+        build(data)
+    except ConfigurationError as other:
+        assert ((type(other), str(other), other.point_id)
+                == (type(err), str(err), err.point_id)), data
     else:
-        raise AssertionError(f"the constructor accepts {prox!r}, rejected by {err}")
+        raise AssertionError(f"{build.__name__} accepts {data!r}, rejected by {err}")
 
 
 def check_against_oracles(c) -> None:

@@ -420,8 +420,10 @@ def test_one_entry_from_tokens_to_a_cluster():
                   text in node.value
                   for text in ("duplicate point id", "ids must be exactly")))}
     assert worded == {("config.py", "_admitted")}
+    # A type test is a call of type or isinstance, or either one handed to
+    # another call, as in map(type, ids).
     type_tests = _functions_where(
         REPO_ROOT / "src" / "negbound" / "config.py",
-        lambda node: isinstance(node, ast.Call)
-        and _named(node.func) in ("type", "isinstance"))
+        lambda node: isinstance(node, ast.Call) and any(
+            _named(part) in ("type", "isinstance") for part in (node.func, *node.args)))
     assert "_admitted" not in type_tests and "build_configuration" in type_tests
