@@ -55,8 +55,7 @@ def rational_json(value: Fraction) -> int | str:
     return int(value) if value.denominator == 1 else str(value)
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """An evaluated bound: named term values and their minimum."""
 
     surface: SurfaceModel
@@ -183,8 +182,7 @@ class HirzebruchBidegree:
 FoliationDegree = Union[PlaneDegree, HirzebruchBidegree]
 
 
-@dataclass(frozen=True)
-class FoliationBoundReport:
+class FoliationBoundReport(NamedTuple):
     """Negativity bounds determined by a foliation of known (bi)degree.
 
     ``bound`` (minus the degree sum) covers non-invariant curves for the
@@ -230,8 +228,7 @@ def foliation_negativity_bound(degree: FoliationDegree,
                                 combined_bound=combined)
 
 
-@dataclass(frozen=True)
-class AttachedFoliationReport:
+class AttachedFoliationReport(NamedTuple):
     """Degree bounds for a foliation attached to the cluster, together with
     the degree data of its rational first integral."""
 
@@ -260,8 +257,7 @@ def attached_foliation_degree_bounds(c: Configuration) -> AttachedFoliationRepor
                                    first_integral_d2=d)
 
 
-@dataclass(frozen=True)
-class CurveRatio:
+class CurveRatio(NamedTuple):
     index: int
     self_intersection: Fraction
     pairing_with_divisor: Fraction
@@ -269,8 +265,7 @@ class CurveRatio:
     ratio: Fraction | None
 
 
-@dataclass(frozen=True)
-class NuReport:
+class NuReport(NamedTuple):
     """Empirical infimum of C^2/(D.C) over a supplied list of curve classes.
 
     ``value`` is None when no supplied curve qualifies (the quantity is
@@ -315,8 +310,7 @@ def empirical_nu(curves: Sequence[DivisorClass],
                     ratios=tuple(ratios))
 
 
-@dataclass(frozen=True)
-class WitnessCheck:
+class WitnessCheck(NamedTuple):
     index: int
     pairing_with_divisor: Fraction  # D.C
     slack: Fraction                 # (D - eps*G).C
@@ -324,8 +318,7 @@ class WitnessCheck:
     ok: bool | None                 # slack >= 0, when applicable
 
 
-@dataclass(frozen=True)
-class DeltaMembershipReport:
+class DeltaMembershipReport(NamedTuple):
     """Necessary checks for D to lie in the epsilon family of G, evaluated
     against the supplied witness curves only (a sufficient-condition tester,
     not a decision procedure)."""

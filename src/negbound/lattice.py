@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .config import (
     Configuration,
@@ -245,8 +245,7 @@ def special_section_class(surface: SurfaceModel, n: int = 0) -> DivisorClass:
     return DivisorClass._make(surface, n, (-surface.delta, 1), {})
 
 
-@dataclass(frozen=True)
-class MultiplicityBoundReport:
+class MultiplicityBoundReport(NamedTuple):
     """Check m_i <= a + b + delta*b for a curve class on a Hirzebruch sky."""
 
     limit: Fraction
@@ -307,8 +306,7 @@ def bidegree_of_closure(chart: str, delta: int,
     return Bidegree(d1=0, d2=deg_x)
 
 
-@dataclass(frozen=True)
-class InvariantBoundReport:
+class InvariantBoundReport(NamedTuple):
     """Check C^2 >= -K.C for a candidate (foliation canonical class, curve)."""
 
     self_intersection: Fraction

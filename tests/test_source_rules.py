@@ -427,3 +427,25 @@ def test_one_entry_from_tokens_to_a_cluster():
         lambda node: isinstance(node, ast.Call) and any(
             _named(part) in ("type", "isinstance") for part in (node.func, *node.args)))
     assert "_admitted" not in type_tests and "build_configuration" in type_tests
+
+
+# Records that only carry results are NamedTuples. The values that check
+# their fields on construction stay frozen dataclasses, as do Bidegree and
+# BidegreeBounds, which as tuples of the same shape would compare equal.
+RESULT_RECORDS = """AttachedFoliationReport BoundReport ClusterData CurveRatio
+    DeltaMembershipReport ExceptionalSelfIntersections FoliationBoundReport
+    InvariantBoundReport MultiplicityBoundReport NuReport WitnessCheck"""
+FROZEN_DATACLASSES = """Bidegree BidegreeBounds Configuration DValue
+    DivisorClass Hirzebruch HirzebruchBidegree PlaneDegree Point
+    ProjectivePlane"""
+
+
+def test_result_records_are_named_tuples():
+    import negbound
+    for name in RESULT_RECORDS.split():
+        cls = getattr(negbound, name)
+        assert issubclass(cls, tuple) and hasattr(cls, "_fields"), name
+    for name in FROZEN_DATACLASSES.split():
+        cls = getattr(negbound, name)
+        assert dataclasses.is_dataclass(cls), name
+        assert cls.__dataclass_params__.frozen, name
