@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import sys
+from collections.abc import Mapping, Set
 from fractions import Fraction
 
 
@@ -128,8 +129,12 @@ def checked_text(text) -> str:
 
 
 def checked_iterable(values, name: str):
-    """``values`` if it is iterable, else TypeError naming the parameter
-    ``name`` and the type; ``iter`` starts no pass over the values."""
+    """``values`` if it is iterable and neither a mapping nor a set, whose
+    keys or hash order would be read as a vector, else TypeError naming the
+    parameter ``name`` and the type; ``iter`` starts no pass over the values."""
+    if isinstance(values, (Mapping, Set)):
+        raise TypeError(f"{name} must be a sequence, "
+                        f"got {type(values).__name__}")
     try:
         iter(values)
     except TypeError:

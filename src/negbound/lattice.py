@@ -97,7 +97,8 @@ class DivisorClass:
                             base: Sequence[Rational],
                             multiplicities: Sequence[Rational] = ()) -> "DivisorClass":
         """Build a L* - sum(m_i E_i*) (resp. a F* + b M* - sum(m_i E_i*))."""
-        return cls(surface, base, [-m for m in multiplicities])
+        return cls(surface, base, [-_rational(m) for m in checked_iterable(
+            multiplicities, "multiplicities")])
 
     @property
     def base(self) -> tuple[Fraction, ...]:
