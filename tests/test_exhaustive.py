@@ -14,17 +14,17 @@ and the ``Configuration`` constructor on its proximities with
 ``build_configuration``: the same clusters, and each rejection with the
 validator's message and error type, the parser's on the line of the point it
 names.  It also builds each spec list in reverse order, which must give the
-same cluster or the same error type, message and ``point_id``, and with
-``reversed_files`` parses each file with its point lines reversed: the rule
-check takes the ids 1..n as they are and places any others by id, so both
-paths are covered.  Every accepted cluster must come back from ``pickle``
-equal; then each origin's ``d`` is checked against ``scan_d_value``,
-``P^t m`` on each completion, both reports and the pullback and epsilon
-bounds against the benchmark's oracle (``bench/oracle.py``, imported
-read-only).  Tier-1 runs it up to 6 points; for 7 points (27007 clusters,
-about 2 minutes on one core of a 2-vCPU VM), as CI does, run
+same cluster or the same error type, message and ``point_id``, and parses
+each file with its point lines reversed: the rule check takes the ids 1..n
+as they are and places any others by id, so both paths are covered.
+Every accepted cluster must come back from ``pickle`` equal; then each
+origin's ``d`` is checked against ``scan_d_value``, ``P^t m`` on each
+completion, both reports and the pullback and epsilon bounds against the
+benchmark's oracle (``bench/oracle.py``, imported read-only).  Tier-1 runs
+it up to 6 points; for 7 points (27007 clusters, about 2 minutes on one
+core of a 2-vCPU VM), as CI does, run
 
-    PYTHONPATH=src:tests python -c "from test_exhaustive import check_clusters; check_clusters(7, reversed_files=True)"
+    PYTHONPATH=src:tests python -c "from test_exhaustive import check_clusters; check_clusters(7)"
 """
 
 from __future__ import annotations
@@ -96,12 +96,12 @@ def spec_lists(n: int):
     return product(*choices)
 
 
-def check_clusters(max_points: int, reversed_files: bool = False) -> list[int]:
+def check_clusters(max_points: int) -> list[int]:
     """Check the validator against the model for 1..``max_points`` points,
-    and the parser's verdict on each spec list's file (and, with
-    ``reversed_files``, on the file with its point lines in reverse order)
-    and the constructor's on its proximities against the validator's, and
-    return the number of clusters of each size."""
+    and the parser's verdict on each spec list's file, in id order and with
+    its point lines reversed, and the constructor's on its proximities
+    against the validator's, and return the number of clusters of each
+    size."""
     counts = []
     for n in range(1, max_points + 1):
         ids = range(1, n + 1)
@@ -116,13 +116,12 @@ def check_clusters(max_points: int, reversed_files: bool = False) -> list[int]:
                 c = build_configuration(specs)
             except ConfigurationError as err:  # any other exception fails
                 check_parser_rejects(text, err, err.point_id + 1)
-                if reversed_files:
-                    check_parser_rejects(reversed_text, err, n - err.point_id + 2)
+                check_parser_rejects(reversed_text, err, n - err.point_id + 2)
                 check_rejects(Configuration, prox, err)
                 check_rejects(build_configuration, specs[::-1], err)
                 continue
             assert parse_configuration(text) == c, text
-            assert not reversed_files or parse_configuration(reversed_text) == c
+            assert parse_configuration(reversed_text) == c, reversed_text
             assert Configuration(prox) == c, prox
             assert build_configuration(specs[::-1]) == c, prox
             accepted[c.proximities] = c
@@ -190,7 +189,7 @@ def check_against_oracles(c) -> None:
 
 
 def test_validator_accepts_exactly_the_model_clusters():
-    assert check_clusters(6, reversed_files=True) == list(COUNTS[:6])
+    assert check_clusters(6) == list(COUNTS[:6])
 
 
 def test_model_counts_up_to_seven_points():
