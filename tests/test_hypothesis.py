@@ -8,6 +8,7 @@ same examples; only the CLI property writes files, in a temporary directory.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import io
 import pickle
 import random
@@ -32,14 +33,18 @@ from negbound import (
     d_value,
     dot_export,
     empirical_nu,
+    epsilon_family_bounds,
     hat_configuration,
     multiplicity_vector,
+    nef_pullback_bounds,
     origin_d_values,
     pairing,
     parse_configuration,
+    polarization_bounds,
     proximity_apply,
     proximity_solve,
     serialize_configuration,
+    strict_transform_of_exceptional,
     subconfiguration,
     total_d,
 )
@@ -448,6 +453,114 @@ def test_empirical_nu_equals_the_dense_formula(pair):
         qualifying = [r.ratio for r in report.ratios if r.qualifies]
         assert report.value == (min(qualifying) if qualifying else None)
         assert report.value is None or type(report.value) is Fraction
+
+
+@st.composite
+def curve_lists(draw):
+    """A divisor and a curve list on the lattice of a drawn cluster: the
+    strict exceptional transforms, drawn classes (coordinates over a
+    denominator above 1 among them), the zero class, negated and repeated
+    curves, so that D.C <= 0 and tied ratios occur."""
+    c = draw(clusters(max_points=10))
+    k, n = len(c.surface.generators), len(c)
+
+    def drawn():
+        return DivisorClass(c.surface, draw(st.lists(coefficients, min_size=k,
+                                                     max_size=k)),
+                            draw(st.lists(coefficients, min_size=n, max_size=n)))
+
+    curves = [strict_transform_of_exceptional(c, q) for q in range(1, n + 1)]
+    curves += [drawn() for _ in range(draw(st.integers(0, 4)))]
+    curves.append(DivisorClass(c.surface, (0,) * k, (0,) * n))
+    curves += [-curves[draw(st.integers(0, len(curves) - 1))],
+               curves[draw(st.integers(0, len(curves) - 1))]]
+    curves = draw(st.permutations(curves))
+    big_nef = draw(st.one_of(st.sampled_from(curves), st.builds(drawn)))
+    return curves, big_nef
+
+
+@SETTINGS
+@given(curve_lists())
+def test_empirical_nu_on_curve_lists_equals_the_dense_oracle(drawn):
+    curves, big_nef = drawn
+    report = empirical_nu(curves, big_nef)
+    expected = []
+    for index, (curve, r) in enumerate(zip(curves, report.ratios, strict=True),
+                                       start=1):
+        c_sq, dc = dense_pairing(curve, curve), dense_pairing(big_nef, curve)
+        qualifies = c_sq < 0 < dc
+        ratio = c_sq / dc if qualifies else None
+        assert (r.index, r.self_intersection, r.pairing_with_divisor,
+                r.qualifies, r.ratio) == (index, c_sq, dc, qualifies, ratio)
+        assert type(r.self_intersection) is Fraction
+        assert type(r.pairing_with_divisor) is Fraction
+        assert r.ratio is None or type(r.ratio) is Fraction
+        if qualifies:
+            expected.append(ratio)
+    assert report.value == (min(expected) if expected else None)
+    assert report.value is None or type(report.value) is Fraction
+
+
+@SETTINGS
+@given(clusters(max_points=30))
+def test_strict_transforms_equal_their_twins_built_from_dense_vectors(c):
+    k, n = len(c.surface.generators), len(c)
+    for q in range(1, n + 1):
+        strict = strict_transform_of_exceptional(c, q)
+        twin = DivisorClass(c.surface, (0,) * k, [
+            1 if p == q else -1 if q in c.proximities[p - 1] else 0
+            for p in range(1, n + 1)])
+        assert strict == twin and hash(strict) == hash(twin)
+        assert repr(strict) == repr(twin) and str(strict) == str(twin)
+        for field in dataclasses.fields(DivisorClass):
+            mine, theirs = getattr(strict, field.name), getattr(twin, field.name)
+            assert mine == theirs and type(mine) is type(theirs), field.name
+        assert list(strict.exceptional_numerators.items()) == \
+            list(twin.exceptional_numerators.items())
+        copy = pickle.loads(pickle.dumps(strict))
+        assert copy == twin and repr(copy) == repr(twin)
+        assert hash(copy) == hash(twin)
+
+
+# Positive epsilons: small fractions and fractions over 1000 digits.
+EPSILONS = st.one_of(
+    st.fractions(min_value=Fraction(1, 50), max_value=100, max_denominator=50)
+    .filter(lambda eps: eps > 0),
+    st.builds(Fraction, st.integers(10 ** 1000, 10 ** 1200),
+              st.integers(10 ** 1000, 10 ** 1200)),
+    st.integers(1, 5))
+
+
+@SETTINGS
+@given(clusters(max_points=20), EPSILONS)
+@example(build_configuration([(1, []), (2, [1]), (3, [2, 1])]),
+         Fraction(10 ** 1001 + 7, 10 ** 1003 + 9))
+@example(build_configuration([(1, []), (2, [1])], Hirzebruch(3)),
+         Fraction(10 ** 1003 + 1, 3))
+def test_each_bound_is_the_minimum_of_its_terms(c, eps):
+    data = cluster_bound_data(c)
+    for convention, n in (("stated", data.n_stated), ("example", data.n_example)):
+        reports = {
+            "pullback": (nef_pullback_bounds(c, convention),
+                         polarization_bounds(c, convention)),
+            "epsilon": (epsilon_family_bounds(c, eps, convention),)}
+        for kind, family in reports.items():
+            terms = oracle.bound_terms(kind, str(c.surface), n, data.d,
+                                       data.gamma, Fraction(eps))
+            for report in family:
+                values = [value for _, value in report.terms]
+                assert values == terms
+                assert report.bound == min(values)
+                assert all(type(v) is Fraction for v in (*values, report.bound))
+        assert reports["epsilon"][0].epsilon == eps
+        assert type(reports["epsilon"][0].epsilon) is Fraction
+        cases = reports["pullback"][1].case_bounds
+        terms = reports["pullback"][1].terms
+        assert [name for name, _ in cases] == ["non_invariant", "invariant"]
+        assert cases[0][1] == terms[0][1]
+        assert cases[1][1] == min(value for _, value in terms[1:])
+        assert all(type(value) is Fraction for _, value in cases)
+        assert reports["pullback"][0].case_bounds is None
 
 
 # Snippets spliced into CLI inputs: syntax pieces, non-ASCII digits and
