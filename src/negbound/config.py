@@ -109,14 +109,20 @@ class Configuration:
 
     @property
     def points(self) -> tuple[Point, ...]:
-        """One Point per id; a point's level is its parent's plus one."""
-        def derive(c: Configuration) -> tuple[Point, ...]:
-            points: list[Point] = []
-            for pid, prox in enumerate(c.proximities, start=1):
-                level = points[prox[0] - 1].level + 1 if prox else 0
-                points.append(Point(pid, prox, level))
-            return tuple(points)
-        return self._shared("points", derive)
+        """One Point per id, with its entry of ``proximities`` and ``levels``."""
+        return self._shared("points", lambda c: tuple(map(
+            Point, range(1, len(c) + 1), c.proximities, c.levels)))
+
+    @property
+    def levels(self) -> tuple[int, ...]:
+        """Entry ``i`` is the level of point ``i + 1``: 0 at an origin, its
+        parent's plus one elsewhere, in one walk over the proximities."""
+        def derive(c: Configuration) -> tuple[int, ...]:
+            levels: list[int] = []
+            for prox in c.proximities:
+                levels.append(levels[prox[0] - 1] + 1 if prox else 0)
+            return tuple(levels)
+        return self._shared("levels", derive)
 
     @property
     def successors(self) -> dict[int, tuple[int, ...]]:
@@ -391,15 +397,15 @@ def dot_export(c: Configuration) -> str:
     """
     lines = ["digraph cluster {", "  rankdir=BT;", "  node [shape=circle];"]
     by_level: dict[int, list[int]] = {}
-    for pt in checked_cluster(c).points:
-        by_level.setdefault(pt.level, []).append(pt.id)
+    for pid, level in enumerate(checked_cluster(c).levels, start=1):
+        by_level.setdefault(level, []).append(pid)
     for level in sorted(by_level):
         names = " ".join(f'"p{pid}";' for pid in by_level[level])
         lines.append(f"  {{ rank=same; {names} }}")
-    for pt in c.points:
-        for idx, target in enumerate(pt.proximities):
+    for pid, prox in enumerate(c.proximities, start=1):
+        for idx, target in enumerate(prox):
             style = "" if idx == 0 else " [style=dashed]"
-            lines.append(f'  "p{pt.id}" -> "p{target}"{style};')
+            lines.append(f'  "p{pid}" -> "p{target}"{style};')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -409,10 +415,11 @@ def analysis_report(c: Configuration) -> dict:
     esi = exceptional_self_intersections(c)
     report = surface_json_fields(c.surface)
     report["points"] = [
-        {"id": pt.id, "level": pt.level,
-         "kind": ("origin", "free", "satellite")[len(pt.proximities)],
-         "proximities": list(pt.proximities), "e_sq": esi.values[pt.id]}
-        for pt in c.points]
+        {"id": pid, "level": level,
+         "kind": ("origin", "free", "satellite")[len(prox)],
+         "proximities": list(prox), "e_sq": e_sq}
+        for (pid, e_sq), prox, level in zip(esi.values.items(), c.proximities,
+                                             c.levels)]
     report["gamma"] = esi.gamma
     report["origins"] = list(c.origins)
     report["ends"] = list(c.ends)

@@ -168,6 +168,7 @@ def test_point_views_and_both_routes_agree(c):
     parts = [c, *(subconfiguration(c, q) for q in range(1, len(c) + 1)),
              *(hat_configuration(subconfiguration(c, o)) for o in c.origins)]
     for part in parts:
+        assert part.levels == tuple(chain_levels(part))
         assert [(pt.id, pt.proximities, pt.level) for pt in part.points] == \
             list(zip(range(1, len(part) + 1), part.proximities,
                      chain_levels(part)))

@@ -676,7 +676,8 @@ class TestBoundRelations:
 
 class TestPointView:
     """A cluster stores only its proximity tuples: ``Point`` objects are
-    built by the ``points`` view alone, and only when something reads it."""
+    built by the ``points`` view alone, and only when something reads it;
+    the analysis report and the DOT export read ``levels`` instead."""
 
     def test_derivations_build_no_point(self, monkeypatch):
         built = []
@@ -694,6 +695,8 @@ class TestPointView:
             for origin in c.origins:
                 hat_configuration(subconfiguration(c, origin))
             d_value_report(c)
+            analysis_report(c)
+            dot_export(c)
             for bad in (0, len(c) + 1):
                 for cut in (subconfiguration, strict_transform_of_exceptional):
                     with pytest.raises(UnknownPointError) as exc:
