@@ -27,11 +27,11 @@ N_CONVENTIONS = ("stated", "example")
 
 
 def _positive_epsilon(epsilon: Rational) -> Fraction:
-    value = Fraction(_rational(epsilon))
+    value = _rational(epsilon)
     if value <= 0:
         raise NonPositiveEpsilonError(
             f"epsilon must be positive, got {quote(value)}")
-    return value
+    return value if type(value) is Fraction else Fraction(value)
 
 
 class ClusterData(NamedTuple):
@@ -112,25 +112,32 @@ def _bound_report(c: Configuration, n_convention: str,
                   eps: Fraction | None, cases: bool = False) -> BoundReport:
     """The base terms of ``c`` and their minimum; with ``eps``, the epsilon
     family's terms: each divided by ``eps``, and -gamma appended; with
-    ``cases``, the first term and the minimum of the rest as case bounds."""
+    ``cases``, the first term and the minimum of the rest as case bounds.
+    The minima are taken on int keys, each term times the positive
+    ``eps.numerator`` (1 without ``eps``), which keep the terms' order."""
     if n_convention not in N_CONVENTIONS:
         raise ValueError(f"n_convention must be one of {N_CONVENTIONS}")
     data = cluster_bound_data(c)
     n = data.n_stated if n_convention == "stated" else data.n_example
     base = _terms(c.surface, n, data.d)
     if eps is None:
+        keys = [value for _, _, value in base]
         terms = [(name, Fraction(value)) for name, _, value in base]
     else:
-        terms = [(name, Fraction(value * eps.denominator, eps.numerator))
-                 for _, name, value in base]
+        keys = [value * eps.denominator for _, _, value in base]
+        terms = [(name, Fraction(key, eps.numerator))
+                 for (_, name, _), key in zip(base, keys)]
+        keys.append(-data.gamma * eps.numerator)
         terms.append(("-gamma", Fraction(-data.gamma)))
-    return BoundReport(surface=c.surface, n_stated=data.n_stated,
-                       n_example=data.n_example, convention=n_convention, n=n,
-                       d=data.d, gamma=data.gamma, epsilon=eps,
-                       terms=tuple(terms), bound=min(v for _, v in terms),
-                       case_bounds=(("non_invariant", terms[0][1]),
-                                    ("invariant", min(v for _, v in terms[1:])))
-                       if cases else None)
+    least = terms[keys.index(min(keys))][1]
+    case_bounds = None
+    if cases:
+        rest = keys[1:]
+        case_bounds = (("non_invariant", terms[0][1]),
+                       ("invariant", terms[1 + rest.index(min(rest))][1]))
+    return BoundReport(c.surface, data.n_stated, data.n_example, n_convention,
+                       n, data.d, data.gamma, eps, tuple(terms), least,
+                       case_bounds)
 
 
 def polarization_bounds(c: Configuration,
@@ -291,23 +298,30 @@ class NuReport(NamedTuple):
 
 def empirical_nu(curves: Sequence[DivisorClass],
                  big_nef: DivisorClass) -> NuReport:
-    """C^2, D.C and, for a curve with C^2 < 0 < D.C (read off the numerators,
-    as denominators are positive), one Fraction C^2/(D.C) per curve."""
-    from .lattice import _check_classes, pairing
+    """C^2, D.C and, for a curve with C^2 < 0 < D.C, C^2/(D.C), each taken
+    in integers: with s = C.C * den(C)^2 and t = D.C * den(D) * den(C), the
+    denominators are positive, so the signs are those of s and t, and the
+    ratio is s * den(D) / (t * den(C)), compared with the least so far by
+    cross-multiplication.  Three Fractions per curve are built to report."""
+    from .lattice import _check_classes, _check_pair, _pairing_numerator
     _check_classes(big_nef)
-    ratios = []
+    d_den = big_nef.den
+    ratios, least, least_key = [], None, None
     for index, curve in enumerate(checked_iterable(curves, "curves"), start=1):
-        c_sq = pairing(curve, curve)
-        dc = pairing(big_nef, curve)
-        qualifies = c_sq.numerator < 0 < dc.numerator
-        ratio = Fraction(c_sq.numerator * dc.denominator,
-                         c_sq.denominator * dc.numerator) if qualifies else None
-        ratios.append(CurveRatio(index=index, self_intersection=c_sq,
-                                 pairing_with_divisor=dc, qualifies=qualifies,
-                                 ratio=ratio))
-    qualifying = [r.ratio for r in ratios if r.qualifies]
-    return NuReport(value=min(qualifying) if qualifying else None,
-                    ratios=tuple(ratios))
+        _check_pair(big_nef, curve)
+        c_den = curve.den
+        s = _pairing_numerator(curve, curve)
+        t = _pairing_numerator(big_nef, curve)
+        qualifies = s < 0 < t
+        ratio = None
+        if qualifies:
+            key = (s * d_den, t * c_den)
+            ratio = Fraction(*key)
+            if least is None or key[0] * least_key[1] < least_key[0] * key[1]:
+                least, least_key = ratio, key
+        ratios.append(CurveRatio(index, Fraction(s, c_den * c_den),
+                                 Fraction(t, d_den * c_den), qualifies, ratio))
+    return NuReport(least, tuple(ratios))
 
 
 class WitnessCheck(NamedTuple):
@@ -336,18 +350,21 @@ class DeltaMembershipReport(NamedTuple):
 def delta_membership_check(d: DivisorClass, g: DivisorClass,
                            epsilon: Rational,
                            witnesses: Sequence[DivisorClass]) -> DeltaMembershipReport:
-    from .lattice import _check_classes, pairing
+    from .lattice import _check_classes, _check_pair, _pairing_numerator
     _check_classes(d, g)
     eps = _positive_epsilon(epsilon)
     shifted = d - eps * g
     checks = []
     for index, witness in enumerate(checked_iterable(witnesses, "witnesses"), start=1):
-        dc = pairing(d, witness)
-        slack = pairing(shifted, witness)
+        _check_pair(d, witness)
+        # D.C and the slack, each times a positive denominator
+        dc = _pairing_numerator(d, witness)
+        slack = _pairing_numerator(shifted, witness)
         applicable = dc > 0
-        checks.append(WitnessCheck(index=index, pairing_with_divisor=dc,
-                                   slack=slack, applicable=applicable,
-                                   ok=(slack >= 0) if applicable else None))
+        checks.append(WitnessCheck(
+            index, Fraction(dc, d.den * witness.den),
+            Fraction(slack, shifted.den * witness.den), applicable,
+            (slack >= 0) if applicable else None))
     return DeltaMembershipReport(
         epsilon=eps,
         checks=tuple(checks),

@@ -176,12 +176,22 @@ def _check_classes(*values: object) -> None:
             raise TypeError(f"expected DivisorClass, got {names}")
 
 
-def pairing(x: DivisorClass, y: DivisorClass) -> Fraction:
-    """Intersection number of two classes on the same lattice, in integers
-    over the two classes' denominators; only the exceptional coordinates
-    nonzero in both classes are multiplied."""
+def _check_pair(x: DivisorClass, y: DivisorClass) -> None:
+    """Raise unless ``x`` and ``y`` are classes on one lattice."""
     _check_classes(x, y)
     _check_lattice(x.surface, x.n, y.surface, y.n)
+
+
+def pairing(x: DivisorClass, y: DivisorClass) -> Fraction:
+    """Intersection number of two classes on the same lattice."""
+    _check_pair(x, y)
+    return Fraction(_pairing_numerator(x, y), x.den * y.den)
+
+
+def _pairing_numerator(x: DivisorClass, y: DivisorClass) -> int:
+    """x.y * x.den * y.den, in integers, for two classes on one lattice
+    (unchecked); only the exceptional coordinates nonzero in both classes
+    are multiplied."""
     x_base, y_base = x.base_numerators, y.base_numerators
     if len(x_base) == 1:  # the plane
         total = x_base[0] * y_base[0]
@@ -195,15 +205,21 @@ def pairing(x: DivisorClass, y: DivisorClass) -> Fraction:
         q = y_exc.get(i)
         if q is not None:
             total -= p * q
-    return Fraction(total, x.den * y.den)
+    return total
 
 
 def strict_transform_of_exceptional(c: Configuration, point_id: int) -> DivisorClass:
-    """The class E_q* - sum over p proximate to q of E_p* on the sky of c."""
+    """The class E_q* - sum over p proximate to q of E_p* on the sky of c,
+    stored as built: over denominator 1, its ids ascending, as the points
+    proximate to q have larger ids, so it is already reduced."""
     checked_cluster(c)._check_id(point_id)
-    exc = {point_id: 1, **dict.fromkeys(c.successors[point_id], -1)}
-    return DivisorClass._make(c.surface, len(c),
-                              (0,) * len(c.surface.generators), exc)
+    cls = object.__new__(DivisorClass)
+    vars(cls).update(
+        surface=c.surface, n=len(c), den=1,
+        base_numerators=(0,) * len(c.surface.generators),
+        exceptional_numerators={point_id: 1,
+                                **dict.fromkeys(c.successors[point_id], -1)})
+    return cls
 
 
 def strict_exceptional_coordinates(c: Configuration,
@@ -319,5 +335,7 @@ class InvariantBoundReport(NamedTuple):
 
 
 def invariant_bound_check(k_f: DivisorClass, c: DivisorClass) -> InvariantBoundReport:
-    return InvariantBoundReport(self_intersection=pairing(c, c),
-                                lower_bound=-pairing(k_f, c))
+    _check_pair(k_f, c)
+    return InvariantBoundReport(
+        self_intersection=Fraction(_pairing_numerator(c, c), c.den * c.den),
+        lower_bound=Fraction(-_pairing_numerator(k_f, c), k_f.den * c.den))
