@@ -17,6 +17,7 @@ rationals ``p/q``.  Whitespace is ignored, except inside a number.
 from __future__ import annotations
 
 import codecs
+import os
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -138,8 +139,16 @@ def _read_text(path: Path) -> str:
                          source=str(path)) from None
 
 
+def _path(path) -> Path:
+    """``path`` as a Path if it is a str or an os.PathLike, else TypeError."""
+    if not isinstance(path, (str, os.PathLike)):
+        raise TypeError(f"path must be a str or os.PathLike, "
+                        f"got {type(path).__name__}")
+    return Path(path)
+
+
 def load_configuration(path: str | Path) -> Configuration:
-    path = Path(path)
+    path = _path(path)
     return parse_configuration(_read_text(path), source=str(path))
 
 
@@ -232,5 +241,5 @@ def parse_curves(text: str, surface: SurfaceModel, n: int, *,
 
 def load_curves(path: str | Path, surface: SurfaceModel,
                 n: int) -> tuple[DivisorClass, ...]:
-    path = Path(path)
+    path = _path(path)
     return parse_curves(_read_text(path), surface, n, source=str(path))

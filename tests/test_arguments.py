@@ -12,6 +12,8 @@ from negbound import (
     delta_membership_check,
     divisor_from_strict_coordinates,
     empirical_nu,
+    load_configuration,
+    load_curves,
     parse_configuration,
     parse_curves,
     parse_divisor,
@@ -45,6 +47,10 @@ CASES = {
     "parse_surface": (lambda: parse_surface(None), "expected str, got NoneType"),
     "parse_configuration": (lambda: parse_configuration([1]), "expected str, got list"),
     "parse_curves": (lambda: parse_curves(3, P2, 1), "expected str, got int"),
+    "load_configuration": (lambda: load_configuration(3),
+                           "path must be a str or os.PathLike, got int"),
+    "load_curves": (lambda: load_curves(None, P2, 1),
+                    "path must be a str or os.PathLike, got NoneType"),
     "from_multiplicities": (lambda: DivisorClass.from_multiplicities(P2, (1,), 5),
                             "multiplicities must be iterable, got int"),
     "from_multiplicities-entry": (
