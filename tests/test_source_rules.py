@@ -237,6 +237,41 @@ def test_arithmetic_makes_no_float(path):
     assert sites == set(), f"floats in {path.name} at {sorted(sites)}"
 
 
+def _private_fraction_sites(tree: ast.AST) -> list[str]:
+    """Uses of the private API of ``fractions``: the ``_normalize``
+    keyword, a private attribute of ``Fraction`` or of the module, and the
+    private slots ``_numerator`` and ``_denominator`` of any value."""
+    sites = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.keyword) and node.arg == "_normalize":
+            sites.append((node.value.lineno, node.value.col_offset, "_normalize="))
+        elif isinstance(node, ast.Attribute) and node.attr.startswith("_") \
+                and not node.attr.endswith("__") and (
+                    node.attr in ("_numerator", "_denominator")
+                    or _named(node.value) in ("Fraction", "fractions")):
+            sites.append((node.lineno, node.col_offset, ast.unparse(node)))
+    return [f"{line}: {text}" for line, _, text in sorted(sites)]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_no_private_fraction_api(path):
+    # Python 3.12 removed Fraction's _normalize keyword, and CI runs 3.10 to
+    # 3.13: a Fraction is built through its public constructor alone.
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    sites = _private_fraction_sites(tree)
+    assert sites == [], f"private fractions API in {path.name}: {sites}"
+
+
+def test_private_fraction_scan_reads_every_form():
+    tree = ast.parse("Fraction(1, 2, _normalize=False)\n"
+                     "Fraction._from_coprime_ints(1, 2)\n"
+                     "x._numerator + y._denominator\nfractions._gcd\n"
+                     "Fraction.__new__(Fraction)\nx.numerator, self._shared\n")
+    assert _private_fraction_sites(tree) == [
+        "1: _normalize=", "2: Fraction._from_coprime_ints",
+        "3: x._numerator", "3: y._denominator", "4: fractions._gcd"]
+
+
 BIG, LONG = 10 ** 5000, "x" * 100000
 P2 = ProjectivePlane()
 
