@@ -302,7 +302,7 @@ def empirical_nu(curves: Sequence[DivisorClass],
     in integers: with s = C.C * den(C)^2 and t = D.C * den(D) * den(C), the
     denominators are positive, so the signs are those of s and t, and the
     ratio is s * den(D) / (t * den(C)), compared with the least so far by
-    cross-multiplication.  Three Fractions per curve are built to report."""
+    cross-multiplication.  Only the reported values become Fractions."""
     from .lattice import _check_classes, _check_pair, _pairing_numerator
     _check_classes(big_nef)
     d_den = big_nef.den
