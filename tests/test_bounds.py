@@ -252,6 +252,75 @@ class TestEmpiricalNu:
             empirical_nu([DivisorClass(P2, (1,))],
                          DivisorClass(Hirzebruch(0), (1, 1)))
 
+    @staticmethod
+    def _curves_and_divisor(sample12, surface):
+        c = on_surface(sample12, surface)
+        # Values repeat across the curves, and D has denominator 2.
+        curves = [strict_transform_of_exceptional(c, q)
+                  for q in (3, 4, 5, 7, 9, 12)]
+        curves.append(DivisorClass.from_multiplicities(
+            surface, (1, 1), (1, 1) + (0,) * 10))
+        divisor = DivisorClass.from_multiplicities(
+            surface, (Fraction(5, 2), 2), (1, 1, 2, 3, 2, 1, 3, 1, 2, 1, 1, 3))
+        return curves, divisor
+
+    @staticmethod
+    def _typed(report):
+        """The report's values, each with its type."""
+        values = [report.value]
+        for r in report.ratios:
+            values += [r.self_intersection, r.pairing_with_divisor, r.ratio]
+        return [(type(v), v) for v in values]
+
+    def test_curves_on_an_equal_surface_or_of_a_subclass_are_accepted(
+            self, sample12):
+        class Marked(DivisorClass):
+            pass
+
+        def marked(cls):
+            return Marked._make(cls.surface, cls.n, cls.base_numerators,
+                                cls.exceptional_numerators, cls.den)
+
+        curves, divisor = self._curves_and_divisor(sample12, Hirzebruch(1))
+        expected = self._typed(empirical_nu(curves, divisor))
+        # the value, then C^2, D.C and the ratio of the first curve
+        assert expected[:4] == [(Fraction, Fraction(x))
+                                for x in (-2, -1, 2, Fraction(-1, 2))]
+        equal = Hirzebruch(1)
+        assert equal == divisor.surface and equal is not divisor.surface
+        moved = [DivisorClass._make(equal, x.n, x.base_numerators,
+                                    x.exceptional_numerators, x.den)
+                 for x in curves]
+        for later, big_nef in ((curves[:1] + moved[1:], divisor),
+                               (curves[:2] + [marked(x) for x in curves[2:]],
+                                divisor),
+                               (curves, marked(divisor)),
+                               ([marked(x) for x in curves], marked(divisor))):
+            assert self._typed(empirical_nu(later, big_nef)) == expected
+
+    @pytest.mark.parametrize("bad, error, message", [
+        (lambda x: DivisorClass._make(x.surface, 11, x.base_numerators, {}),
+         SurfaceMismatchError, "incompatible lattices: (f 1, n=12) vs (f 1, n=11)"),
+        (lambda x: DivisorClass._make(Hirzebruch(2), 12, x.base_numerators, {}),
+         SurfaceMismatchError, "incompatible lattices: (f 1, n=12) vs (f 2, n=12)"),
+        (lambda x: DivisorClass(P2, (1,), (0,) * 12),
+         SurfaceMismatchError, "incompatible lattices: (f 1, n=12) vs (p2, n=12)"),
+        (lambda x: type("Marked", (DivisorClass,), {})._make(
+            x.surface, 13, x.base_numerators, {}),
+         SurfaceMismatchError, "incompatible lattices: (f 1, n=12) vs (f 1, n=13)"),
+        (lambda x: 3, TypeError, "expected DivisorClass, got DivisorClass and int"),
+        (lambda x: x.base, TypeError,
+         "expected DivisorClass, got DivisorClass and tuple"),
+    ], ids=["n", "delta", "plane", "subclass n", "int", "tuple"])
+    def test_a_later_curve_off_the_lattice_raises(self, sample12, bad, error,
+                                                  message):
+        curves, divisor = self._curves_and_divisor(sample12, Hirzebruch(1))
+        for at in (0, 3, len(curves)):
+            later = curves[:at] + [bad(curves[0])] + curves[at:]
+            with pytest.raises(error) as caught:
+                empirical_nu(later, divisor)
+            assert str(caught.value) == message
+
 
 class TestDeltaMembership:
     def test_equal_divisors_epsilon_one(self):

@@ -19,8 +19,11 @@ each file with its point lines reversed: the rule check takes the ids 1..n
 as they are and places any others by id, so both paths are covered.
 Every accepted cluster must come back from ``pickle`` equal; then each
 origin's ``d`` is checked against ``scan_d_value``, ``P^t m`` on each
-completion, both reports and the pullback and epsilon bounds against the
-benchmark's oracle (``bench/oracle.py``, imported read-only).  Tier-1 runs
+completion, both reports, the pullback, epsilon and polarization bounds
+with the polarization's case bounds, and ``empirical_nu`` over every strict
+exceptional transform for a seeded divisor ``(n + 1/2) L - sum r_i E_i`` (and
+``(n + 1/2) F + n M - sum r_i E_i``) against the benchmark's oracle
+(``bench/oracle.py``, imported read-only).  Tier-1 runs
 it up to 6 points; for 7 points (27007 clusters, about 2 minutes on one
 core of a 2-vCPU VM), as CI does, run
 
@@ -30,6 +33,7 @@ core of a 2-vCPU VM), as CI does, run
 from __future__ import annotations
 
 import pickle
+import random
 import sys
 from dataclasses import replace
 from fractions import Fraction
@@ -42,13 +46,17 @@ from negbound import (
     analysis_report,
     build_configuration,
     d_value_report,
+    empirical_nu,
     epsilon_family_bounds,
     hat_configuration,
     multiplicity_vector,
     nef_pullback_bounds,
     origin_d_values,
     parse_configuration,
+    parse_divisor,
+    polarization_bounds,
     serialize_configuration,
+    strict_transform_of_exceptional,
     subconfiguration,
 )
 from negbound.surfaces import Hirzebruch, ProjectivePlane
@@ -56,7 +64,8 @@ from conftest import REPO_ROOT, scan_d_value
 
 sys.path.insert(0, str(REPO_ROOT / "bench"))
 try:
-    from oracle import bound_terms, end_indicator_holds, expected
+    from oracle import (bound_terms, empirical_nu as oracle_nu,
+                        end_indicator_holds, expected, successors)
 finally:
     sys.path.remove(str(REPO_ROOT / "bench"))
 
@@ -162,30 +171,53 @@ def check_rejects(build, data, err: ConfigurationError) -> None:
 
 def check_against_oracles(c) -> None:
     """``d``, ``P^t m``, the reports and the bounds of a cluster over the
-    plane, each against a computation that shares no code with it."""
-    oracle = expected(list(enumerate(c.proximities, start=1)), "p2")
+    plane, and the bounds and ``empirical_nu`` on each of ``SURFACES``, each
+    against a computation that shares no code with it."""
+    specs = list(enumerate(c.proximities, start=1))
+    oracle = expected(specs, "p2")
     assert analysis_report(c) == oracle.analysis
     assert d_value_report(c) == oracle.dvalue
     for origin, dv in origin_d_values(c).items():
         sub = subconfiguration(c, origin)
         assert dv.d == scan_d_value(sub)
         hat = hat_configuration(sub)
-        specs = list(enumerate(hat.proximities, start=1))
-        assert specs == oracle.hats[origin]
-        assert end_indicator_holds(specs, multiplicity_vector(hat))
+        hat_specs = list(enumerate(hat.proximities, start=1))
+        assert hat_specs == oracle.hats[origin]
+        assert end_indicator_holds(hat_specs, multiplicity_vector(hat))
+    # A seeded r_i in 0..3 per cluster, as the benchmark draws its divisors.
+    rng = random.Random(str(c.proximities))
+    r = [rng.randrange(4) for _ in specs]
+    minus = "".join(f" - {x}E{i}" for i, x in enumerate(r, start=1) if x)
+    succ = successors(specs)
     for surface in SURFACES:
         on = replace(c, surface=surface)
         for convention, n in (("stated", oracle.n_stated),
                               ("example", oracle.n_example)):
             data = (str(surface), n, oracle.d, oracle.gamma)
+            pullback = bound_terms("pullback", *data)
+            polarization = polarization_bounds(on, convention)
             for report, terms in (
-                    (nef_pullback_bounds(on, convention),
-                     bound_terms("pullback", *data)),
+                    (nef_pullback_bounds(on, convention), pullback),
+                    (polarization, pullback),
                     (epsilon_family_bounds(on, HALF, convention),
                      bound_terms("epsilon", *data, HALF))):
                 # every term, as the minimum alone hides the ones never least
                 assert [value for _, value in report.terms] == terms
                 assert report.bound == min(terms)
+            assert polarization.case_bounds == (
+                ("non_invariant", pullback[0]), ("invariant", min(pullback[1:])))
+        k = len(c)
+        base = f"{2 * k + 1}/2L" if surface == ProjectivePlane() \
+            else f"{2 * k + 1}/2F + {k}M"
+        report = empirical_nu(
+            [strict_transform_of_exceptional(on, q) for q in range(1, k + 1)],
+            parse_divisor(base + minus, surface, k))
+        assert report.value == oracle_nu(specs, r)
+        # E_q^2 = -1 - #succ(q) and D.E_q = r_q - sum of r_p over p -> q
+        assert [(ratio.self_intersection, ratio.pairing_with_divisor)
+                for ratio in report.ratios] == [
+            (-1 - len(after), r[q] - sum(r[p - 1] for p in after))
+            for q, after in enumerate(succ)]
 
 
 def test_validator_accepts_exactly_the_model_clusters():
