@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple, Sequence, Union
 
-from .config import (Configuration, Rational, _rational, checked_cluster,
-                     exceptional_self_intersections)
+from .config import (Configuration, Rational, _fraction, _rational,
+                     checked_cluster, exceptional_self_intersections)
 from .errors import NonPositiveEpsilonError, checked_iterable, quote
 from .surfaces import SurfaceModel, is_plane, surface_json_fields
 from .sufficiency import origin_d_values, total_d
@@ -28,7 +28,7 @@ N_CONVENTIONS = ("stated", "example")
 
 def _positive_epsilon(epsilon: Rational) -> Fraction:
     value = _rational(epsilon)
-    if value <= 0:
+    if value.numerator <= 0:  # the sign, with no Fraction compare
         raise NonPositiveEpsilonError(
             f"epsilon must be positive, got {quote(value)}")
     return value if type(value) is Fraction else Fraction(value)
@@ -44,11 +44,15 @@ class ClusterData(NamedTuple):
 def cluster_bound_data(c: Configuration) -> ClusterData:
     """n (in both conventions), d and gamma of a cluster, derived once per
     proximities tuple and shared by its surface copies."""
-    return checked_cluster(c)._shared("bound_data", lambda c: ClusterData(
+    return checked_cluster(c)._shared("bound_data", _bound_data)
+
+
+def _bound_data(c: Configuration) -> ClusterData:
+    return ClusterData(
         n_stated=len(c),
         n_example=sum(dv.hat_size for dv in origin_d_values(c).values()),
         d=total_d(c),
-        gamma=exceptional_self_intersections(c).gamma))
+        gamma=exceptional_self_intersections(c).gamma)
 
 
 def rational_json(value: Fraction) -> int | str:
@@ -114,7 +118,8 @@ def _bound_report(c: Configuration, n_convention: str,
     family's terms: each divided by ``eps``, and -gamma appended; with
     ``cases``, the first term and the minimum of the rest as case bounds.
     The minima are taken on int keys, each term times the positive
-    ``eps.numerator`` (1 without ``eps``), which keep the terms' order."""
+    ``eps.numerator`` (1 without ``eps``), which keep the terms' order; a
+    term is its key over ``eps.numerator``."""
     if n_convention not in N_CONVENTIONS:
         raise ValueError(f"n_convention must be one of {N_CONVENTIONS}")
     data = cluster_bound_data(c)
@@ -125,7 +130,7 @@ def _bound_report(c: Configuration, n_convention: str,
         terms = [(name, Fraction(value)) for name, _, value in base]
     else:
         keys = [value * eps.denominator for _, _, value in base]
-        terms = [(name, Fraction(key, eps.numerator))
+        terms = [(name, _fraction(key, eps.numerator))
                  for (_, name, _), key in zip(base, keys)]
         keys.append(-data.gamma * eps.numerator)
         terms.append(("-gamma", Fraction(-data.gamma)))
@@ -272,6 +277,15 @@ class CurveRatio(NamedTuple):
     ratio: Fraction | None
 
 
+class _Fractions(dict):
+    """One Fraction per (numerator, denominator) key, made on first use:
+    Fractions are immutable, so reports may share them."""
+
+    def __missing__(self, key: tuple[int, int]) -> Fraction:
+        value = self[key] = _fraction(*key)
+        return value
+
+
 class NuReport(NamedTuple):
     """Empirical infimum of C^2/(D.C) over a supplied list of curve classes.
 
@@ -302,25 +316,32 @@ def empirical_nu(curves: Sequence[DivisorClass],
     in integers: with s = C.C * den(C)^2 and t = D.C * den(D) * den(C), the
     denominators are positive, so the signs are those of s and t, and the
     ratio is s * den(D) / (t * den(C)), compared with the least so far by
-    cross-multiplication.  Only the reported values become Fractions."""
-    from .lattice import _check_classes, _check_pair, _pairing_numerator
+    cross-multiplication.  Only the reported values become Fractions, one
+    per distinct key.  A curve of D's type, surface object and n is on D's
+    lattice; any other gets the full check."""
+    from .lattice import (_check_classes, _check_pair, _pairing_numerator,
+                          _self_pairing_numerator)
     _check_classes(big_nef)
-    d_den = big_nef.den
+    d_type, d_surface, d_n, d_den = (type(big_nef), big_nef.surface,
+                                     big_nef.n, big_nef.den)
+    made = _Fractions()
     ratios, least, least_key = [], None, None
     for index, curve in enumerate(checked_iterable(curves, "curves"), start=1):
-        _check_pair(big_nef, curve)
+        if (type(curve) is not d_type or curve.surface is not d_surface
+                or curve.n != d_n):
+            _check_pair(big_nef, curve)
         c_den = curve.den
-        s = _pairing_numerator(curve, curve)
+        s = _self_pairing_numerator(curve)
         t = _pairing_numerator(big_nef, curve)
         qualifies = s < 0 < t
         ratio = None
         if qualifies:
             key = (s * d_den, t * c_den)
-            ratio = Fraction(*key)
+            ratio = made[key]
             if least is None or key[0] * least_key[1] < least_key[0] * key[1]:
                 least, least_key = ratio, key
-        ratios.append(CurveRatio(index, Fraction(s, c_den * c_den),
-                                 Fraction(t, d_den * c_den), qualifies, ratio))
+        ratios.append(CurveRatio(index, made[s, c_den * c_den],
+                                 made[t, d_den * c_den], qualifies, ratio))
     return NuReport(least, tuple(ratios))
 
 
@@ -362,8 +383,8 @@ def delta_membership_check(d: DivisorClass, g: DivisorClass,
         slack = _pairing_numerator(shifted, witness)
         applicable = dc > 0
         checks.append(WitnessCheck(
-            index, Fraction(dc, d.den * witness.den),
-            Fraction(slack, shifted.den * witness.den), applicable,
+            index, _fraction(dc, d.den * witness.den),
+            _fraction(slack, shifted.den * witness.den), applicable,
             (slack >= 0) if applicable else None))
     return DeltaMembershipReport(
         epsilon=eps,

@@ -46,6 +46,12 @@ def _rational(value) -> Rational:
     raise TypeError(f"expected an int or Fraction, got {type(value).__name__}")
 
 
+def _fraction(num: int, den: int) -> Fraction:
+    """num / den for ints with den > 0; over 1, ``Fraction(num)`` takes the
+    int path, which skips the gcd of the two-argument form."""
+    return Fraction(num) if den == 1 else Fraction(num, den)
+
+
 @dataclass(frozen=True)
 class Point:
     """One blowup center, as the ``points`` view of a cluster shows it.
@@ -100,53 +106,70 @@ class Configuration:
     def _shared(self, name: str, derive):
         """``derive(self)`` from the one store of values derived from the
         proximities: derived on first read and kept under ``name``, shared by
-        every ``replace(c, surface=...)`` copy; two threads may derive it at
-        once, a benign race, as both store the same value."""
-        values = self._surface_free
-        if name not in values:
-            values[name] = derive(self)
-        return values[name]
+        every ``replace(c, surface=...)`` copy, and a stored value costs one
+        lookup; two threads may derive it at once, a benign race, as both
+        store the same value."""
+        value = self._surface_free.get(name)  # no stored value is None
+        if value is None:
+            value = self._surface_free[name] = derive(self)
+        return value
 
     @property
     def points(self) -> tuple[Point, ...]:
         """One Point per id, with its entry of ``proximities`` and ``levels``."""
-        return self._shared("points", lambda c: tuple(map(
-            Point, range(1, len(c) + 1), c.proximities, c.levels)))
+        return self._shared("points", _points)
 
     @property
     def levels(self) -> tuple[int, ...]:
         """Entry ``i`` is the level of point ``i + 1``: 0 at an origin, its
         parent's plus one elsewhere, in one walk over the proximities."""
-        def derive(c: Configuration) -> tuple[int, ...]:
-            levels: list[int] = []
-            for prox in c.proximities:
-                levels.append(levels[prox[0] - 1] + 1 if prox else 0)
-            return tuple(levels)
-        return self._shared("levels", derive)
+        return self._shared("levels", _levels)
 
     @property
     def successors(self) -> dict[int, tuple[int, ...]]:
         """For each id, the ids of the points proximate to it (ascending)."""
-        def derive(c: Configuration) -> dict[int, tuple[int, ...]]:
-            succ: list[list[int]] = [[] for _ in c.proximities]
-            for pid, prox in enumerate(c.proximities, start=1):
-                for target in prox:
-                    succ[target - 1].append(pid)
-            return {pid: tuple(ids) for pid, ids in enumerate(succ, start=1)}
-        return self._shared("successors", derive)
+        return self._shared("successors", _successors)
 
     @property
     def origins(self) -> tuple[int, ...]:
         """The ids with no proximities, ascending."""
-        return self._shared("origins", lambda c: tuple(
-            pid for pid, prox in enumerate(c.proximities, start=1) if not prox))
+        return self._shared("origins", _origins)
 
     @property
     def ends(self) -> tuple[int, ...]:
         """The ids no point is proximate to (E^2 = -1), ascending."""
-        return self._shared("ends", lambda c: tuple(
-            pid for pid, e_sq in exceptional_self_intersections(c).values.items()
-            if e_sq == -1))
+        return self._shared("ends", _ends)
+
+
+# The derive functions of the store properties above.
+
+def _points(c: Configuration) -> tuple[Point, ...]:
+    return tuple(map(Point, range(1, len(c) + 1), c.proximities, c.levels))
+
+
+def _levels(c: Configuration) -> tuple[int, ...]:
+    levels: list[int] = []
+    for prox in c.proximities:
+        levels.append(levels[prox[0] - 1] + 1 if prox else 0)
+    return tuple(levels)
+
+
+def _successors(c: Configuration) -> dict[int, tuple[int, ...]]:
+    succ: list[list[int]] = [[] for _ in c.proximities]
+    for pid, prox in enumerate(c.proximities, start=1):
+        for target in prox:
+            succ[target - 1].append(pid)
+    return {pid: tuple(ids) for pid, ids in enumerate(succ, start=1)}
+
+
+def _origins(c: Configuration) -> tuple[int, ...]:
+    return tuple(pid for pid, prox in enumerate(c.proximities, start=1)
+                 if not prox)
+
+
+def _ends(c: Configuration) -> tuple[int, ...]:
+    return tuple(pid for pid, e_sq in
+                 exceptional_self_intersections(c).values.items() if e_sq == -1)
 
 
 def checked_cluster(c) -> Configuration:

@@ -167,7 +167,8 @@ def serialize_configuration(c: Configuration) -> str:
 
 
 _SPLIT_NUMBER_RE = re.compile(r"[0-9/]\s+[0-9/]")
-_TERM_RE = re.compile(r"([+-]?)((?:\d+(?:/\d+)?)?)(L|F|M|E(\d+))",
+# sign, numerator, denominator, then a base letter or an E index
+_TERM_RE = re.compile(r"([+-]?)(?:(\d+)(?:/(\d+))?)?(?:([LFM])|E(\d+))",
                       re.IGNORECASE | re.ASCII)
 
 
@@ -193,28 +194,29 @@ def parse_divisor(text: str, surface: SurfaceModel, n: int) -> DivisorClass:
         if match is None:
             raise ParseError(f"cannot parse divisor literal "
                              f"{quote(text)} near {quote(compact[pos:])}")
-        sign, coeff, generator, e_index = match.groups()
+        sign, numerator, denominator, letter, e_index = match.groups()
         if pos and not sign:
             raise ParseError(f"missing sign between terms in {quote(text)}")
-        try:
-            value = _number(coeff or "1", "coefficient",
-                            Fraction if "/" in coeff else int)
-        except ZeroDivisionError:
-            raise ParseError(f"zero denominator in coefficient "
-                             f"{quote(coeff)} of {quote(text)}") from None
+        value = _number(numerator, "coefficient") if numerator else 1
         if sign == "-":
             value = -value
-        generator = generator.upper()
-        if generator.startswith("E"):
+        if denominator is not None:
+            q = _number(denominator, "coefficient")
+            if not q:
+                raise ParseError(f"zero denominator in coefficient "
+                                 f"{quote(f'{numerator}/{denominator}')} "
+                                 f"of {quote(text)}")
+            value = Fraction(value, q)
+        if e_index is not None:
             index = _number(e_index, "exceptional index")
             if not 1 <= index <= n:
                 raise ParseError(f"exceptional index E{quote(index)} out "
                                  f"of range 1..{quote(n)} in {quote(text)}")
             exceptional[index] = exceptional.get(index, 0) + value
-        elif generator in names:
-            base[names.index(generator)] += value
+        elif (letter := letter.upper()) in names:
+            base[names.index(letter)] += value
         else:
-            raise ParseError(f"generator {generator} is not valid over "
+            raise ParseError(f"generator {letter} is not valid over "
                              f"{surface_name(surface)}")
         pos = match.end()
     return DivisorClass._make(surface, n, base, exceptional)

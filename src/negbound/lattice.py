@@ -17,6 +17,7 @@ from typing import Mapping, NamedTuple, Sequence
 from .config import (
     Configuration,
     Rational,
+    _fraction,
     _rational,
     checked_cluster,
     proximity_apply,
@@ -68,14 +69,15 @@ class DivisorClass:
         return self
 
     def _store(self, surface, n, base, exceptional, den=1) -> None:
-        """Reduce the coordinates over ``den``; ints over 1 are kept as given."""
+        """Reduce the coordinates over ``den``; ints over 1 are kept as given,
+        and an int among Fractions needs no ``_rational``."""
         if len(base) != len(checked_surface(surface).generators):
             raise ValueError(
                 f"surface {surface_name(surface)} needs "
                 f"{len(surface.generators)} base coefficient(s), got {len(base)}")
         nums = (*base, *exceptional.values())
         if den != 1 or not all(type(x) is int for x in nums):
-            values = [_rational(x) for x in nums]
+            values = [x if type(x) is int else _rational(x) for x in nums]
             scale = lcm(*[x.denominator for x in values])
             nums = [x.numerator * (scale // x.denominator) for x in values]
             den *= scale
@@ -83,7 +85,7 @@ class DivisorClass:
             if g != 1:
                 den, nums = den // g, [x // g for x in nums]
         k = len(base)
-        vars(self).update(
+        self.__dict__.update(
             surface=surface, n=n, den=den, base_numerators=tuple(nums[:k]),
             exceptional_numerators={i: x for i, x in
                                     sorted(zip(exceptional, nums[k:])) if x})
@@ -102,11 +104,11 @@ class DivisorClass:
 
     @property
     def base(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(x, self.den) for x in self.base_numerators)
+        return tuple(_fraction(x, self.den) for x in self.base_numerators)
 
     @property
     def exceptional(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(x, self.den) for x in self._numerator_vector())
+        return tuple(_fraction(x, self.den) for x in self._numerator_vector())
 
     def _numerator_vector(self) -> list[int]:
         """The exceptional numerators over ``den``, zeros included."""
@@ -148,7 +150,7 @@ class DivisorClass:
         for x, name in terms:
             if x == 0:
                 continue
-            mag = Fraction(abs(x), self.den)
+            mag = _fraction(abs(x), self.den)
             lead = "" if mag == 1 else str(mag)
             if not out:
                 out = f"{'-' if x < 0 else ''}{lead}{name}"
@@ -185,7 +187,7 @@ def _check_pair(x: DivisorClass, y: DivisorClass) -> None:
 def pairing(x: DivisorClass, y: DivisorClass) -> Fraction:
     """Intersection number of two classes on the same lattice."""
     _check_pair(x, y)
-    return Fraction(_pairing_numerator(x, y), x.den * y.den)
+    return _fraction(_pairing_numerator(x, y), x.den * y.den)
 
 
 def _pairing_numerator(x: DivisorClass, y: DivisorClass) -> int:
@@ -208,15 +210,31 @@ def _pairing_numerator(x: DivisorClass, y: DivisorClass) -> int:
     return total
 
 
+def _self_pairing_numerator(x: DivisorClass) -> int:
+    """x.x * x.den**2 in integers, from one map: the base part, a**2 on the
+    plane and (a F + b M)**2 = (2a + delta b) b over F_delta, minus the
+    square of each exceptional numerator."""
+    base = x.base_numerators
+    if len(base) == 1:  # the plane
+        total = base[0] * base[0]
+    else:
+        a, b = base
+        total = (2 * a + x.surface.delta * b) * b
+    for p in x.exceptional_numerators.values():
+        total -= p * p
+    return total
+
+
 def strict_transform_of_exceptional(c: Configuration, point_id: int) -> DivisorClass:
     """The class E_q* - sum over p proximate to q of E_p* on the sky of c,
     stored as built: over denominator 1, its ids ascending, as the points
     proximate to q have larger ids, so it is already reduced."""
     checked_cluster(c)._check_id(point_id)
     cls = object.__new__(DivisorClass)
-    vars(cls).update(
-        surface=c.surface, n=len(c), den=1,
-        base_numerators=(0,) * len(c.surface.generators),
+    surface = c.surface
+    cls.__dict__.update(
+        surface=surface, n=len(c.proximities), den=1,
+        base_numerators=(0,) * len(surface.generators),
         exceptional_numerators={point_id: 1,
                                 **dict.fromkeys(c.successors[point_id], -1)})
     return cls
@@ -233,7 +251,7 @@ def strict_exceptional_coordinates(c: Configuration,
     checked_cluster(c)
     _check_classes(cls)
     _check_lattice(cls.surface, cls.n, c.surface, len(c))
-    return tuple(Fraction(v, cls.den)
+    return tuple(_fraction(v, cls.den)
                  for v in proximity_solve(c, cls._numerator_vector()))
 
 
@@ -337,5 +355,5 @@ class InvariantBoundReport(NamedTuple):
 def invariant_bound_check(k_f: DivisorClass, c: DivisorClass) -> InvariantBoundReport:
     _check_pair(k_f, c)
     return InvariantBoundReport(
-        self_intersection=Fraction(_pairing_numerator(c, c), c.den * c.den),
-        lower_bound=Fraction(-_pairing_numerator(k_f, c), k_f.den * c.den))
+        self_intersection=_fraction(_self_pairing_numerator(c), c.den * c.den),
+        lower_bound=_fraction(-_pairing_numerator(k_f, c), k_f.den * c.den))

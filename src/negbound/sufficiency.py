@@ -91,8 +91,11 @@ def d_value(c: Configuration) -> DValue:
 
 def origin_d_values(c: Configuration) -> dict[int, DValue]:
     """The d-value of each connected component, keyed by its origin id in ``c``."""
-    return checked_cluster(c)._shared("d_values", lambda c: {
-        origin: d_value(subconfiguration(c, origin)) for origin in c.origins})
+    return checked_cluster(c)._shared("d_values", _d_values)
+
+
+def _d_values(c: Configuration) -> dict[int, DValue]:
+    return {origin: d_value(subconfiguration(c, origin)) for origin in c.origins}
 
 
 def total_d(c: Configuration) -> int:
